@@ -22,7 +22,6 @@ from .errors import (
     InvalidInputError,
     LineSearchError,
     DegenerateCurvatureError,
-    NumericalError,
     UnsupportedError,
 )
 from .graphs import (
@@ -170,8 +169,6 @@ def _cmd_gammamax(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    gammas = None
-
     problem = _load_problem(args)
     gammas = parse_gamma_spec(args.gamma, problem)
     if len(gammas) != 1:
@@ -224,7 +221,7 @@ def _cmd_sweep(args) -> int:
     points = sweep(
         problem, gammas, solver=args.method, opts=opts,
         use_reweighting=args.reweight,
-        warm_start=not args.cold, jobs=args.jobs,
+        warm_start=not args.cold,
     )
     if args.csv:
         write_tradeoff_csv(points, args.csv)
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--gamma", required=True,
                    help="penalty: float, or fraction like 0.8gmax")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the centralized baseline solve")
@@ -333,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the path-following reweighted penalty")
     p.add_argument("--cold", action="store_true",
                    help="disable warm starts between gamma points")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent gamma points (requires --cold)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="tradeoff CSV path")
     p.set_defaults(func=_cmd_sweep)
@@ -363,7 +356,7 @@ def run(argv=None) -> int:
     except (InvalidInputError, UnsupportedError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (NumericalError, LineSearchError, DegenerateCurvatureError,
+    except (LineSearchError, DegenerateCurvatureError,
             scipy.linalg.LinAlgError, GspError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

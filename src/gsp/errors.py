@@ -43,7 +43,3 @@ class LineSearchError(GspError):
 
 class UnsupportedError(GspError):
     """The requested quantity is undefined for this problem (e.g. disconnected plant)."""
-
-
-class NumericalError(GspError):
-    """A dense linear-algebra kernel failed to converge."""

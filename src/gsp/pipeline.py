@@ -151,17 +151,9 @@ def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
 
 def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
           use_reweighting: bool = False, zero_tol: float = ZERO_TOL,
-          warm_start: bool = True, jobs: int = 1) -> list[TradeoffPoint]:
-    """Tradeoff curve: solve, threshold, polish and normalize for each gamma.
-
-    Gamma points may only run concurrently (``jobs > 1``) when both
-    warm-starting and reweighting are disabled; the path-following modes are
-    sequential by construction.
-    """
+          warm_start: bool = True) -> list[TradeoffPoint]:
+    """Tradeoff curve: solve, threshold, polish and normalize for each gamma."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    if jobs > 1 and (warm_start or use_reweighting):
-        raise InvalidInputError("parallel sweeps require cold starts and "
-                                "no reweighting")
     obj = Objective(problem)
     x_c, _ = solve_centralized(problem, solver, opts)
     J_c = obj.value(x_c)
@@ -172,17 +164,10 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
         solutions = [(g, x, 0) for g, x in
                      reweighted_path(problem, gammas, solver=solver, opts=opts)]
     elif not warm_start:
-        def one(g):
+        solutions = []
+        for g in gammas:
             x, rep = _solve(problem.with_gamma(float(g)), solver, None, opts)
-            return float(g), x, rep.iterations
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                solutions = list(pool.map(one, gammas))
-        else:
-            solutions = [one(g) for g in gammas]
+            solutions.append((float(g), x, rep.iterations))
     else:
         solutions = []
         x_prev = x_c

@@ -1,11 +1,14 @@
 """First-order solvers: soft-thresholding iteration and projected gradient.
 
-Both methods initialize the step size with the Barzilai-Borwein secant
-estimate.  The signed solver backtracks until the closed loop stays positive
-definite and the quadratic upper model holds, which makes the objective trace
-monotone; the resistive solver uses a non-monotone max-of-recent acceptance
-rule and needs no feasibility check (the cone is automatically feasible for
-connected plants).
+Both are one proximal-gradient loop with Barzilai-Borwein initial steps and
+backtracking; only the prox and the acceptance rule depend on the sign of the
+edge weights.  Signed problems take soft-thresholding and the monotone
+majorization test (the closed loop must stay positive definite and the
+quadratic upper model must hold), so the objective trace is monotone.
+Resistive problems take the projection onto ``x >= 0`` and the non-monotone
+sufficient-decrease test against the largest of the last few objective values
+(SpaRSA, Wright, Nowak and Figueiredo 2009).  A trial rejected at the
+smallest allowed step raises LineSearchError.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualCertificate, certify
+from .duality import DualCertificate, _gamma_vector, certify
 from .errors import (
     CertificateInvalidError,
     CertificateUnavailableError,
     InfeasiblePointError,
     InfeasibleStartError,
     InvalidInputError,
+    LineSearchError,
 )
 from .graphs import Problem
 from .objective import Objective
@@ -84,13 +88,6 @@ def bb_step(x_k, x_prev, g_k, g_prev, opts: ProxGradOptions) -> float:
     return float(np.clip(alpha, opts.alpha_min, opts.alpha_max))
 
 
-def _gamma_vector(problem: Problem, weights) -> np.ndarray:
-    g = np.full(problem.m, problem.gamma)
-    if weights is not None:
-        g = g * np.asarray(weights, dtype=float).reshape(-1)
-    return g
-
-
 class _Certifier:
     """Runs certification with graceful degradation to objective-change stops."""
 
@@ -118,35 +115,59 @@ def _finish(report, t0, cert):
     return report
 
 
-def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
-               weights=None):
-    """Soft-thresholding iteration for the signed problem.
+def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
+                   weights, resistive: bool):
+    """The proximal-gradient loop behind :func:`solve_ista` and
+    :func:`solve_projected`; the per-mode rules are fixed before it starts.
 
-    Returns ``(x, SolveReport)``.  ``weights`` optionally replaces the uniform
-    penalty with a per-edge weighted one.
+    ``grad`` is the gradient of the smooth part, as in proximal Newton: the
+    objective gradient for signed problems, the penalized one for resistive
+    problems.  Raises LineSearchError when a trial is rejected at
+    ``opts.alpha_min``.
     """
-    if problem.resistive:
-        raise InvalidInputError("solve_ista handles the signed problem; "
-                                "use solve_projected for resistive problems")
     opts = opts or ProxGradOptions()
     obj = Objective(problem)
     gam = _gamma_vector(problem, weights)
     t0 = time.perf_counter()
-
-    if x0 is None:
-        x0 = np.ones(problem.m)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     try:
-        st = obj.state(x0)
+        st = obj.state(x)
     except InfeasiblePointError as exc:
         raise InfeasibleStartError(str(exc)) from exc
 
+    if resistive:
+        def penalty(z):
+            return float(gam @ z)
+
+        def smooth_grad(state):
+            return state.grad + gam
+
+        def prox(v, alpha):
+            return np.clip(v, 0.0, None)
+
+        def accepts(st, f_ref, trial, J_trial, delta, step_sq, alpha):
+            # non-monotone sufficient decrease against the recent maximum
+            return J_trial + penalty(trial) <= f_ref - 1e-4 * step_sq / alpha
+    else:
+        def penalty(z):
+            return float(gam @ np.abs(z))
+
+        def smooth_grad(state):
+            return state.grad
+
+        def prox(v, alpha):
+            return soft_threshold(v, alpha * gam)
+
+        def accepts(st, f_ref, trial, J_trial, delta, step_sq, alpha):
+            # the quadratic upper model at x majorizes the trial point
+            return J_trial <= (st.J + float(st.grad @ delta)
+                               + step_sq / (2.0 * alpha) + 1e-12)
+
     certifier = _Certifier(problem, obj, weights)
     report = SolveReport()
-    x = x0
-    F = st.J + float(gam @ np.abs(x))
+    F = st.J + penalty(x)
+    grad = smooth_grad(st)
     report.objective_trace.append(F)
-    cert = None
+    recent = [F]
     x_prev = g_prev = None
     flat_count = 0
 
@@ -158,35 +179,40 @@ def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
         if x_prev is None:
             alpha = opts.alpha_fallback
         else:
-            alpha = bb_step(x, x_prev, st.grad, g_prev, opts)
+            alpha = bb_step(x, x_prev, grad, g_prev, opts)
 
-        # backtrack until feasible and majorized
+        f_ref = max(recent)
         while True:
-            trial = soft_threshold(x - alpha * st.grad, alpha * gam)
+            trial = prox(x - alpha * grad, alpha)
             delta = trial - x
             step_sq = float(delta @ delta)
             if step_sq == 0.0:
-                trial_cl, J_trial = st.cl, st.J
+                trial_cl = st.cl
                 break
             trial_cl = obj.closed_loop(trial)
-            if trial_cl.positive_definite:
-                J_trial = obj.value_at(trial_cl, trial)
-                bound = st.J + float(st.grad @ delta) + step_sq / (2.0 * alpha)
-                if J_trial <= bound + 1e-12:
-                    break
-            if alpha <= opts.alpha_min:
+            if trial_cl.positive_definite and accepts(
+                    st, f_ref, trial, obj.value_at(trial_cl, trial), delta,
+                    step_sq, alpha):
                 break
+            if alpha <= opts.alpha_min:
+                raise LineSearchError(
+                    f"trial step rejected at alpha_min={opts.alpha_min:g}")
             alpha = max(alpha * opts.backtrack_shrink, opts.alpha_min)
 
-        x_prev, g_prev = x, st.grad
+        x_prev, g_prev = x, grad
         x = trial
         st = obj.state(x, trial_cl)
-        F_new = st.J + float(gam @ np.abs(x))
+        F_new = st.J + penalty(x)
+        grad = smooth_grad(st)
+        recent.append(F_new)
+        if len(recent) > opts.nonmonotone_memory:
+            recent.pop(0)
         report.iterations = k
         report.step_trace.append(alpha)
         report.objective_trace.append(F_new)
 
-        if abs(F_new - F) <= 1e-10 * max(1.0, abs(F_new)):
+        # signed only: resistive runs stop on a certificate or a fixed point
+        if not resistive and abs(F_new - F) <= 1e-10 * max(1.0, abs(F_new)):
             flat_count += 1
         else:
             flat_count = 0
@@ -210,84 +236,30 @@ def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
     return x, _finish(report, t0, certifier(st))
 
 
+def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
+               weights=None):
+    """Soft-thresholding iteration for the signed problem.
+
+    Returns ``(x, SolveReport)``.  ``weights`` optionally replaces the uniform
+    penalty with a per-edge weighted one.
+    """
+    if problem.resistive:
+        raise InvalidInputError("solve_ista handles the signed problem; "
+                                "use solve_projected for resistive problems")
+    if x0 is None:
+        x0 = np.ones(problem.m)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    return _prox_gradient(problem, x0, opts, weights, resistive=False)
+
+
 def solve_projected(problem: Problem, x0=None,
                     opts: ProxGradOptions | None = None, weights=None):
     """Projected gradient with non-monotone BB steps for resistive problems."""
     if not problem.resistive:
         raise InvalidInputError("solve_projected requires a resistive problem")
-    opts = opts or ProxGradOptions()
-    obj = Objective(problem)
-    gam = _gamma_vector(problem, weights)
-    t0 = time.perf_counter()
-
     if x0 is None:
         x0 = np.zeros(problem.m)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size and x0.min() < 0:
         raise InvalidInputError("resistive starting point must be non-negative")
-
-    certifier = _Certifier(problem, obj, weights)
-    report = SolveReport()
-    x = x0
-    st = obj.state(x)
-    f = st.J + float(gam @ x)
-    grad_f = st.grad + gam
-    report.objective_trace.append(f)
-    recent = [f]
-    cert = None
-    x_prev = g_prev = None
-
-    if problem.m == 0:
-        report.status = "converged"
-        return x, _finish(report, t0, certifier(st))
-
-    for k in range(1, opts.max_iters + 1):
-        if x_prev is None:
-            alpha = opts.alpha_fallback
-        else:
-            alpha = bb_step(x, x_prev, grad_f, g_prev, opts)
-
-        f_ref = max(recent)
-        while True:
-            trial = np.clip(x - alpha * grad_f, 0.0, None)
-            delta = trial - x
-            step_sq = float(delta @ delta)
-            if step_sq == 0.0:
-                trial_cl, J_trial = st.cl, st.J
-                break
-            trial_cl = obj.closed_loop(trial)
-            J_trial = obj.value_at(trial_cl, trial)
-            if J_trial + float(gam @ trial) <= f_ref - 1e-4 * step_sq / alpha:
-                break
-            if alpha <= opts.alpha_min:
-                break
-            alpha = max(alpha * opts.backtrack_shrink, opts.alpha_min)
-
-        x_prev, g_prev = x, grad_f
-        x = trial
-        st = obj.state(x, trial_cl)
-        f = st.J + float(gam @ x)
-        grad_f = st.grad + gam
-        recent.append(f)
-        if len(recent) > opts.nonmonotone_memory:
-            recent.pop(0)
-        report.iterations = k
-        report.step_trace.append(alpha)
-        report.objective_trace.append(f)
-
-        # an exact fixed point of the projection map is optimal
-        stationary = step_sq == 0.0
-        if k % opts.report_every == 0 or stationary:
-            cert = certifier(st)
-            if cert is not None:
-                report.gap_trace.append(cert.gap)
-                if stationary or (cert.gap <= opts.tol_gap
-                                  and cert.rd_norm <= opts.tol_rd):
-                    report.status = "converged"
-                    return x, _finish(report, t0, cert)
-            elif stationary:
-                report.status = "converged"
-                return x, _finish(report, t0, None)
-
-    report.status = "max_iters"
-    return x, _finish(report, t0, certifier(st))
+    return _prox_gradient(problem, x0, opts, weights, resistive=True)

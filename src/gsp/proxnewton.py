@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .duality import _gamma_vector
 from .errors import (
     DegenerateCurvatureError,
     InfeasiblePointError,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .graphs import Problem
 from .objective import HESSIAN_SCALE, Objective
-from .proxgrad import SolveReport, _Certifier, _finish, _gamma_vector, soft_threshold
+from .proxgrad import SolveReport, _Certifier, _finish, soft_threshold
 
 
 @dataclass
@@ -68,7 +69,7 @@ def active_set(x_bar, grad, gamma_vec, eps_vec, resistive: bool) -> np.ndarray:
 
 
 def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
-                 opts: NewtonOptions, resistive: bool, return_hv: bool = False):
+                 opts: NewtonOptions, resistive: bool):
     """Approximate Newton direction by cyclic sweeps over active coordinates.
 
     ``grad`` follows the same convention as in :func:`active_set`.  After each
@@ -79,7 +80,7 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     xt = np.zeros(m)
     act = np.asarray(active, dtype=np.intp)
     if act.size == 0:
-        return (xt, np.zeros(0)) if return_hv else xt
+        return xt
 
     ai, aj = pairs[act, 0], pairs[act, 1]
     qY = Y[ai, ai] - 2.0 * Y[ai, aj] + Y[aj, aj]
@@ -118,7 +119,7 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
                 max_step = max(max_step, abs(delta))
         if max_step <= cd_tol:
             break
-    return (xt, hv) if return_hv else xt
+    return xt
 
 
 def line_search(objective: Objective, gamma_vec, state, xt,

@@ -37,7 +37,7 @@ def test_version_banner(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "gsp-report-1" in out
+    assert "gsp-report-2" in out
     assert "numpy-pcg64" in out
 
 
@@ -72,7 +72,7 @@ def test_solve_report(p3_file, tmp_path):
                 "proxn", "--gamma", "1.0", "--out", str(report)])
     assert code == EXIT_OK
     doc = json.loads(report.read_text())
-    assert doc["format"] == "gsp-report-1"
+    assert doc["format"] == "gsp-report-2"
     assert doc["problem"] == {"n": 3, "m": 1, "plant_edges": 2,
                               "connected": True, "resistive": True}
     (i, j, w), = doc["solution_unpolished"]
@@ -209,6 +209,17 @@ def test_exit_codes(tmp_path, p3_file):
     sup.write_text("# empty support\nn 4\n")
     assert run(["polish", "--plant", str(empty), "--edges",
                 str(sup)]) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gammas", "0.5", "--jobs", "2"],
+    ["solve", "--gamma", "0.5", "--seed", "1"],
+])
+def test_removed_flags_are_usage_errors(p3_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:1] + ["--plant", p3_file, "--resistive"] + argv[1:])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_rejects_gamma_ranges(p3_file):

@@ -6,7 +6,7 @@ import pytest
 from gsp import graphs, pipeline
 from gsp.errors import InfeasibleSupportError, InvalidInputError, UnsupportedError
 from gsp.objective import Objective
-from gsp.proxnewton import NewtonOptions
+from gsp.proxnewton import NewtonOptions, solve_newton
 
 
 def p3_problem(gamma=0.0):
@@ -141,26 +141,17 @@ def test_sweep_iterations_recorded():
     assert all(p.wall_time >= 0 for p in points)
 
 
-def test_sweep_parallel_requires_cold():
-    with pytest.raises(InvalidInputError):
-        pipeline.sweep(p3_problem(), [0.5, 1.0], jobs=2)
-    with pytest.raises(InvalidInputError):
-        pipeline.sweep(p3_problem(), [0.5, 1.0], jobs=2, warm_start=False,
-                       use_reweighting=True)
-
-
-def test_sweep_parallel_matches_serial():
+def test_sweep_cold_start_solves_each_gamma():
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", 10, p=0.5, seed=13), resistive=True
     )
     gammas = [0.2, 0.6, 1.0]
-    serial = pipeline.sweep(prob, gammas, opts=TIGHT, warm_start=False)
-    parallel = pipeline.sweep(prob, gammas, opts=TIGHT, warm_start=False,
-                              jobs=3)
-    for a, b in zip(serial, parallel):
-        assert a.gamma == b.gamma
-        assert a.cardinality == b.cardinality
-        assert a.J_polished == pytest.approx(b.J_polished, abs=1e-12)
+    points = pipeline.sweep(prob, gammas, opts=TIGHT, warm_start=False)
+    for g, p in zip(gammas, points):
+        x, rep = solve_newton(prob.with_gamma(g), None, TIGHT)
+        assert p.gamma == g
+        assert p.iterations == rep.iterations
+        assert p.cardinality == np.count_nonzero(np.abs(x) > pipeline.ZERO_TOL)
 
 
 def test_sweep_reweighting_mode():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gsp import graphs, proxgrad
-from gsp.errors import InfeasibleStartError, InvalidInputError
+from gsp.errors import InfeasibleStartError, InvalidInputError, LineSearchError
 from gsp.objective import Objective
 from gsp.proxgrad import ProxGradOptions, bb_step, soft_threshold
 
@@ -194,3 +194,17 @@ def test_weighted_penalty_changes_solution():
     # effective penalty 3*gamma shrinks the weight further
     assert x_wt[0] < x_plain[0]
     assert x_wt[0] == pytest.approx(1 / np.sqrt(2 * (2 + 3 * g)), abs=1e-6)
+
+
+@pytest.mark.parametrize("resistive, gamma, alpha", [
+    (False, 0.5, 50.0),  # the trial closed loop is not positive definite
+    (True, 0.05, 1e3),  # the trial raises the objective
+])
+def test_rejected_step_at_alpha_min_raises(resistive, gamma, alpha):
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 12, p=0.4, seed=9), gamma=gamma,
+        resistive=resistive,
+    )
+    solve = proxgrad.solve_projected if resistive else proxgrad.solve_ista
+    with pytest.raises(LineSearchError):
+        solve(prob, opts=ProxGradOptions(alpha_fallback=alpha, alpha_min=alpha))
