@@ -20,14 +20,10 @@ from .errors import (
     InfeasiblePointError,
     InfeasibleSupportError,
     InvalidInputError,
-    LineSearchError,
-    DegenerateCurvatureError,
     UnsupportedError,
 )
 from .graphs import (
     PRNG_ID,
-    EdgeList,
-    complement_candidates,
     default_problem,
     generate,
     read_edge_list,
@@ -106,19 +102,11 @@ def _load_problem(args, gamma: float = 0.0):
 
 
 def _solver_options(args):
-    if args.method == "proxn":
-        opts = NewtonOptions()
-        if args.max_iters is not None:
-            opts.max_outer = args.max_iters
-    else:
-        opts = ProxGradOptions()
-        if args.max_iters is not None:
-            opts.max_iters = args.max_iters
-    if args.tol_gap is not None:
-        opts.tol_gap = args.tol_gap
-    if args.tol_rd is not None:
-        opts.tol_rd = args.tol_rd
-    return opts
+    """Solver options built through their constructor, which checks the flags."""
+    cls, iters = ((NewtonOptions, "max_outer") if args.method == "proxn"
+                  else (ProxGradOptions, "max_iters"))
+    flags = {iters: args.max_iters, "tol_gap": args.tol_gap, "tol_rd": args.tol_rd}
+    return cls(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _config_echo(args) -> dict:
@@ -356,8 +344,7 @@ def run(argv=None) -> int:
     except (InvalidInputError, UnsupportedError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (LineSearchError, DegenerateCurvatureError,
-            scipy.linalg.LinAlgError, GspError) as exc:
+    except (scipy.linalg.LinAlgError, GspError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -4,6 +4,11 @@ Edges are always stored in canonical orientation ``i < j`` with the +1 entry
 of the corresponding incidence column at node ``i``.  The incidence structure
 is kept as an index-pair array (two node indices per edge) since every column
 has exactly two nonzero entries; dense matrices are only formed on request.
+
+Outside data is checked once, in the constructor that takes it; checked
+objects are read-only and trusted by what derives from them:
+``Problem.with_gamma``, ``Problem.restrict`` and ``controller_laplacian``
+check only what they add (penalty, support, edge weights).
 """
 
 from __future__ import annotations
@@ -19,9 +24,26 @@ from .errors import InvalidInputError
 PRNG_ID = "numpy-pcg64"
 
 
-def _as_pairs(pairs) -> np.ndarray:
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    return pairs
+def _check_pairs(n: int, pairs, what: str) -> np.ndarray:
+    """(m, 2) index array over ``n`` nodes: in range, ``i < j``, no duplicates."""
+    p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if p.size and (p.min() < 0 or p.max() >= n):
+        raise InvalidInputError("node index out of range")
+    if np.any(p[:, 0] >= p[:, 1]):
+        raise InvalidInputError(f"{what}s must satisfy i < j (no self-loops)")
+    if np.unique(p[:, 0] * n + p[:, 1]).size != p.shape[0]:
+        raise InvalidInputError(f"duplicate {what}")
+    return p
+
+
+def _laplacian(n: int, pairs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    L = np.zeros((n, n))
+    i, j = pairs[:, 0], pairs[:, 1]
+    np.add.at(L, (i, i), w)
+    np.add.at(L, (j, j), w)
+    np.add.at(L, (i, j), -w)
+    np.add.at(L, (j, i), -w)
+    return L
 
 
 @dataclass(frozen=True)
@@ -33,18 +55,11 @@ class EdgeList:
     weights: np.ndarray  # (m,) float array
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _as_pairs(self.pairs))
+        object.__setattr__(self, "pairs", _check_pairs(self.n, self.pairs, "edge"))
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         object.__setattr__(self, "weights", w)
-        p = self.pairs
-        if p.shape[0] != w.shape[0]:
+        if self.pairs.shape[0] != w.shape[0]:
             raise InvalidInputError("edge/weight count mismatch")
-        if p.size and (p.min() < 0 or p.max() >= self.n):
-            raise InvalidInputError("node index out of range")
-        if np.any(p[:, 0] >= p[:, 1]):
-            raise InvalidInputError("edges must satisfy i < j (no self-loops)")
-        if len({(int(i), int(j)) for i, j in p}) != p.shape[0]:
-            raise InvalidInputError("duplicate edge")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("edge weights must be finite")
         self.pairs.setflags(write=False)
@@ -76,13 +91,7 @@ class EdgeList:
 
     def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (dense, symmetric, zero row sums)."""
-        L = np.zeros((self.n, self.n))
-        i, j, w = self.pairs[:, 0], self.pairs[:, 1], self.weights
-        np.add.at(L, (i, i), w)
-        np.add.at(L, (j, j), w)
-        np.add.at(L, (i, j), -w)
-        np.add.at(L, (j, i), -w)
-        return L
+        return _laplacian(self.n, self.pairs, self.weights)
 
 
 @dataclass(frozen=True)
@@ -97,14 +106,7 @@ class IncidenceMatrix:
     pairs: np.ndarray  # (m, 2) int array
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _as_pairs(self.pairs))
-        p = self.pairs
-        if p.size and (p.min() < 0 or p.max() >= self.n):
-            raise InvalidInputError("node index out of range")
-        if np.any(p[:, 0] == p[:, 1]):
-            raise InvalidInputError("self-loop column")
-        if len({(int(i), int(j)) for i, j in p}) != p.shape[0]:
-            raise InvalidInputError("duplicate column")
+        object.__setattr__(self, "pairs", _check_pairs(self.n, self.pairs, "column"))
         self.pairs.setflags(write=False)
 
     @property
@@ -119,8 +121,10 @@ class IncidenceMatrix:
         return E
 
     def restrict(self, support) -> "IncidenceMatrix":
-        """Incidence structure over a subset of columns."""
-        idx = np.asarray(support, dtype=np.intp)
+        """Incidence structure over a subset of distinct columns."""
+        idx = np.asarray(support, dtype=np.intp).reshape(-1)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.m):
+            raise InvalidInputError("support index out of range")
         return IncidenceMatrix(self.n, self.pairs[idx])
 
 
@@ -134,7 +138,9 @@ def controller_laplacian(inc: IncidenceMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != inc.m:
         raise InvalidInputError("weight vector length does not match edge count")
-    return EdgeList(inc.n, inc.pairs, x).laplacian()
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("edge weights must be finite")
+    return _laplacian(inc.n, inc.pairs, x)
 
 
 def strengthened(L: np.ndarray) -> np.ndarray:
@@ -198,16 +204,18 @@ class PlantGraph:
         return cls(edges.n, edges, L, G, component_count(edges) == 1)
 
 
+def _upper_edges(n: int, keep) -> EdgeList:
+    """Unit-weight edges on the pairs ``i < j`` (lexicographic) where ``keep`` holds."""
+    i, j = np.triu_indices(n, k=1)
+    sel = keep(i, j)
+    return EdgeList(n, np.column_stack((i[sel], j[sel])), np.ones(int(sel.sum())))
+
+
 def complement_candidates(plant: EdgeList) -> EdgeList:
     """All node pairs ``i < j`` absent from the plant edge list."""
-    present = plant.edge_set()
-    pairs = [
-        (i, j)
-        for i in range(plant.n)
-        for j in range(i + 1, plant.n)
-        if (i, j) not in present
-    ]
-    return EdgeList.from_tuples(plant.n, pairs)
+    present = np.zeros((plant.n, plant.n), dtype=bool)
+    present[plant.pairs[:, 0], plant.pairs[:, 1]] = True
+    return _upper_edges(plant.n, lambda i, j: ~present[i, j])
 
 
 def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> EdgeList:
@@ -228,9 +236,7 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> EdgeLi
         if p is None or not 0.0 <= p <= 1.0:
             raise InvalidInputError("erdos_renyi requires 0 <= p <= 1")
         rng = np.random.Generator(np.random.PCG64(seed))
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        u = rng.random(len(all_pairs))
-        return EdgeList.from_tuples(n, [e for e, ui in zip(all_pairs, u) if ui < p])
+        return _upper_edges(n, lambda i, j: rng.random(i.size) < p)
     raise InvalidInputError(f"unknown graph kind {kind!r}")
 
 
@@ -239,8 +245,7 @@ def random_geometric(n: int, radius: float, box: float = 10.0, seed: int = 0) ->
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.random((n, 2)) * box
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if d[i, j] <= radius]
-    return EdgeList.from_tuples(n, pairs)
+    return _upper_edges(n, lambda i, j: d[i, j] <= radius)
 
 
 def component_count(edges: EdgeList) -> int:
@@ -274,10 +279,11 @@ class Problem:
 
     def __post_init__(self):
         n = self.plant.n
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
+        for name in ("Q", "R"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        Q, R = self.Q, self.R
         if self.candidates.n != n or Q.shape != (n, n) or R.shape != (n, n):
             raise InvalidInputError("dimension mismatch in problem data")
         if not np.allclose(Q, Q.T, atol=1e-12):
@@ -288,18 +294,18 @@ class Problem:
             raise InvalidInputError("Q + (1/n) 11^T must be positive definite")
         if not np.allclose(R, R.T, atol=1e-12):
             raise InvalidInputError("R must be symmetric")
-        if try_cholesky(R.copy()) is None:
+        if try_cholesky(R) is None:
             raise InvalidInputError("R must be positive definite")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise InvalidInputError("gamma must be non-negative")
         if self.resistive:
             if not self.plant.connected:
                 raise InvalidInputError("resistive problems require a connected plant")
-            joint = self.plant.edges.edge_set() & {
-                (int(i), int(j)) for i, j in self.candidates.pairs
-            }
+            keys = [p[:, 0] * n + p[:, 1]
+                    for p in (self.plant.edges.pairs, self.candidates.pairs)]
+            joint = [divmod(int(k), n) for k in np.intersect1d(*keys)[:3]]
             if joint:
-                raise InvalidInputError(f"joint plant/candidate edges: {sorted(joint)[:3]}")
+                raise InvalidInputError(f"joint plant/candidate edges: {joint}")
 
     @property
     def n(self) -> int:
@@ -317,14 +323,18 @@ class Problem:
             return r
         return None
 
+    def _derive(self, **changes) -> "Problem":
+        new = object.__new__(Problem)  # skips __post_init__: the data is checked
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
     def with_gamma(self, gamma: float) -> "Problem":
-        return Problem(self.plant, self.candidates, self.Q, self.R, gamma, self.resistive)
+        if not gamma >= 0:
+            raise InvalidInputError("gamma must be non-negative")
+        return self._derive(gamma=gamma)
 
     def restrict(self, support) -> "Problem":
-        return Problem(
-            self.plant, self.candidates.restrict(support), self.Q, self.R,
-            self.gamma, self.resistive,
-        )
+        return self._derive(candidates=self.candidates.restrict(support))
 
 
 def default_problem(

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InfeasiblePointError, InvalidInputError, SizeCapError
-from .graphs import ClosedLoop, Problem, closed_loop, strengthened, try_cholesky
+from .graphs import ClosedLoop, Problem, closed_loop, strengthened
 
 #: Curvature scale of the elementwise Hessian product.  Differentiating the
 #: trace term twice gives 2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l); the value is
@@ -60,8 +60,6 @@ def build_qp(problem: Problem) -> QpMatrix:
     """Effective state weight ``Q + (1/n) 11^T + L_p R L_p``."""
     Lp = problem.plant.L
     Qp = strengthened(problem.Q) + Lp @ problem.R @ Lp
-    if try_cholesky(strengthened(problem.Q)) is None:
-        raise InvalidInputError("Q + (1/n) 11^T is not positive definite")
     lam, V = scipy.linalg.eigh(Qp)
     if lam[0] <= 0:
         raise InvalidInputError("effective state weight is not positive definite")

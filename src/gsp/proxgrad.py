@@ -52,6 +52,10 @@ class ProxGradOptions:
             raise InvalidInputError("backtrack_shrink must lie in (0, 1)")
         if self.tol_gap <= 0 or self.tol_rd <= 0:
             raise InvalidInputError("tolerances must be positive")
+        if self.max_iters < 1 or self.report_every < 1:
+            raise InvalidInputError("max_iters and report_every must be at least 1")
+        if not self.alpha_min <= self.alpha_fallback <= self.alpha_max:
+            raise InvalidInputError("alpha_fallback must lie in [alpha_min, alpha_max]")
 
 
 @dataclass

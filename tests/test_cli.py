@@ -222,6 +222,14 @@ def test_removed_flags_are_usage_errors(p3_file, argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["proxn", "proxbb"])
+@pytest.mark.parametrize("flag", [["--tol-gap", "-1"], ["--tol-rd", "0"],
+                                  ["--max-iters", "0"]])
+def test_bad_solver_flags_are_invalid_input(p3_file, method, flag):
+    assert run(["solve", "--plant", p3_file, "--resistive", "--gamma", "0.5",
+                "--method", method, "--no-baseline"] + flag) == EXIT_INVALID
+
+
 def test_solve_rejects_gamma_ranges(p3_file):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma",
                 "log:0.1:1:3"]) == EXIT_INVALID

@@ -1,5 +1,7 @@
 """Graph containers, generators and the edge-list file format."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from gsp import graphs
 from gsp.errors import InvalidInputError
+from gsp.pipeline import ZERO_TOL, gamma_max, polish
+from gsp.proxgrad import solve_projected
+from gsp.proxnewton import solve_newton
 
 
 def test_edge_list_canonical_order():
@@ -114,8 +119,11 @@ def test_problem_validation():
             graphs.incidence_from_edges(graphs.complement_candidates(plant)),
             np.eye(3), np.eye(3),
         )
-    with pytest.raises(InvalidInputError):
-        graphs.default_problem(plant, gamma=-1.0)
+    for gamma in (-1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            graphs.default_problem(plant, gamma=gamma)
+        with pytest.raises(InvalidInputError):
+            graphs.default_problem(plant).with_gamma(gamma)
     with pytest.raises(InvalidInputError):
         # resistive problems forbid candidate edges already in the plant
         graphs.default_problem(plant, candidates=plant, resistive=True)
@@ -131,6 +139,106 @@ def test_restrict_problem():
     sub = prob.restrict([0, 2])
     assert sub.m == 2
     assert np.array_equal(sub.candidates.pairs, prob.candidates.pairs[[0, 2]])
+
+
+@pytest.mark.parametrize("support", [[-1], [10**6], [0, 2, 0]])
+def test_restrict_rejects_bad_support(support):
+    prob = graphs.default_problem(graphs.generate("path", 5), resistive=True)
+    with pytest.raises(InvalidInputError):
+        prob.restrict(support)
+    with pytest.raises(InvalidInputError):
+        polish(prob, support)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (0, 1)],  # duplicate column
+    [(0, 3)],  # node out of range
+    [(-1, 1)],
+    [(1, 0)],  # i > j
+    [(1, 1)],  # self-loop
+])
+def test_incidence_rejects_bad_columns(pairs):
+    with pytest.raises(InvalidInputError):
+        graphs.IncidenceMatrix(3, np.array(pairs))
+
+
+@pytest.mark.parametrize("x", [[1.0, np.nan, 1.0, 1.0], [1.0, 2.0, 3.0]])
+def test_controller_laplacian_rejects_bad_weights(x):
+    inc = graphs.incidence_from_edges(graphs.generate("ring", 4))
+    with pytest.raises(InvalidInputError):
+        graphs.controller_laplacian(inc, x)
+
+
+def test_problem_data_is_read_only():
+    prob = graphs.default_problem(graphs.generate("path", 4))
+    for a in (prob.Q, prob.R, prob.candidates.pairs, prob.plant.edges.pairs):
+        with pytest.raises(ValueError):
+            a[0, 0] = 5
+
+
+def test_derived_problems_are_not_rechecked(monkeypatch):
+    # checked once at construction; solvers and polish trust the problem, and
+    # only the restricted incidence structure built by polish is checked
+    plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
+    base = graphs.default_problem(plant, resistive=True)
+    prob = base.with_gamma(0.3 * gamma_max(base))
+    calls = collections.Counter()
+    for cls in (graphs.EdgeList, graphs.IncidenceMatrix, graphs.Problem):
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            calls[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    x, _ = solve_projected(prob)
+    solve_newton(prob)
+    assert not calls
+    support = np.flatnonzero(np.abs(x) > ZERO_TOL)
+    assert support.size
+    polish(prob, support)
+    assert calls == {"IncidenceMatrix": 1}
+
+
+# The pair-loop definitions the vectorized builders replaced; they pin the
+# pair order and the PRNG stream order.
+
+
+def _loop_erdos_renyi(n, p, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    u = rng.random(len(all_pairs))
+    return graphs.EdgeList.from_tuples(n, [e for e, ui in zip(all_pairs, u) if ui < p])
+
+
+def _loop_random_geometric(n, radius, box, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pts = rng.random((n, 2)) * box
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if d[i, j] <= radius]
+    return graphs.EdgeList.from_tuples(n, pairs)
+
+
+def _loop_complement(plant):
+    present = plant.edge_set()
+    pairs = [(i, j) for i in range(plant.n) for j in range(i + 1, plant.n)
+             if (i, j) not in present]
+    return graphs.EdgeList.from_tuples(plant.n, pairs)
+
+
+def _assert_identical(a, b):
+    assert a.n == b.n
+    for u, v in ((a.pairs, b.pairs), (a.weights, b.weights)):
+        assert u.dtype == v.dtype and u.shape == v.shape
+        assert u.tobytes() == v.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 3), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_pair_builders_match_pair_loops(n, seed, p):
+    er = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    _assert_identical(er, _loop_erdos_renyi(n, p, seed))
+    _assert_identical(graphs.complement_candidates(er), _loop_complement(er))
+    radius = 1.0 + 9.0 * p
+    _assert_identical(graphs.random_geometric(n, radius, 10.0, seed),
+                      _loop_random_geometric(n, radius, 10.0, seed))
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -83,6 +83,18 @@ def test_bb_step_fallback_and_clamp():
     assert a == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"report_every": 0},  # the loop takes k % report_every
+    {"max_iters": 0},
+    {"alpha_fallback": 0.0},  # the first trial would equal x: a false stationary stop
+    {"alpha_fallback": 0.05, "alpha_min": 0.1},
+    {"alpha_fallback": 3.0, "alpha_max": 2.0},
+])
+def test_options_reject_values_that_break_the_loop(kwargs):
+    with pytest.raises(InvalidInputError):
+        ProxGradOptions(**kwargs)
+
+
 def test_ista_rejects_resistive():
     with pytest.raises(InvalidInputError):
         proxgrad.solve_ista(p3_problem())
