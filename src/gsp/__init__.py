@@ -13,7 +13,6 @@ from .duality import (
     duality_gap,
     make_dual_feasible,
     multipliers,
-    primal_to_Y,
     residuals,
 )
 from .graphs import (
@@ -38,11 +37,6 @@ from .objective import (
     Objective,
     QpMatrix,
     build_qp,
-    eval_J,
-    grad_J,
-    hessian,
-    hessian_column,
-    hessian_diag,
     lyapunov_h2_oracle,
 )
 from .pipeline import (

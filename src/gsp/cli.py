@@ -125,9 +125,9 @@ def _problem_summary(problem) -> dict:
     }
 
 
-def _solution_entry(problem, x, zero_tol=ZERO_TOL) -> list:
+def _solution_entry(problem, x) -> list:
     out = []
-    for l in np.flatnonzero(np.abs(x) > zero_tol):
+    for l in np.flatnonzero(np.abs(x) > ZERO_TOL):
         i, j = problem.candidates.pairs[l]
         out.append([int(i), int(j), float(x[l])])
     return out

@@ -51,12 +51,6 @@ class DualCertificate:
         return r
 
 
-def primal_to_Y(cl, qp: QpMatrix) -> np.ndarray:
-    """Candidate dual point ``G^-1 Q_p G^-1`` from a factorized closed loop."""
-    Y = cl.solve(cl.solve(qp.Qp).T)
-    return 0.5 * (Y + Y.T)
-
-
 def dual_objective(Y: np.ndarray, qp: QpMatrix, G_p: np.ndarray) -> float:
     """Dual value ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>``."""
     S = qp.sqrt @ Y @ qp.sqrt
@@ -166,11 +160,7 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     Y_hat, beta = make_dual_feasible(Y, problem, weights)
     gam = _gamma_vector(problem, weights)
     x = state.x
-    primal = float(
-        np.trace(state.cl.solve(objective.qp.Qp))
-        + objective.lin @ x
-        + gam @ np.abs(x)
-    )
+    primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
     dual = dual_objective(Y_hat, objective.qp, problem.plant.G)
     # The multiplier products of duality_gap only equal the primal/dual
     # difference once the blending factor reaches 1; before that they can
@@ -187,3 +177,12 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     )
     return DualCertificate(Y, beta, Y_hat, y_plus, y_minus, gap, r_p,
                            r_d_plus, r_d_minus, primal, dual)
+
+
+def certify_or_none(problem: Problem, objective: Objective,
+                    state: ObjectiveState, weights=None) -> DualCertificate | None:
+    """:func:`certify`, or None when no certificate is available or valid."""
+    try:
+        return certify(problem, objective, state, weights)
+    except (CertificateUnavailableError, CertificateInvalidError):
+        return None

@@ -14,6 +14,7 @@ check only what they add (penalty, support, edge weights).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -315,9 +316,10 @@ class Problem:
     def m(self) -> int:
         return self.candidates.m
 
-    @property
+    @cached_property
     def scalar_r(self) -> float | None:
-        """Return ``r`` if ``R = r I``, else None."""
+        """Return ``r`` if ``R = r I``, else None; derived problems share ``R``
+        and copy the cached value."""
         r = float(self.R[0, 0])
         if np.allclose(self.R, r * np.eye(self.n), atol=1e-12):
             return r

@@ -10,6 +10,11 @@ evaluated via factorization solves; explicit inverses are only materialized
 where the Newton solver needs random entry access.  Every quadratic form
 ``xi_k^T A xi_l`` is assembled from four entries of ``A`` because each
 incidence column has exactly two nonzeros.
+
+Only this module solves with the closed-loop factor; the two deliberate
+independent paths are ``pipeline.gamma_max``, which factors ``G_p`` itself,
+and :func:`lyapunov_h2_oracle`, a reference that does not use
+:class:`Objective`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InfeasiblePointError, InvalidInputError, SizeCapError
-from .graphs import ClosedLoop, Problem, closed_loop, strengthened
+from .graphs import (
+    ClosedLoop,
+    Problem,
+    closed_loop,
+    controller_laplacian,
+    strengthened,
+    try_cholesky,
+)
 
 #: Curvature scale of the elementwise Hessian product.  Differentiating the
 #: trace term twice gives 2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l); the value is
@@ -74,6 +86,7 @@ class ObjectiveState:
     x: np.ndarray
     cl: ClosedLoop
     Y: np.ndarray = field(repr=False)
+    h2: float  # trace term <G^-1, Q_p>
     J: float
     grad: np.ndarray
 
@@ -92,9 +105,11 @@ class Objective:
     def closed_loop(self, x) -> ClosedLoop:
         return closed_loop(self.problem.plant.G, self.problem.candidates, x)
 
+    def _J(self, h2: float, x) -> float:
+        return float(h2 + self.lin @ x + self.const)
+
     def value_at(self, cl: ClosedLoop, x) -> float:
-        Z = cl.solve(self.qp.Qp)
-        return float(np.trace(Z) + self.lin @ x + self.const)
+        return self._J(np.trace(cl.solve(self.qp.Qp)), x)
 
     def value(self, x) -> float:
         """Objective value; raises if the closed loop is not positive definite."""
@@ -104,37 +119,39 @@ class Objective:
         return self.value_at(cl, x)
 
     def state(self, x, cl: ClosedLoop | None = None) -> ObjectiveState:
-        """Value, gradient and the dual-building matrix ``Y`` at one point."""
+        """Value, gradient, trace term and dual-building matrix ``Y`` at a point."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if cl is None:
             cl = self.closed_loop(x)
         if not cl.positive_definite:
             raise InfeasiblePointError("closed-loop matrix is not positive definite")
         Z = cl.solve(self.qp.Qp)
-        J = float(np.trace(Z) + self.lin @ x + self.const)
+        h2 = float(np.trace(Z))
         Y = cl.solve(Z.T)
         Y = 0.5 * (Y + Y.T)
         grad = self.lin - edge_quad_diag(Y, self.pairs)
-        return ObjectiveState(x, cl, Y, J, grad)
+        return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
     def gradient(self, x) -> np.ndarray:
         return self.state(x).grad
 
     # -- second-order information ------------------------------------------
 
-    def _curvature_factors(self, x):
-        st = self.state(x)
-        Ginv = st.cl.solve(np.eye(self.problem.n))
-        return st, 0.5 * (Ginv + Ginv.T)
+    def closed_loop_inverse(self, state: ObjectiveState) -> np.ndarray:
+        """Symmetrized dense ``G^-1`` of a state, for random entry access."""
+        Ginv = state.cl.solve(np.eye(self.problem.n))
+        return 0.5 * (Ginv + Ginv.T)
 
     def hessian_diag(self, x) -> np.ndarray:
-        st, Ginv = self._curvature_factors(x)
+        st = self.state(x)
+        Ginv = self.closed_loop_inverse(st)
         return HESSIAN_SCALE * edge_quad_diag(st.Y, self.pairs) * edge_quad_diag(
             Ginv, self.pairs
         )
 
     def hessian_column(self, x, l: int) -> np.ndarray:
-        st, Ginv = self._curvature_factors(x)
+        st = self.state(x)
+        Ginv = self.closed_loop_inverse(st)
         edge = self.pairs[l]
         return HESSIAN_SCALE * edge_quad_column(st.Y, edge, self.pairs) * edge_quad_column(
             Ginv, edge, self.pairs
@@ -148,7 +165,8 @@ class Objective:
                 f"m = {m} exceeds the dense-Hessian cap {DENSE_HESSIAN_CAP}; "
                 "use hessian_diag/hessian_column"
             )
-        st, Ginv = self._curvature_factors(x)
+        st = self.state(x)
+        Ginv = self.closed_loop_inverse(st)
         i, j = self.pairs[:, 0], self.pairs[:, 1]
         UY = st.Y[i] - st.Y[j]  # rows: xi_l^T Y
         UG = Ginv[i] - Ginv[j]
@@ -157,43 +175,17 @@ class Objective:
         return HESSIAN_SCALE * HY * HG
 
 
-# -- plain-function wrappers ------------------------------------------------
-
-
-def eval_J(problem: Problem, x) -> float:
-    return Objective(problem).value(x)
-
-
-def grad_J(problem: Problem, x) -> np.ndarray:
-    return Objective(problem).gradient(x)
-
-
-def hessian(problem: Problem, x) -> np.ndarray:
-    return Objective(problem).hessian(x)
-
-
-def hessian_diag(problem: Problem, x) -> np.ndarray:
-    return Objective(problem).hessian_diag(x)
-
-
-def hessian_column(problem: Problem, x, l: int) -> np.ndarray:
-    return Objective(problem).hessian_column(x, l)
-
-
 def lyapunov_h2_oracle(problem: Problem, x) -> float:
     """Independent H2 evaluation through the algebraic Lyapunov equation.
 
     Solves ``L P + P L = I - (1/n) 11^T`` on the subspace orthogonal to the
     all-ones vector via an eigendecomposition of the closed-loop Laplacian,
-    then returns ``<P, Q + L_x R L_x>``.  Equals ``eval_J(x) / 2``.
+    then returns ``<P, Q + L_x R L_x>``.  Equals ``Objective.value(x) / 2``.
     """
-    from .graphs import controller_laplacian
-
     x = np.asarray(x, dtype=float).reshape(-1)
-    cl = closed_loop(problem.plant.G, problem.candidates, x)
-    if not cl.positive_definite:
-        raise InfeasiblePointError("closed-loop matrix is not positive definite")
     Lx = controller_laplacian(problem.candidates, x)
+    if try_cholesky(problem.plant.G + Lx) is None:
+        raise InfeasiblePointError("closed-loop matrix is not positive definite")
     L = problem.plant.L + Lx
     n = problem.n
     lam, V = scipy.linalg.eigh(L)

@@ -113,14 +113,11 @@ def reweight_update(x, epsilon: float = REWEIGHT_EPS) -> np.ndarray:
 
 
 def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
-                    solver: str = "proxn", opts=None,
-                    passes_per_gamma: int = 1):
+                    solver: str = "proxn", opts=None):
     """Path-following solves with iteratively reweighted penalties.
 
     The unpenalized solution initializes the weights; each subsequent gamma is
     warm-started from the previous solution and followed by a weight update.
-    ``passes_per_gamma > 1`` enables the fixed-gamma multi-pass mode (stops
-    early once the weights settle below 1e-6).
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size and np.any(np.diff(gammas) < 0):
@@ -133,31 +130,25 @@ def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
     out = []
     for g in gammas:
         prob_g = problem.with_gamma(float(g))
-        x = x_prev
-        for _ in range(max(1, passes_per_gamma)):
-            try:
-                x, _ = _solve(prob_g, solver, x, opts, weights=w)
-            except InfeasibleStartError:
-                x, _ = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
-            w_new = reweight_update(x, epsilon)
-            settled = np.max(np.abs(w_new - w), initial=0.0) <= 1e-6
-            w = w_new
-            if settled:
-                break
+        try:
+            x, _ = _solve(prob_g, solver, x_prev, opts, weights=w)
+        except InfeasibleStartError:
+            x, _ = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
+        w = reweight_update(x, epsilon)
         out.append((float(g), x))
         x_prev = x
     return out
 
 
 def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
-          use_reweighting: bool = False, zero_tol: float = ZERO_TOL,
+          use_reweighting: bool = False,
           warm_start: bool = True) -> list[TradeoffPoint]:
     """Tradeoff curve: solve, threshold, polish and normalize for each gamma."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     obj = Objective(problem)
     x_c, _ = solve_centralized(problem, solver, opts)
     J_c = obj.value(x_c)
-    card_c = int(np.count_nonzero(np.abs(x_c) > zero_tol))
+    card_c = int(np.count_nonzero(np.abs(x_c) > ZERO_TOL))
 
     points = []
     if use_reweighting:
@@ -183,8 +174,8 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
     for (g, x, iters) in solutions:
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(g)
-        support = np.flatnonzero(np.abs(x) > zero_tol)
-        J_sparse = obj.value(np.where(np.abs(x) > zero_tol, x, 0.0))
+        support = np.flatnonzero(np.abs(x) > ZERO_TOL)
+        J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))
         x_pol, J_pol = polish(prob_g, support)
         card = int(support.size)
         points.append(TradeoffPoint(

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualCertificate, _gamma_vector, certify
+from .duality import DualCertificate, _gamma_vector, certify_or_none
 from .errors import (
-    CertificateInvalidError,
-    CertificateUnavailableError,
     InfeasiblePointError,
     InfeasibleStartError,
     InvalidInputError,
@@ -92,24 +90,6 @@ def bb_step(x_k, x_prev, g_k, g_prev, opts: ProxGradOptions) -> float:
     return float(np.clip(alpha, opts.alpha_min, opts.alpha_max))
 
 
-class _Certifier:
-    """Runs certification with graceful degradation to objective-change stops."""
-
-    def __init__(self, problem, objective, weights):
-        self.problem = problem
-        self.objective = objective
-        self.weights = weights
-        self.available = problem.scalar_r is not None
-
-    def __call__(self, state):
-        if not self.available:
-            return None
-        try:
-            return certify(self.problem, self.objective, state, self.weights)
-        except (CertificateUnavailableError, CertificateInvalidError):
-            return None
-
-
 def _finish(report, t0, cert):
     report.wall_time = time.perf_counter() - t0
     if cert is not None:
@@ -138,10 +118,10 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
     except InfeasiblePointError as exc:
         raise InfeasibleStartError(str(exc)) from exc
 
-    if resistive:
-        def penalty(z):
-            return float(gam @ z)
+    def penalty(z):
+        return float(gam @ np.abs(z))  # resistive iterates are non-negative
 
+    if resistive:
         def smooth_grad(state):
             return state.grad + gam
 
@@ -152,9 +132,6 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
             # non-monotone sufficient decrease against the recent maximum
             return J_trial + penalty(trial) <= f_ref - 1e-4 * step_sq / alpha
     else:
-        def penalty(z):
-            return float(gam @ np.abs(z))
-
         def smooth_grad(state):
             return state.grad
 
@@ -166,7 +143,6 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
             return J_trial <= (st.J + float(st.grad @ delta)
                                + step_sq / (2.0 * alpha) + 1e-12)
 
-    certifier = _Certifier(problem, obj, weights)
     report = SolveReport()
     F = st.J + penalty(x)
     grad = smooth_grad(st)
@@ -177,7 +153,7 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
 
     if problem.m == 0:
         report.status = "converged"
-        return x, _finish(report, t0, certifier(st))
+        return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
 
     for k in range(1, opts.max_iters + 1):
         if x_prev is None:
@@ -225,7 +201,7 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
         # an exact fixed point of the prox map is optimal for the convex problem
         stationary = step_sq == 0.0
         if k % opts.report_every == 0 or stationary or flat_count >= 5:
-            cert = certifier(st)
+            cert = certify_or_none(problem, obj, st, weights)
             if cert is not None:
                 report.gap_trace.append(cert.gap)
                 if stationary or (cert.gap <= opts.tol_gap
@@ -237,7 +213,7 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
                 return x, _finish(report, t0, None)
 
     report.status = "max_iters"
-    return x, _finish(report, t0, certifier(st))
+    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
 
 
 def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _gamma_vector
+from .duality import _gamma_vector, certify_or_none
 from .errors import (
     DegenerateCurvatureError,
     InfeasiblePointError,
@@ -24,8 +24,8 @@ from .errors import (
     LineSearchError,
 )
 from .graphs import Problem
-from .objective import HESSIAN_SCALE, Objective
-from .proxgrad import SolveReport, _Certifier, _finish, soft_threshold
+from .objective import HESSIAN_SCALE, Objective, edge_quad_diag
+from .proxgrad import SolveReport, _finish, soft_threshold
 
 
 @dataclass
@@ -83,9 +83,8 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
         return xt
 
     ai, aj = pairs[act, 0], pairs[act, 1]
-    qY = Y[ai, ai] - 2.0 * Y[ai, aj] + Y[aj, aj]
-    qG = Ginv[ai, ai] - 2.0 * Ginv[ai, aj] + Ginv[aj, aj]
-    a = HESSIAN_SCALE * qY * qG
+    sub = pairs[act]
+    a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
     usable = a > 0.0
     if not usable.any():
         raise DegenerateCurvatureError("no positive-curvature coordinate")
@@ -130,12 +129,11 @@ def line_search(objective: Objective, gamma_vec, state, xt,
     is accepted within the backtrack budget.
     """
     x_bar = state.x
+    l1_bar = float(gamma_vec @ np.abs(x_bar))  # resistive iterates are non-negative
+    f_bar = state.J + l1_bar
     if resistive:
-        f_bar = state.J + float(gamma_vec @ x_bar)
         slope = float((state.grad + gamma_vec) @ xt)
     else:
-        l1_bar = float(gamma_vec @ np.abs(x_bar))
-        f_bar = state.J + l1_bar
         slope = float(state.grad @ xt) + float(gamma_vec @ np.abs(x_bar + xt)) - l1_bar
 
     alpha = 1.0
@@ -146,11 +144,7 @@ def line_search(objective: Objective, gamma_vec, state, xt,
             continue
         cl = objective.closed_loop(x_new)
         if cl.positive_definite:
-            J_new = objective.value_at(cl, x_new)
-            if resistive:
-                f_new = J_new + float(gamma_vec @ x_new)
-            else:
-                f_new = J_new + float(gamma_vec @ np.abs(x_new))
+            f_new = objective.value_at(cl, x_new) + float(gamma_vec @ np.abs(x_new))
             if f_new <= f_bar + alpha * opts.sigma * slope + 1e-12:
                 return alpha, x_new, cl
         alpha *= opts.backtrack_shrink
@@ -176,14 +170,11 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
     except InfeasiblePointError as exc:
         raise InfeasibleStartError(str(exc)) from exc
 
-    certifier = _Certifier(problem, obj, weights)
     report = SolveReport()
     resistive = problem.resistive
     pairs = obj.pairs
 
     def composite(state):
-        if resistive:
-            return state.J + float(gam @ state.x)
         return state.J + float(gam @ np.abs(state.x))
 
     report.objective_trace.append(composite(st))
@@ -191,7 +182,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
     flat_count = 0
 
     for k in range(1, opts.max_outer + 1):
-        cert = certifier(st)
+        cert = certify_or_none(problem, obj, st, weights)
         if cert is not None:
             report.gap_trace.append(cert.gap)
             if cert.gap <= opts.tol_gap and cert.rd_norm <= opts.tol_rd:
@@ -202,8 +193,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             report.status = "converged"
             return x, _finish(report, t0, cert)
 
-        Ginv = st.cl.solve(np.eye(problem.n))
-        Ginv = 0.5 * (Ginv + Ginv.T)
+        Ginv = obj.closed_loop_inverse(st)
         smooth_grad = st.grad + gam if resistive else st.grad
         act = active_set(x, smooth_grad, gam, eps, resistive)
         xt = cd_direction(pairs, st.Y, Ginv, smooth_grad, x, gam, act,
@@ -227,12 +217,13 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             # blended point fails its sign checks): stop on a flat objective
             if flat_count >= 3 and cert is None:
                 report.status = "converged"
-                return x, _finish(report, t0, certifier(st))
+                cert = certify_or_none(problem, obj, st, weights)
+                return x, _finish(report, t0, cert)
         else:
             flat_count = 0
         prev_F = F
 
-    cert = certifier(st)
+    cert = certify_or_none(problem, obj, st, weights)
     if cert is not None and cert.gap <= opts.tol_gap and cert.rd_norm <= opts.tol_rd:
         report.status = "converged"
     else:

@@ -163,6 +163,29 @@ def test_sweep_csv_deterministic(p3_file, tmp_path):
     assert one("a") == one("b")
 
 
+#: cardinality and J_polished of the pinned sweep below, to 12 significant
+#: digits; a change to these is a change of results, not of code
+PINNED_SWEEP = [
+    ("23", "5.10595656557"),
+    ("16", "5.13485207517"),
+    ("12", "5.23525036176"),
+    ("4", "5.55780971418"),
+]
+
+
+def test_sweep_regression_pin(tmp_path):
+    plant = tmp_path / "er.edges"
+    csv = tmp_path / "pin.csv"
+    assert run(["gen", "erdos_renyi", "--n", "10", "--p", "0.3", "--seed",
+                "1", "--out", str(plant)]) == EXIT_OK
+    code = run(["sweep", "--plant", str(plant), "--resistive", "--method",
+                "proxbb", "--gammas", "log:0.05gmax:0.8gmax:4", "--csv",
+                str(csv), "--out", str(tmp_path / "pin.json")])
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in csv.read_text().strip().splitlines()[1:]]
+    assert [(r[1], r[3]) for r in rows] == PINNED_SWEEP
+
+
 def test_sweep_row_count(p3_file, tmp_path):
     csv = tmp_path / "c.csv"
     code = run(["sweep", "--plant", p3_file, "--resistive", "--gammas",

@@ -38,13 +38,38 @@ def test_dual_objective_two_node_hand_value():
 
 
 def test_primal_to_Y():
+    # the state's dual-building matrix and closed-loop inverse against dense
+    # inverses
     prob = p3_problem()
     obj = Objective(prob)
     st = obj.state(np.array([0.4]))
-    Y = duality.primal_to_Y(st.cl, obj.qp)
     Ginv = np.linalg.inv(st.cl.G)
-    assert np.allclose(Y, Ginv @ obj.qp.Qp @ Ginv, atol=1e-10)
-    assert np.allclose(Y, st.Y, atol=1e-12)
+    assert np.allclose(st.Y, Ginv @ obj.qp.Qp @ Ginv, atol=1e-10)
+    assert np.allclose(obj.closed_loop_inverse(st), Ginv, atol=1e-10)
+
+
+def test_certify_reads_the_state(monkeypatch):
+    # the primal value comes from the state's trace term, with no solve of
+    # its own
+    calls = []
+    solve = graphs.ClosedLoop.solve
+
+    def counting_solve(cl, B):
+        calls.append(1)
+        return solve(cl, B)
+
+    monkeypatch.setattr(graphs.ClosedLoop, "solve", counting_solve)
+    cases = [(p3_problem(gamma=0.9), np.array([0.25]), None),
+             (two_node_problem(gamma=2.0), np.array([0.3]), np.array([1.5]))]
+    for prob, x, w in cases:
+        obj = Objective(prob)
+        st = obj.state(x)
+        assert calls
+        calls.clear()
+        cert = duality.certify(prob, obj, st, w)
+        assert calls == []
+        gam = duality._gamma_vector(prob, w)
+        assert cert.primal == float(st.h2 + obj.lin @ x + gam @ np.abs(x))
 
 
 def test_make_dual_feasible_properties():
@@ -73,6 +98,7 @@ def test_blending_cannot_fix_small_edge_forms():
     st = obj.state(np.array([0.7]))
     with pytest.raises(duality.CertificateInvalidError):
         duality.certify(prob, obj, st)
+    assert duality.certify_or_none(prob, obj, st) is None
 
 
 def test_make_dual_feasible_at_optimum_keeps_Y():
@@ -97,6 +123,7 @@ def test_certificate_requires_scalar_R():
         duality.make_dual_feasible(st.Y, prob)
     with pytest.raises(CertificateUnavailableError):
         duality.certify(prob, obj, st)
+    assert duality.certify_or_none(prob, obj, st) is None
 
 
 def test_weak_duality_random_points():

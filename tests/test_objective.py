@@ -178,12 +178,3 @@ def test_convexity_along_segments():
         b = 0.2 + rng.random(prob.m)
         mid = obj.value(0.5 * (a + b))
         assert mid <= 0.5 * obj.value(a) + 0.5 * obj.value(b) + 1e-10
-
-
-def test_functional_wrappers_agree():
-    prob = seeded_problem(n=8, seed=7)
-    x = feasible_point(prob, seed=21)
-    obj = Objective(prob)
-    assert objective.eval_J(prob, x) == pytest.approx(obj.value(x))
-    assert np.allclose(objective.grad_J(prob, x), obj.gradient(x))
-    assert np.allclose(objective.hessian_diag(prob, x), obj.hessian_diag(x))
