@@ -32,7 +32,7 @@ class TradeoffPoint:
     rel_performance_loss: float  # (J_polished - J_c) / J_c
     rel_cardinality: float
     iterations: int
-    wall_time: float
+    wall_time: float  # seconds to solve, threshold and polish this gamma
 
 
 def gamma_max(problem: Problem) -> float:
@@ -118,24 +118,36 @@ def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
 
     The unpenalized solution initializes the weights; each subsequent gamma is
     warm-started from the previous solution and followed by a weight update.
+    Returns a list of ``(gamma, x)``.
+    """
+    return [(g, x) for g, x, _, _ in
+            _reweighted_solves(problem, gammas, epsilon, solver, opts)]
+
+
+def _reweighted_solves(problem: Problem, gammas, epsilon, solver, opts, x_c=None):
+    """The reweighted path as ``(gamma, x, iterations, seconds)`` per gamma.
+
+    ``x_c`` is the unpenalized solution when the caller already has it.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size and np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
-    x_c, _ = solve_centralized(problem, solver, opts)
+    if x_c is None:
+        x_c, _ = solve_centralized(problem, solver, opts)
     w = reweight_update(x_c, epsilon)
     x_prev = x_c
     out = []
     for g in gammas:
+        t0 = time.perf_counter()
         prob_g = problem.with_gamma(float(g))
         try:
-            x, _ = _solve(prob_g, solver, x_prev, opts, weights=w)
+            x, rep = _solve(prob_g, solver, x_prev, opts, weights=w)
         except InfeasibleStartError:
-            x, _ = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
+            x, rep = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
         w = reweight_update(x, epsilon)
-        out.append((float(g), x))
+        out.append((float(g), x, rep.iterations, time.perf_counter() - t0))
         x_prev = x
     return out
 
@@ -152,26 +164,26 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
 
     points = []
     if use_reweighting:
-        solutions = [(g, x, 0) for g, x in
-                     reweighted_path(problem, gammas, solver=solver, opts=opts)]
-    elif not warm_start:
-        solutions = []
-        for g in gammas:
-            x, rep = _solve(problem.with_gamma(float(g)), solver, None, opts)
-            solutions.append((float(g), x, rep.iterations))
+        solutions = _reweighted_solves(problem, gammas, REWEIGHT_EPS, solver,
+                                       opts, x_c)
     else:
         solutions = []
         x_prev = x_c
         for g in gammas:
+            t0 = time.perf_counter()
             prob_g = problem.with_gamma(float(g))
-            try:
-                x, rep = _solve(prob_g, solver, x_prev, opts)
-            except InfeasibleStartError:
+            if not warm_start:
                 x, rep = _solve(prob_g, solver, None, opts)
-            solutions.append((float(g), x, rep.iterations))
+            else:
+                try:
+                    x, rep = _solve(prob_g, solver, x_prev, opts)
+                except InfeasibleStartError:
+                    x, rep = _solve(prob_g, solver, None, opts)
+            solutions.append((float(g), x, rep.iterations,
+                              time.perf_counter() - t0))
             x_prev = x
 
-    for (g, x, iters) in solutions:
+    for (g, x, iters, solve_s) in solutions:
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(g)
         support = np.flatnonzero(np.abs(x) > ZERO_TOL)
@@ -186,6 +198,6 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
             rel_performance_loss=(J_pol - J_c) / J_c,
             rel_cardinality=card / card_c if card_c else float("nan"),
             iterations=iters,
-            wall_time=time.perf_counter() - t0,
+            wall_time=solve_s + time.perf_counter() - t0,
         ))
     return points

@@ -4,8 +4,11 @@ Each outer iteration materializes the dense inverse of the closed-loop matrix
 (coordinate updates need random entry access), builds the active set, runs
 cyclic coordinate descent with closed-form scalar updates to approximate the
 Newton direction, and backtracks with a generalized Armijo rule.  The running
-Hessian-direction product is maintained by rank-one corrections so the dense
-m-by-m Hessian is never formed.
+Hessian-direction product is kept current by adding one Hessian row per
+coordinate update, restricted to the active set.  Those rows are built from
+``Y`` and ``G^-1`` the first time a coordinate moves and cached for later
+sweeps under a fixed budget (``CD_CACHE_ELEMS``), so neither the dense m-by-m
+Hessian nor its full active block is ever formed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from .errors import (
 )
 from .graphs import Problem
 from .objective import HESSIAN_SCALE, Objective, edge_quad_diag
-from .proxgrad import SolveReport, _finish, soft_threshold
+from .proxgrad import SolveReport, _finish
+
+#: Entries of each factor's row cache in :func:`cd_direction` (1 MB of
+#: float64 per factor).  Kept small on purpose: a cache of the whole active
+#: block costs resident memory on the rare calls with thousands of active
+#: coordinates, where few coordinates move.
+CD_CACHE_ELEMS = 1 << 17
 
 
 @dataclass
@@ -72,9 +81,14 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
                  opts: NewtonOptions, resistive: bool):
     """Approximate Newton direction by cyclic sweeps over active coordinates.
 
-    ``grad`` follows the same convention as in :func:`active_set`.  After each
-    scalar update the running product of the Hessian with the direction is
-    corrected in place from two incidence-sparse columns.
+    ``grad`` follows the same convention as in :func:`active_set`; ``active``
+    holds distinct candidate indices.  After each nonzero scalar update the
+    running product of the Hessian with the direction, restricted to the
+    active set, gains ``delta`` times that coordinate's Hessian row.  The row
+    is the product of two incidence-sparse factor rows, one from ``Y`` and
+    one from ``Ginv``; a coordinate's factor rows are built the first time it
+    moves and kept for later sweeps, up to ``CD_CACHE_ELEMS`` entries per
+    factor.  Rows past that budget are rebuilt on every move.
     """
     m = x_bar.shape[0]
     xt = np.zeros(m)
@@ -82,8 +96,8 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     if act.size == 0:
         return xt
 
-    ai, aj = pairs[act, 0], pairs[act, 1]
     sub = pairs[act]
+    ai, aj = sub[:, 0], sub[:, 1]
     a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
     usable = a > 0.0
     if not usable.any():
@@ -93,31 +107,54 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     if cd_tol is None:
         cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
 
-    hv = np.zeros(act.size)  # (hessian @ xt) restricted to active coordinates
+    size = act.size
+    cap = min(size, CD_CACHE_ELEMS // size)
+    rows_Y = np.empty((cap, size))
+    rows_G = np.empty((cap, size))
+    slot = [-1] * size  # cache row of each coordinate, -1 while not cached
+    cached = 0
+
+    # the scalar loop runs on Python floats, much cheaper than numpy scalars
+    # and the same IEEE double arithmetic
+    coords = np.flatnonzero(usable).tolist()
+    a, g = a.tolist(), grad[act].tolist()
+    xb, gam = x_bar[act].tolist(), gamma_vec[act].tolist()
+    ends = sub.tolist()
+    d = [0.0] * size  # the direction on the active coordinates
+    hv = np.zeros(size)  # (hessian @ xt) restricted to active coordinates
     for _ in range(opts.cd_sweeps_max):
         max_step = 0.0
-        for t in range(act.size):
-            if not usable[t]:
-                continue
-            i = act[t]
+        for t in coords:
             at = a[t]
-            b = hv[t] + grad[i]
-            c = x_bar[i] + xt[i]
+            b = hv.item(t) + g[t]
+            c = xb[t] + d[t]
             if resistive:
                 z = c - b / at
                 delta = -b / at if z >= 0.0 else -c
             else:
-                delta = -c + soft_threshold(c - b / at, gamma_vec[i] / at)
+                v = c - b / at
+                k = gam[t] / at
+                delta = -c + (v - k if v > k else v + k if v < -k else 0.0)
             if delta != 0.0:
-                xt[i] += delta
-                uY = Y[:, pairs[i, 0]] - Y[:, pairs[i, 1]]
-                uG = Ginv[:, pairs[i, 0]] - Ginv[:, pairs[i, 1]]
-                colY = uY[ai] - uY[aj]
-                colG = uG[ai] - uG[aj]
-                hv += (delta * HESSIAN_SCALE) * colY * colG
+                d[t] += delta
+                s = slot[t]
+                if s >= 0:
+                    colY, colG = rows_Y[s], rows_G[s]
+                else:
+                    p, q = ends[t]
+                    uY = Y[:, p] - Y[:, q]
+                    uG = Ginv[:, p] - Ginv[:, q]
+                    colY = uY[ai] - uY[aj]
+                    colG = uG[ai] - uG[aj]
+                    if cached < cap:
+                        rows_Y[cached], rows_G[cached] = colY, colG
+                        slot[t] = cached
+                        cached += 1
+                hv += ((delta * HESSIAN_SCALE) * colY) * colG
                 max_step = max(max_step, abs(delta))
         if max_step <= cd_tol:
             break
+    xt[act] = d
     return xt
 
 

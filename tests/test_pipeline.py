@@ -1,5 +1,7 @@
 """Design flows: gamma_max, polishing, reweighting and tradeoff sweeps."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,46 @@ def test_sweep_reweighting_mode():
     assert len(points) == 4
     cards = [p.cardinality for p in points]
     assert cards[-1] <= cards[0]
+
+
+@pytest.mark.parametrize("mode", [{}, {"warm_start": False},
+                                  {"use_reweighting": True}],
+                         ids=["warm", "cold", "reweighted"])
+def test_sweep_wall_time_covers_the_solve(monkeypatch, mode):
+    # a pause inside every solve, which threshold and polish never see, must
+    # show in the wall time of each point
+    pause = 0.05
+    real_solve = pipeline._solve
+
+    def slow_solve(*args, **kwargs):
+        time.sleep(pause)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_solve", slow_solve)
+    points = pipeline.sweep(p3_problem(), [0.5, 1.0], opts=TIGHT, **mode)
+    assert len(points) == 2
+    assert all(p.wall_time >= pause for p in points)
+
+
+def test_sweep_reweighting_records_iterations(monkeypatch):
+    reports = []
+    real_solve = pipeline._solve
+
+    def recording_solve(*args, **kwargs):
+        x, rep = real_solve(*args, **kwargs)
+        reports.append(rep)
+        return x, rep
+
+    monkeypatch.setattr(pipeline, "_solve", recording_solve)
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 10, p=0.5, seed=17)
+    )
+    points = pipeline.sweep(prob, np.geomspace(0.05, 1.5, 4), opts=TIGHT,
+                            use_reweighting=True)
+    # one centralized solve, shared by the path, then one solve per gamma
+    assert len(reports) == 1 + len(points)
+    assert [p.iterations for p in points] == [r.iterations for r in reports[1:]]
+    assert any(p.iterations > 0 for p in points)
 
 
 def test_solve_centralized_dispatch():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsp import graphs, proxnewton
-from gsp.errors import InvalidInputError
-from gsp.objective import Objective
+from gsp.errors import InfeasiblePointError, InvalidInputError
+from gsp.objective import HESSIAN_SCALE, Objective, edge_quad_diag
 from gsp.proxgrad import soft_threshold
 from gsp.proxnewton import NewtonOptions, active_set, cd_direction, line_search
 
@@ -94,6 +96,84 @@ def test_cd_direction_matches_dense_reference():
             c = x[i] + ref[i]
             ref[i] += -c + soft_threshold(c - b / a, gam[i] / a)
     assert np.allclose(xt, ref, atol=1e-8)
+
+
+def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
+                  resistive):
+    """Coordinate descent that rebuilds both incidence columns from ``Y`` and
+    ``Ginv`` on every nonzero update and soft-thresholds numpy scalars: the
+    kernel before its rows were cached, kept as the bit-level reference."""
+    xt = np.zeros(x_bar.shape[0])
+    act = np.asarray(active, dtype=np.intp)
+    ai, aj = pairs[act, 0], pairs[act, 1]
+    sub = pairs[act]
+    a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
+    usable = a > 0.0
+    cd_tol = opts.cd_tol
+    if cd_tol is None:
+        cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+    hv = np.zeros(act.size)
+    for _ in range(opts.cd_sweeps_max):
+        max_step = 0.0
+        for t in range(act.size):
+            if not usable[t]:
+                continue
+            i = act[t]
+            at = a[t]
+            b = hv[t] + grad[i]
+            c = x_bar[i] + xt[i]
+            if resistive:
+                z = c - b / at
+                delta = -b / at if z >= 0.0 else -c
+            else:
+                delta = -c + soft_threshold(c - b / at, gamma_vec[i] / at)
+            if delta != 0.0:
+                xt[i] += delta
+                uY = Y[:, pairs[i, 0]] - Y[:, pairs[i, 1]]
+                uG = Ginv[:, pairs[i, 0]] - Ginv[:, pairs[i, 1]]
+                colY = uY[ai] - uY[aj]
+                colG = uG[ai] - uG[aj]
+                hv += (delta * HESSIAN_SCALE) * colY * colG
+                max_step = max(max_step, abs(delta))
+        if max_step <= cd_tol:
+            break
+    return xt
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(5, 14), seed=st.integers(0, 50),
+       frac=st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]),
+       resistive=st.booleans())
+@pytest.mark.parametrize("cache", ["full", "partial"])
+def test_cd_direction_bit_identical_to_per_update_loop(cache, n, seed, frac,
+                                                       resistive):
+    # random weighted penalties at a random point with some zero weights,
+    # both as solve_newton builds them; "partial" caps the row cache at three
+    # rows so most coordinates take the uncached path
+    plant = graphs.generate("erdos_renyi", n, p=0.4, seed=seed)
+    assume(not resistive or graphs.PlantGraph.from_edges(plant).connected)
+    prob = graphs.default_problem(plant, resistive=resistive)
+    obj = Objective(prob)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = (0.05 + rng.random(prob.m)) * (rng.random(prob.m) < 0.6)
+    try:
+        state = obj.state(x)
+    except InfeasiblePointError:
+        assume(False)
+    Ginv = obj.closed_loop_inverse(state)
+    gam = frac * float(np.max(np.abs(state.grad))) * (0.5 + rng.random(prob.m))
+    grad = state.grad + gam if resistive else state.grad
+    act = active_set(x, grad, gam, 1e-4 * gam, resistive)
+    assume(act.size > 3)
+    args = (obj.pairs, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
+            resistive)
+    ref = per_update_cd(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        if cache == "partial":
+            mp.setattr(proxnewton, "CD_CACHE_ELEMS", 3 * act.size)
+        xt = cd_direction(*args)
+    assert np.array_equal(xt, ref)
+    assert xt.tobytes() == ref.tobytes()
 
 
 def test_cd_direction_resistive_respects_cone():
