@@ -4,11 +4,11 @@ Each outer iteration materializes the dense inverse of the closed-loop matrix
 (coordinate updates need random entry access), builds the active set, runs
 cyclic coordinate descent with closed-form scalar updates to approximate the
 Newton direction, and backtracks with a generalized Armijo rule.  The running
-Hessian-direction product is kept current by adding one Hessian row per
-coordinate update, restricted to the active set.  Those rows are built from
-``Y`` and ``G^-1`` the first time a coordinate moves and cached for later
-sweeps under a fixed budget (``CD_CACHE_ELEMS``), so neither the dense m-by-m
-Hessian nor its full active block is ever formed.
+Hessian-direction product is kept current by one BLAS ``axpy`` with the
+moving coordinate's Hessian row, restricted to the active set.  A row is built
+from ``Y`` and ``G^-1`` the first time its coordinate moves and cached for
+later sweeps in one array of at most ``CD_CACHE_ELEMS`` entries, so neither
+the dense m-by-m Hessian nor its full active block is ever formed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .duality import _gamma_vector, certify_or_none
 from .errors import (
@@ -30,11 +31,11 @@ from .graphs import Problem
 from .objective import HESSIAN_SCALE, Objective, edge_quad_diag
 from .proxgrad import SolveReport, _finish
 
-#: Entries of each factor's row cache in :func:`cd_direction` (1 MB of
-#: float64 per factor).  Kept small on purpose: a cache of the whole active
-#: block costs resident memory on the rare calls with thousands of active
-#: coordinates, where few coordinates move.
-CD_CACHE_ELEMS = 1 << 17
+#: Entries of the Hessian-row cache in :func:`cd_direction` (2 MB of
+#: float64).  Kept small on purpose: a cache of the whole active block costs
+#: resident memory on the rare calls with thousands of active coordinates,
+#: where few coordinates move.
+CD_CACHE_ELEMS = 1 << 18
 
 
 @dataclass
@@ -84,11 +85,13 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     ``grad`` follows the same convention as in :func:`active_set`; ``active``
     holds distinct candidate indices.  After each nonzero scalar update the
     running product of the Hessian with the direction, restricted to the
-    active set, gains ``delta`` times that coordinate's Hessian row.  The row
-    is the product of two incidence-sparse factor rows, one from ``Y`` and
-    one from ``Ginv``; a coordinate's factor rows are built the first time it
-    moves and kept for later sweeps, up to ``CD_CACHE_ELEMS`` entries per
-    factor.  Rows past that budget are rebuilt on every move.
+    active set, gains ``delta`` times that coordinate's Hessian row, in place
+    through one BLAS ``daxpy``.  The row is ``HESSIAN_SCALE`` times the
+    elementwise product of two incidence-sparse factor rows, one from ``Y``
+    and one from ``Ginv``; it is built the first time its coordinate moves
+    and kept for later sweeps in one cache of at most ``CD_CACHE_ELEMS``
+    entries.  Rows past that budget are rebuilt on every move.  The inputs
+    are not modified.
     """
     m = x_bar.shape[0]
     xt = np.zeros(m)
@@ -109,8 +112,7 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
 
     size = act.size
     cap = min(size, CD_CACHE_ELEMS // size)
-    rows_Y = np.empty((cap, size))
-    rows_G = np.empty((cap, size))
+    rows = np.empty((cap, size))
     slot = [-1] * size  # cache row of each coordinate, -1 while not cached
     cached = 0
 
@@ -139,18 +141,17 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
                 d[t] += delta
                 s = slot[t]
                 if s >= 0:
-                    colY, colG = rows_Y[s], rows_G[s]
+                    row = rows[s]
                 else:
                     p, q = ends[t]
                     uY = Y[:, p] - Y[:, q]
                     uG = Ginv[:, p] - Ginv[:, q]
-                    colY = uY[ai] - uY[aj]
-                    colG = uG[ai] - uG[aj]
+                    row = (HESSIAN_SCALE * (uY[ai] - uY[aj])) * (uG[ai] - uG[aj])
                     if cached < cap:
-                        rows_Y[cached], rows_G[cached] = colY, colG
+                        rows[cached] = row
                         slot[t] = cached
                         cached += 1
-                hv += ((delta * HESSIAN_SCALE) * colY) * colG
+                hv = daxpy(row, hv, a=delta)
                 max_step = max(max_step, abs(delta))
         if max_step <= cd_tol:
             break

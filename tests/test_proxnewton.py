@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import daxpy
 
 from gsp import graphs, proxnewton
 from gsp.errors import InfeasiblePointError, InvalidInputError
@@ -98,11 +99,28 @@ def test_cd_direction_matches_dense_reference():
     assert np.allclose(xt, ref, atol=1e-8)
 
 
+def default_cd_tol(grad):
+    """The stopping tolerance ``cd_direction`` uses when ``cd_tol`` is None."""
+    return 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+
+
+def axpy_update(hv, delta, colY, colG):
+    """The kernel's arithmetic: Hessian row first, then one BLAS axpy."""
+    return daxpy((HESSIAN_SCALE * colY) * colG, hv, a=delta)
+
+
+def ufunc_update(hv, delta, colY, colG):
+    """Three numpy ufuncs on the factor rows: an independent rounding order."""
+    hv += ((delta * HESSIAN_SCALE) * colY) * colG
+    return hv
+
+
 def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
-                  resistive):
+                  resistive, update):
     """Coordinate descent that rebuilds both incidence columns from ``Y`` and
-    ``Ginv`` on every nonzero update and soft-thresholds numpy scalars: the
-    kernel before its rows were cached, kept as the bit-level reference."""
+    ``Ginv`` on every nonzero update, soft-thresholds numpy scalars and adds
+    the Hessian row to the running product through ``update``: the kernel
+    without its row cache, kept as the reference."""
     xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
     ai, aj = pairs[act, 0], pairs[act, 1]
@@ -111,7 +129,7 @@ def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
     usable = a > 0.0
     cd_tol = opts.cd_tol
     if cd_tol is None:
-        cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+        cd_tol = default_cd_tol(grad)
     hv = np.zeros(act.size)
     for _ in range(opts.cd_sweeps_max):
         max_step = 0.0
@@ -131,27 +149,21 @@ def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
                 xt[i] += delta
                 uY = Y[:, pairs[i, 0]] - Y[:, pairs[i, 1]]
                 uG = Ginv[:, pairs[i, 0]] - Ginv[:, pairs[i, 1]]
-                colY = uY[ai] - uY[aj]
-                colG = uG[ai] - uG[aj]
-                hv += (delta * HESSIAN_SCALE) * colY * colG
+                hv = update(hv, float(delta), uY[ai] - uY[aj], uG[ai] - uG[aj])
                 max_step = max(max_step, abs(delta))
         if max_step <= cd_tol:
             break
     return xt
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(5, 14), seed=st.integers(0, 50),
-       frac=st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]),
-       resistive=st.booleans())
-@pytest.mark.parametrize("cache", ["full", "partial"])
-def test_cd_direction_bit_identical_to_per_update_loop(cache, n, seed, frac,
-                                                       resistive):
-    # random weighted penalties at a random point with some zero weights,
-    # both as solve_newton builds them; "partial" caps the row cache at three
-    # rows so most coordinates take the uncached path
+def random_cd_case(n, seed, frac, resistive):
+    """Weighted penalties at a random point with some zero weights, both as
+    solve_newton builds them; returns the ``cd_direction`` arguments, or
+    None for a disconnected resistive plant, an infeasible point or an
+    active set of at most three coordinates."""
     plant = graphs.generate("erdos_renyi", n, p=0.4, seed=seed)
-    assume(not resistive or graphs.PlantGraph.from_edges(plant).connected)
+    if resistive and not graphs.PlantGraph.from_edges(plant).connected:
+        return None
     prob = graphs.default_problem(plant, resistive=resistive)
     obj = Objective(prob)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -159,21 +171,54 @@ def test_cd_direction_bit_identical_to_per_update_loop(cache, n, seed, frac,
     try:
         state = obj.state(x)
     except InfeasiblePointError:
-        assume(False)
+        return None
     Ginv = obj.closed_loop_inverse(state)
     gam = frac * float(np.max(np.abs(state.grad))) * (0.5 + rng.random(prob.m))
     grad = state.grad + gam if resistive else state.grad
     act = active_set(x, grad, gam, 1e-4 * gam, resistive)
-    assume(act.size > 3)
-    args = (obj.pairs, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
+    if act.size <= 3:
+        return None
+    return (obj.pairs, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
             resistive)
-    ref = per_update_cd(*args)
+
+
+def capped_cd(args, cache):
+    """``cd_direction(*args)``; "partial" caps the row cache at three rows so
+    most coordinates take the uncached path."""
     with pytest.MonkeyPatch.context() as mp:
         if cache == "partial":
-            mp.setattr(proxnewton, "CD_CACHE_ELEMS", 3 * act.size)
-        xt = cd_direction(*args)
-    assert np.array_equal(xt, ref)
+            mp.setattr(proxnewton, "CD_CACHE_ELEMS", 3 * args[6].size)
+        return cd_direction(*args)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(5, 14), seed=st.integers(0, 50),
+       frac=st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]),
+       resistive=st.booleans())
+@pytest.mark.parametrize("cache", ["full", "partial"])
+def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
+    # byte-equal to the uncached loop with the same arithmetic, so the cache
+    # slots are pinned bit for bit; within rounding of the three-ufunc update
+    args = random_cd_case(n, seed, frac, resistive)
+    assume(args is not None)
+    xt = capped_cd(args, cache)
+    ref = per_update_cd(*args, update=axpy_update)
     assert xt.tobytes() == ref.tobytes()
+    ufunc_ref = per_update_cd(*args, update=ufunc_update)
+    assert np.max(np.abs(xt - ufunc_ref)) <= 1e-3 * default_cd_tol(args[3])
+
+
+@pytest.mark.parametrize("cache", ["full", "partial"])
+@pytest.mark.parametrize("resistive", [False, True])
+def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
+    # the running product is updated in place; no input may share its memory
+    args = random_cd_case(12, 3, 0.1, resistive)
+    assert args is not None
+    before = [np.copy(v) for v in args[:7]]
+    xt = capped_cd(args, cache)
+    assert np.any(xt)
+    for v, b in zip(args[:7], before):
+        assert v.tobytes() == b.tobytes()
 
 
 def test_cd_direction_resistive_respects_cone():
