@@ -52,8 +52,13 @@ class DualCertificate:
 
 
 def dual_objective(Y: np.ndarray, qp: QpMatrix, G_p: np.ndarray) -> float:
-    """Dual value ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>``."""
-    S = qp.sqrt @ Y @ qp.sqrt
+    """Dual value ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>``.
+
+    The trace needs only the spectrum of ``Q_p^{1/2} Y Q_p^{1/2}``, which it
+    takes from ``C^T Y C`` with ``C`` the Cholesky factor of ``Q_p``:
+    ``C = Q_p^{1/2} U`` with ``U`` orthogonal, so the two are similar.
+    """
+    S = qp.chol.T @ Y @ qp.chol
     lam = scipy.linalg.eigh(0.5 * (S + S.T), eigvals_only=True)
     return float(2.0 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - np.sum(Y * G_p))
 

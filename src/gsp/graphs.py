@@ -135,13 +135,22 @@ def incidence_from_edges(edges: EdgeList) -> IncidenceMatrix:
 
 
 def controller_laplacian(inc: IncidenceMatrix, x) -> np.ndarray:
-    """Weighted Laplacian ``sum_l x_l xi_l xi_l^T`` of the controller graph."""
+    """Weighted Laplacian ``sum_l x_l xi_l xi_l^T`` of the controller graph.
+
+    The length and finiteness of ``x`` are checked on all of it, but only
+    its support ``np.flatnonzero(x)`` is assembled.  The result equals the
+    all-edge assembly byte for byte: a zero weight (``0.0`` or ``-0.0``)
+    would add ``+-0.0``, which changes no entry, because no entry is ever
+    ``-0.0`` (entries start at ``+0.0`` and exact cancellation rounds to
+    ``+0.0``), and the nonzero weights are added in the same order.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != inc.m:
         raise InvalidInputError("weight vector length does not match edge count")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("edge weights must be finite")
-    return _laplacian(inc.n, inc.pairs, x)
+    nz = np.flatnonzero(x)
+    return _laplacian(inc.n, inc.pairs[nz], x[nz])
 
 
 def strengthened(L: np.ndarray) -> np.ndarray:
@@ -177,6 +186,12 @@ class ClosedLoop:
     def solve(self, B):
         """Solve ``G Z = B`` reusing the retained factorization."""
         return scipy.linalg.cho_solve((self.chol, True), B, check_finite=False)
+
+    def tri_solve(self, B, trans: bool = False):
+        """Solve ``L Z = B``, or ``L^T Z = B`` with ``trans``, for the lower
+        factor ``L`` of ``G = L L^T``: half of :meth:`solve`."""
+        return scipy.linalg.solve_triangular(self.chol, B, trans=int(trans),
+                                             lower=True, check_finite=False)
 
 
 def closed_loop(G_p: np.ndarray, inc: IncidenceMatrix, x) -> ClosedLoop:

@@ -6,10 +6,19 @@ The objective of the design problem is
     G(x) = G_p + E diag(x) E^T,
     Q_p  = Q + (1/n) 11^T + L_p R L_p,
 
-evaluated via factorization solves; explicit inverses are only materialized
-where the Newton solver needs random entry access.  Every quadratic form
-``xi_k^T A xi_l`` is assembled from four entries of ``A`` because each
-incidence column has exactly two nonzeros.
+and everything at a point comes from two lower Cholesky factors,
+``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per
+:class:`Objective`).  With ``V = L^-1 C`` and ``W = L^-T V = G^-1 C``:
+
+    h2 = <G^-1, Q_p> = ||V||_F^2,
+    J  = h2 + diag(E^T R E)^T x - <R, L_p> - 1,
+    Y  = G^-1 Q_p G^-1 = W W^T,
+
+so a trial value costs one triangular solve and a state one more, plus the
+product ``W W^T`` (exactly symmetric).  The explicit inverse ``G^-1`` is
+only formed where the Newton solver needs random entry access.  Every
+quadratic form ``xi_k^T A xi_l`` is assembled from four entries of ``A``
+because each incidence column has exactly two nonzeros.
 
 Only this module solves with the closed-loop factor; the two deliberate
 independent paths are ``pipeline.gamma_max``, which factors ``G_p`` itself,
@@ -58,10 +67,11 @@ def edge_quad_column(A: np.ndarray, edge: np.ndarray, pairs: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class QpMatrix:
-    """Effective state weight with its symmetric square root cached."""
+    """Effective state weight ``Q_p`` with its lower Cholesky factor
+    ``chol`` (``Q_p = chol @ chol.T``) cached."""
 
     Qp: np.ndarray
-    sqrt: np.ndarray
+    chol: np.ndarray
 
     @property
     def n(self) -> int:
@@ -69,14 +79,13 @@ class QpMatrix:
 
 
 def build_qp(problem: Problem) -> QpMatrix:
-    """Effective state weight ``Q + (1/n) 11^T + L_p R L_p``."""
+    """Effective state weight ``Q + (1/n) 11^T + L_p R L_p`` and its factor."""
     Lp = problem.plant.L
     Qp = strengthened(problem.Q) + Lp @ problem.R @ Lp
-    lam, V = scipy.linalg.eigh(Qp)
-    if lam[0] <= 0:
+    chol = try_cholesky(Qp)
+    if chol is None:
         raise InvalidInputError("effective state weight is not positive definite")
-    sqrt = (V * np.sqrt(lam)) @ V.T
-    return QpMatrix(Qp, 0.5 * (sqrt + sqrt.T))
+    return QpMatrix(Qp, chol)
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,16 @@ class ObjectiveState:
 
 
 class Objective:
-    """Evaluator bound to one problem; pure apart from cached problem data."""
+    """Evaluator bound to one problem.
+
+    Apart from cached problem data it remembers one entry: the closed loop
+    of the last value or state it evaluated and that loop's half solve
+    ``V = L^-1 C``.  A line search that accepts a trial point therefore
+    hands ``state(x, cl)`` the ``V`` that ``value_at(cl, x)`` just
+    computed, and the state needs only the second triangular solve.  The
+    entry is keyed by the identity of the :class:`ClosedLoop` (which it
+    keeps alive), and ``V`` depends on nothing else.
+    """
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -101,15 +119,29 @@ class Objective:
         # linear coefficient diag(E^T R E) and the x-independent offset
         self.lin = edge_quad_diag(problem.R, self.pairs)
         self.const = -float(np.sum(problem.R * problem.plant.L)) - 1.0
+        self._half = (None, None)  # (closed loop, its L^-1 C)
 
     def closed_loop(self, x) -> ClosedLoop:
         return closed_loop(self.problem.plant.G, self.problem.candidates, x)
+
+    def _half_solve(self, cl: ClosedLoop) -> np.ndarray:
+        """``V = L^-1 C`` of a closed loop, reused for the last one asked."""
+        if self._half[0] is not cl:
+            self._half = (cl, cl.tri_solve(self.qp.chol))
+        return self._half[1]
+
+    @staticmethod
+    def _h2(V: np.ndarray) -> float:
+        """``||V||_F^2``; ``ravel(order="K")`` reads ``V`` in its memory
+        order, so the Fortran-ordered solve result is not copied."""
+        v = V.ravel(order="K")
+        return float(v @ v)
 
     def _J(self, h2: float, x) -> float:
         return float(h2 + self.lin @ x + self.const)
 
     def value_at(self, cl: ClosedLoop, x) -> float:
-        return self._J(np.trace(cl.solve(self.qp.Qp)), x)
+        return self._J(self._h2(self._half_solve(cl)), x)
 
     def value(self, x) -> float:
         """Objective value; raises if the closed loop is not positive definite."""
@@ -125,11 +157,11 @@ class Objective:
             cl = self.closed_loop(x)
         if not cl.positive_definite:
             raise InfeasiblePointError("closed-loop matrix is not positive definite")
-        Z = cl.solve(self.qp.Qp)
-        h2 = float(np.trace(Z))
-        Y = cl.solve(Z.T)
-        Y = 0.5 * (Y + Y.T)
+        V = self._half_solve(cl)
+        W = cl.tri_solve(V, trans=True)
+        Y = W @ W.T  # one syrk: exactly symmetric
         grad = self.lin - edge_quad_diag(Y, self.pairs)
+        h2 = self._h2(V)
         return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
     def gradient(self, x) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsp import duality, graphs, proxgrad, proxnewton
 from gsp.errors import CertificateUnavailableError
@@ -50,15 +53,15 @@ def test_primal_to_Y():
 
 def test_certify_reads_the_state(monkeypatch):
     # the primal value comes from the state's trace term, with no solve of
-    # its own
+    # its own, full (cho_solve) or triangular
     calls = []
-    solve = graphs.ClosedLoop.solve
+    for name in ("solve", "tri_solve"):
+        def counting(cl, *args, _method=getattr(graphs.ClosedLoop, name),
+                     **kwargs):
+            calls.append(1)
+            return _method(cl, *args, **kwargs)
 
-    def counting_solve(cl, B):
-        calls.append(1)
-        return solve(cl, B)
-
-    monkeypatch.setattr(graphs.ClosedLoop, "solve", counting_solve)
+        monkeypatch.setattr(graphs.ClosedLoop, name, counting)
     cases = [(p3_problem(gamma=0.9), np.array([0.25]), None),
              (two_node_problem(gamma=2.0), np.array([0.3]), np.array([1.5]))]
     for prob, x, w in cases:
@@ -70,6 +73,42 @@ def test_certify_reads_the_state(monkeypatch):
         assert calls == []
         gam = duality._gamma_vector(prob, w)
         assert cert.primal == float(st.h2 + obj.lin @ x + gam @ np.abs(x))
+
+
+def sqrt_dual_objective(Y, Qp, G_p):
+    """The dual value through the symmetric square root of ``Q_p``."""
+    lam, V = scipy.linalg.eigh(Qp)
+    sqrt = (V * np.sqrt(lam)) @ V.T
+    sqrt = 0.5 * (sqrt + sqrt.T)
+    S = sqrt @ Y @ sqrt
+    mu = scipy.linalg.eigh(0.5 * (S + S.T), eigvals_only=True)
+    return float(2.0 * np.sum(np.sqrt(np.clip(mu, 0.0, None))) - np.sum(Y * G_p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 18), st.integers(0, 40), st.booleans(), st.booleans())
+def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r):
+    # the spectrum of C^T Y C (C the Cholesky factor of Q_p) is that of
+    # Q_p^1/2 Y Q_p^1/2; checked at Y(x) and, for R = I, at the blended point
+    plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
+    assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
+    prob = graphs.default_problem(plant, resistive=resistive, gamma=0.1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if not scalar_r:
+        B = rng.standard_normal((n, n))
+        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
+                              B @ B.T / n + 0.5 * np.eye(n), 0.1, resistive)
+    x = rng.uniform(0.0 if resistive else -0.1, 1.0, prob.m)
+    obj = Objective(prob)
+    cl = obj.closed_loop(x)
+    assume(cl.positive_definite)
+    Ys = [obj.state(x, cl).Y]
+    if scalar_r:
+        Ys.append(duality.make_dual_feasible(Ys[0], prob)[0])
+    for Y in Ys:
+        ref = sqrt_dual_objective(Y, obj.qp.Qp, prob.plant.G)
+        got = duality.dual_objective(Y, obj.qp, prob.plant.G)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_make_dual_feasible_properties():

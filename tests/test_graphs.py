@@ -169,6 +169,55 @@ def test_controller_laplacian_rejects_bad_weights(x):
         graphs.controller_laplacian(inc, x)
 
 
+def _weights_with_zeros(m, seed, kind, signed):
+    """Edge weights where ``kind`` puts exact zeros: ``mixed`` (0.0 and -0.0
+    among nonzeros), ``zeros`` (all 0.0) or ``negzeros`` (all -0.0)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(-1.0 if signed else 0.0, 2.0, m)
+    if kind == "mixed":
+        pick = rng.integers(0, 3, m)
+        x[pick == 1] = 0.0
+        x[pick == 2] = -0.0
+    else:
+        x[:] = 0.0 if kind == "zeros" else -0.0
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 50), st.sampled_from([0.1, 0.3, 0.6]),
+       st.sampled_from(["mixed", "zeros", "negzeros"]), st.booleans())
+def test_controller_laplacian_equals_all_edge_assembly(n, seed, p, kind, signed):
+    # assembling only the support is byte-equal to assembling every candidate
+    plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    x = _weights_with_zeros(inc.m, seed, kind, signed)
+    L = graphs.controller_laplacian(inc, x)
+    ref = graphs._laplacian(n, inc.pairs, x)
+    assert L.dtype == ref.dtype and L.shape == ref.shape
+    assert L.tobytes() == ref.tobytes()
+
+
+def test_controller_laplacian_assembles_only_the_support(monkeypatch):
+    seen = []
+    assemble = graphs._laplacian
+
+    def recording(n, pairs, w):
+        seen.append((pairs.copy(), w.copy()))
+        return assemble(n, pairs, w)
+
+    monkeypatch.setattr(graphs, "_laplacian", recording)
+    plant = graphs.generate("erdos_renyi", 15, p=0.3, seed=2)
+    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    x = _weights_with_zeros(inc.m, 7, "mixed", signed=True)
+    graphs.controller_laplacian(inc, x)
+    [(pairs, w)] = seen
+    nz = np.flatnonzero(x)
+    assert 0 < nz.size < inc.m
+    assert np.all(w != 0.0)
+    assert np.array_equal(pairs, inc.pairs[nz])
+    assert np.array_equal(w, x[nz])
+
+
 def test_problem_data_is_read_only():
     prob = graphs.default_problem(graphs.generate("path", 4))
     for a in (prob.Q, prob.R, prob.candidates.pairs, prob.plant.edges.pairs):

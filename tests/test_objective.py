@@ -1,7 +1,12 @@
 """Objective value, derivatives and the independent Lyapunov evaluation."""
 
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsp import graphs, objective
 from gsp.errors import InfeasiblePointError, SizeCapError
@@ -37,7 +42,7 @@ def test_qp_matrix_p3_spectrum():
     qp = objective.build_qp(prob)
     lam = np.sort(np.linalg.eigvalsh(qp.Qp))
     assert np.allclose(lam, [1.0, 2.0, 10.0], atol=1e-10)
-    assert np.allclose(qp.sqrt @ qp.sqrt, qp.Qp, atol=1e-10)
+    assert np.allclose(qp.chol @ qp.chol.T, qp.Qp, atol=1e-10)
 
 
 def test_value_two_node_analytic():
@@ -178,3 +183,117 @@ def test_convexity_along_segments():
         b = 0.2 + rng.random(prob.m)
         mid = obj.value(0.5 * (a + b))
         assert mid <= 0.5 * obj.value(a) + 0.5 * obj.value(b) + 1e-10
+
+
+# -- evaluation from the two Cholesky factors ---------------------------------
+
+
+def er_problem(n, seed, resistive, scalar_r):
+    """Seeded ER plant with complement candidates, or None if the plant is
+    disconnected or complete; ``R`` is ``I`` or a seeded non-scalar positive
+    definite matrix."""
+    plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
+    if graphs.component_count(plant) != 1 or 2 * plant.m == n * (n - 1):
+        return None
+    prob = graphs.default_problem(plant, resistive=resistive)
+    if scalar_r:
+        return prob
+    rng = np.random.Generator(np.random.PCG64(seed))
+    B = rng.standard_normal((n, n))
+    R = B @ B.T / n + 0.5 * np.eye(n)
+    return graphs.Problem(prob.plant, prob.candidates, prob.Q, R, 0.0, resistive)
+
+
+def er_point(problem, seed):
+    """Seeded point with exact zeros; signed points have negative entries."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(0.0 if problem.resistive else -0.1, 1.0, problem.m)
+    x[rng.random(problem.m) < 0.3] = 0.0
+    return x
+
+
+def rel_err(a, ref):
+    return float(np.max(np.abs(np.asarray(a) - ref)) / np.max(np.abs(ref)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 18), st.integers(0, 40), st.booleans(), st.booleans())
+def test_state_matches_two_cho_solve_formulas(n, seed, resistive, scalar_r):
+    # the factor formulas against Z = G^-1 Q_p, h2 = trace(Z) and
+    # Y = sym(G^-1 Z^T), each solved with the full Cholesky factor of G
+    prob = er_problem(n, seed, resistive, scalar_r)
+    assume(prob is not None)
+    obj = Objective(prob)
+    x = er_point(prob, seed + 1)
+    cl = obj.closed_loop(x)
+    assume(cl.positive_definite)
+    Z = scipy.linalg.cho_solve((cl.chol, True), obj.qp.Qp)
+    h2 = float(np.trace(Z))
+    Y = scipy.linalg.cho_solve((cl.chol, True), Z.T)
+    Y = 0.5 * (Y + Y.T)
+    J = h2 + float(obj.lin @ x) + obj.const
+    grad = obj.lin - objective.edge_quad_diag(Y, obj.pairs)
+
+    value = obj.value_at(cl, x)
+    state = obj.state(x, cl)
+    assert rel_err(state.h2, h2) <= 1e-12
+    assert rel_err(state.J, J) <= 1e-12
+    assert value == state.J
+    assert rel_err(state.grad, grad) <= 1e-12
+    assert rel_err(state.Y, Y) <= 1e-12
+    assert np.array_equal(state.Y, state.Y.T)
+
+
+def counting_solves(monkeypatch):
+    """Count the full and the triangular closed-loop solves."""
+    calls = collections.Counter()
+    for name in ("solve", "tri_solve"):
+        def counting(cl, *args, _method=getattr(graphs.ClosedLoop, name),
+                     _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(cl, *args, **kwargs)
+
+        monkeypatch.setattr(graphs.ClosedLoop, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("resistive", [False, True])
+def test_state_after_value_at_reuses_the_half_solve(monkeypatch, resistive):
+    # state(x, cl) after value_at(cl, x) makes only the second triangular
+    # solve and equals a fresh state byte for byte
+    prob = er_problem(15, 3, resistive, scalar_r=True)
+    x = feasible_point(prob, seed=5)
+    fresh = Objective(prob).state(x)
+    calls = counting_solves(monkeypatch)
+    obj = Objective(prob)
+    cl = obj.closed_loop(x)
+    obj.value_at(cl, x)
+    assert calls == {"tri_solve": 1}
+    calls.clear()
+    reused = obj.state(x, cl)
+    assert calls == {"tri_solve": 1}
+    # another closed loop replaces the remembered one
+    obj.value_at(obj.closed_loop(feasible_point(prob, seed=6)), x)
+    calls.clear()
+    recomputed = obj.state(x, cl)
+    assert calls == {"tri_solve": 2}
+    for got in (reused, recomputed):
+        assert got.Y.tobytes() == fresh.Y.tobytes()
+        assert got.grad.tobytes() == fresh.grad.tobytes()
+        assert (got.h2, got.J) == (fresh.h2, fresh.J)
+
+
+@pytest.mark.parametrize("resistive", [False, True])
+@pytest.mark.parametrize("scalar_r", [False, True])
+def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r):
+    prob = er_problem(12, 3, resistive, scalar_r)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    for module in (scipy.linalg, np.linalg):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(module, name, forbidden)
+    obj = Objective(prob)
+    assert np.allclose(obj.qp.chol @ obj.qp.chol.T, obj.qp.Qp, atol=1e-12)
+    obj.state(feasible_point(prob, seed=2))
