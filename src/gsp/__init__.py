@@ -11,9 +11,6 @@ from .duality import (
     certify,
     dual_objective,
     duality_gap,
-    make_dual_feasible,
-    multipliers,
-    residuals,
 )
 from .graphs import (
     PRNG_ID,

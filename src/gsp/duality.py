@@ -1,4 +1,4 @@
-"""Dual certificates: dual objective, feasible dual points, gap and residuals.
+"""Dual certificates: the dual objective and one certificate per iterate.
 
 The dual of the design problem maximizes
 ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>`` over symmetric ``Y``
@@ -6,6 +6,8 @@ with ``Y 1 = 1`` subject to a bound on ``diag(E^T (Y - R) E)``.  A primal
 iterate yields ``Y = G^-1 Q_p G^-1``; when it violates the dual bound it is
 blended with ``(1/n) 11^T`` by the largest admissible factor ``beta``, which
 keeps ``Y 1 = 1`` and restores feasibility for scalar control weights.
+:func:`certify` builds the blended point, the multipliers with their sign
+check, the gap and the dual residuals in one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import CertificateInvalidError, CertificateUnavailableError
+from .errors import (
+    CertificateInvalidError,
+    CertificateUnavailableError,
+    InvalidInputError,
+)
 from .graphs import Problem
 from .objective import Objective, ObjectiveState, QpMatrix, edge_quad_diag
 
@@ -25,19 +31,18 @@ _SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual-feasible point with gap and residuals for one primal iterate.
+    """Blended dual point ``Y_hat = beta Y + ((1 - beta)/n) 11^T`` of one
+    primal iterate, its multipliers (clipped at zero), dual residuals and gap.
 
     For resistive problems ``y_minus``, ``r_d_minus`` are None and ``y_plus``
     holds the single multiplier vector.
     """
 
-    Y: np.ndarray = field(repr=False)
     beta: float
     Y_hat: np.ndarray = field(repr=False)
     y_plus: np.ndarray
     y_minus: np.ndarray | None
     gap: float
-    r_p: np.ndarray
     r_d_plus: np.ndarray
     r_d_minus: np.ndarray | None
     primal: float
@@ -64,54 +69,21 @@ def dual_objective(Y: np.ndarray, qp: QpMatrix, G_p: np.ndarray) -> float:
 
 
 def _gamma_vector(problem: Problem, weights) -> np.ndarray:
+    """Per-edge penalty ``gamma * weights`` (uniform without ``weights``).
+
+    Raises InvalidInputError unless ``weights`` holds one finite,
+    non-negative entry per candidate edge.
+    """
     g = np.full(problem.m, problem.gamma)
     if weights is not None:
-        g = g * np.asarray(weights, dtype=float).reshape(-1)
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (problem.m,):
+            raise InvalidInputError(
+                f"weights must have shape ({problem.m},), not {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise InvalidInputError("weights must be finite and non-negative")
+        g = g * w
     return g
-
-
-def make_dual_feasible(Y: np.ndarray, problem: Problem, weights=None):
-    """Blend ``Y`` toward ``(1/n) 11^T`` until the dual bound holds.
-
-    Returns ``(Y_hat, beta)`` with ``beta`` the exact bound value capped at 1.
-    Requires a scalar control weight; the blending preserves ``Y 1 = 1``.
-    """
-    r = problem.scalar_r
-    if r is None:
-        raise CertificateUnavailableError("dual certificates require R = r I")
-    d = edge_quad_diag(Y, problem.candidates.pairs) - 2.0 * r
-    gam = _gamma_vector(problem, weights)
-    if problem.m == 0:
-        beta = 1.0
-    else:
-        mag = d if problem.resistive else np.abs(d)
-        denom = mag + 2.0 * r
-        with np.errstate(divide="ignore"):
-            bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
-        beta = float(min(1.0, bounds.min()))
-    n = problem.n
-    Y_hat = beta * Y + ((1.0 - beta) / n) * np.ones((n, n))
-    return Y_hat, beta
-
-
-def multipliers(Y_hat: np.ndarray, problem: Problem, weights=None):
-    """Multipliers of the elementwise constraints, from a dual-feasible point."""
-    r = problem.scalar_r
-    if r is None:
-        raise CertificateUnavailableError("dual certificates require R = r I")
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
-    gam = _gamma_vector(problem, weights)
-    if problem.resistive:
-        y = gam - d_hat
-        if y.size and y.min() < -_SIGN_TOL:
-            raise CertificateInvalidError(f"negative multiplier {y.min():.3e}")
-        return np.clip(y, 0.0, None)
-    y_plus = gam - d_hat
-    y_minus = gam + d_hat
-    worst = min(y_plus.min(initial=0.0), y_minus.min(initial=0.0))
-    if worst < -_SIGN_TOL:
-        raise CertificateInvalidError(f"negative multiplier {worst:.3e}")
-    return np.clip(y_plus, 0.0, None), np.clip(y_minus, 0.0, None)
 
 
 def duality_gap(x, y_plus, y_minus=None) -> float:
@@ -124,46 +96,32 @@ def duality_gap(x, y_plus, y_minus=None) -> float:
     return float(y_plus @ x_plus + y_minus @ x_minus)
 
 
-def residuals(x, Y_in, Y_hat, y, problem: Problem, weights=None):
-    """Primal and dual residuals used as stopping criteria.
+def certify(problem: Problem, objective: Objective, state: ObjectiveState,
+            weights=None) -> DualCertificate:
+    """Certificate at a feasible iterate, built in one pass from ``state.Y``.
 
-    Signed problems: ``y`` is ``(y_plus, y_minus)`` and the dual residuals are
-    the defects of the multiplier identities at ``Y_hat`` (identically zero
-    when the multipliers come from the same ``Y_hat``).  Resistive problems:
-    ``y`` is a single vector and the residual measures the certificate against
-    the uncorrected ``Y(x)``.
+    Raises CertificateUnavailableError for non-scalar control weights and
+    CertificateInvalidError when the blended point gives a negative
+    multiplier (callers then fall back to objective-change stopping).
     """
     r = problem.scalar_r
     if r is None:
         raise CertificateUnavailableError("dual certificates require R = r I")
     gam = _gamma_vector(problem, weights)
-    x = np.asarray(x, dtype=float)
-    if problem.resistive:
-        d = edge_quad_diag(Y_in, problem.candidates.pairs) - 2.0 * r
-        r_d = gam - d - y
-        r_p = np.zeros_like(x)
-        return r_p, r_d
-    y_plus, y_minus = y
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
-    x_plus = np.clip(x, 0.0, None)
-    x_minus = np.clip(-x, 0.0, None)
-    r_p = x - x_plus + x_minus
-    r_d_plus = gam - d_hat - y_plus
-    r_d_minus = gam + d_hat - y_minus
-    return r_p, r_d_plus, r_d_minus
-
-
-def certify(problem: Problem, objective: Objective, state: ObjectiveState,
-            weights=None) -> DualCertificate:
-    """Full certificate at a feasible iterate.
-
-    Raises CertificateUnavailableError for non-scalar control weights and
-    CertificateInvalidError when the blended point fails its sign checks
-    (callers then fall back to objective-change stopping).
-    """
-    Y = state.Y
-    Y_hat, beta = make_dual_feasible(Y, problem, weights)
-    gam = _gamma_vector(problem, weights)
+    n, pairs = problem.n, problem.candidates.pairs
+    d = edge_quad_diag(state.Y, pairs) - 2.0 * r
+    denom = (d if problem.resistive else np.abs(d)) + 2.0 * r
+    with np.errstate(divide="ignore"):
+        bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
+    beta = float(min(1.0, bounds.min(initial=np.inf)))
+    Y_hat = beta * state.Y + ((1.0 - beta) / n) * np.ones((n, n))
+    d_hat = edge_quad_diag(Y_hat, pairs) - 2.0 * r
+    # multipliers before clipping; resistive problems have y_plus only
+    y_plus = gam - d_hat
+    y_minus = None if problem.resistive else gam + d_hat
+    worst = min(y.min(initial=0.0) for y in (y_plus, y_minus) if y is not None)
+    if worst < -_SIGN_TOL:
+        raise CertificateInvalidError(f"negative multiplier {worst:.3e}")
     x = state.x
     primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
     dual = dual_objective(Y_hat, objective.qp, problem.plant.G)
@@ -171,17 +129,16 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     # difference once the blending factor reaches 1; before that they can
     # vanish at non-optimal points, so the certificate gap is taken directly.
     gap = primal - dual
-    if problem.resistive:
-        y = multipliers(Y_hat, problem, weights)
-        r_p, r_d = residuals(x, Y, Y_hat, y, problem, weights)
-        return DualCertificate(Y, beta, Y_hat, y, None, gap, r_p, r_d, None,
-                               primal, dual)
-    y_plus, y_minus = multipliers(Y_hat, problem, weights)
-    r_p, r_d_plus, r_d_minus = residuals(
-        x, Y, Y_hat, (y_plus, y_minus), problem, weights
-    )
-    return DualCertificate(Y, beta, Y_hat, y_plus, y_minus, gap, r_p,
-                           r_d_plus, r_d_minus, primal, dual)
+    # signed residuals are the multiplier defects at Y_hat, the resistive
+    # one is taken against the unblended Y
+    y_plus_c = np.clip(y_plus, 0.0, None)
+    r_d_plus = (gam - d if problem.resistive else y_plus) - y_plus_c
+    if y_minus is None:
+        return DualCertificate(beta, Y_hat, y_plus_c, None, gap, r_d_plus,
+                               None, primal, dual)
+    y_minus_c = np.clip(y_minus, 0.0, None)
+    return DualCertificate(beta, Y_hat, y_plus_c, y_minus_c, gap, r_d_plus,
+                           y_minus - y_minus_c, primal, dual)
 
 
 def certify_or_none(problem: Problem, objective: Objective,

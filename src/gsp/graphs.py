@@ -56,6 +56,8 @@ class EdgeList:
     weights: np.ndarray  # (m,) float array
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInputError("node count must be non-negative")
         object.__setattr__(self, "pairs", _check_pairs(self.n, self.pairs, "edge"))
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         object.__setattr__(self, "weights", w)
@@ -277,6 +279,11 @@ def component_count(edges: EdgeList) -> int:
     return ncomp
 
 
+def _check_gamma(gamma) -> None:
+    if not 0 <= gamma < np.inf:  # also rejects NaN
+        raise InvalidInputError("gamma must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
@@ -312,8 +319,7 @@ class Problem:
             raise InvalidInputError("R must be symmetric")
         if try_cholesky(R) is None:
             raise InvalidInputError("R must be positive definite")
-        if not self.gamma >= 0:
-            raise InvalidInputError("gamma must be non-negative")
+        _check_gamma(self.gamma)
         if self.resistive:
             if not self.plant.connected:
                 raise InvalidInputError("resistive problems require a connected plant")
@@ -346,8 +352,7 @@ class Problem:
         return new
 
     def with_gamma(self, gamma: float) -> "Problem":
-        if not gamma >= 0:
-            raise InvalidInputError("gamma must be non-negative")
+        _check_gamma(gamma)
         return self._derive(gamma=gamma)
 
     def restrict(self, support) -> "Problem":
@@ -391,9 +396,11 @@ def parse_edge_list(text: str) -> EdgeList:
             continue
         tok = line.split()
         if declared_n is None and not edges and tok[0] == "n":
-            if len(tok) != 2:
-                raise InvalidInputError(f"line {lineno}: malformed node-count line")
-            declared_n = int(tok[1])
+            try:
+                (declared_n,) = map(int, tok[1:])  # exactly one integer
+            except ValueError as exc:
+                raise InvalidInputError(
+                    f"line {lineno}: malformed node-count line") from exc
             continue
         if len(tok) not in (2, 3):
             raise InvalidInputError(f"line {lineno}: expected 'i j [w]'")

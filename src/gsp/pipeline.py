@@ -60,20 +60,29 @@ def default_gamma_grid(problem: Problem, count: int = 50,
     return np.geomspace(lo_frac * gmax, gmax, count)
 
 
+#: options class of each solver method
+_OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions,
+            "projgrad": ProxGradOptions}
+
+
 def _solve(problem: Problem, method: str, x0, opts, weights=None):
-    """Dispatch one solve by method name: proxbb, proxn or projgrad."""
+    """Dispatch one solve by method name: proxbb, proxn or projgrad.
+
+    ``opts`` is None (the solver's defaults) or an instance of the method's
+    options class.
+    """
+    if method not in _OPTIONS:
+        raise InvalidInputError(f"unknown method {method!r}")
+    if opts is not None and not isinstance(opts, _OPTIONS[method]):
+        raise InvalidInputError(f"{method} takes {_OPTIONS[method].__name__}, "
+                                f"not {type(opts).__name__}")
     if method == "proxn":
-        nopts = opts if isinstance(opts, NewtonOptions) else NewtonOptions()
-        return solve_newton(problem, x0, nopts, weights)
-    gopts = opts if isinstance(opts, ProxGradOptions) else ProxGradOptions()
+        return solve_newton(problem, x0, opts, weights)
     if problem.resistive:
-        if method in ("proxbb", "projgrad"):
-            return solve_projected(problem, x0, gopts, weights)
-    elif method == "proxbb":
-        return solve_ista(problem, x0, gopts, weights)
-    elif method == "projgrad":
+        return solve_projected(problem, x0, opts, weights)
+    if method == "projgrad":
         raise InvalidInputError("projgrad requires a resistive problem")
-    raise InvalidInputError(f"unknown method {method!r}")
+    return solve_ista(problem, x0, opts, weights)
 
 
 def solve_centralized(problem: Problem, method: str = "proxn", opts=None):

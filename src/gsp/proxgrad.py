@@ -66,9 +66,17 @@ class SolveReport:
     gap_trace: list = field(default_factory=list)
     status: str = "max_iters"
     wall_time: float = 0.0
-    final_gap: float = float("nan")
-    final_rd_norm: float = float("nan")
     certificate: DualCertificate | None = None
+
+    @property
+    def final_gap(self) -> float:
+        """Gap of the final certificate; NaN without one."""
+        return float("nan") if self.certificate is None else self.certificate.gap
+
+    @property
+    def final_rd_norm(self) -> float:
+        """Dual residual of the final certificate; NaN without one."""
+        return float("nan") if self.certificate is None else self.certificate.rd_norm
 
 
 def soft_threshold(v, kappa):
@@ -92,10 +100,7 @@ def bb_step(x_k, x_prev, g_k, g_prev, opts: ProxGradOptions) -> float:
 
 def _finish(report, t0, cert):
     report.wall_time = time.perf_counter() - t0
-    if cert is not None:
-        report.final_gap = cert.gap
-        report.final_rd_norm = cert.rd_norm
-        report.certificate = cert
+    report.certificate = cert
     return report
 
 

@@ -253,6 +253,19 @@ def test_bad_solver_flags_are_invalid_input(p3_file, method, flag):
                 "--method", method, "--no-baseline"] + flag) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("count", ["abc", "2.5", "-3"])
+def test_malformed_node_count_is_invalid_input(tmp_path, count):
+    plant = tmp_path / "bad.edges"
+    plant.write_text(f"n {count}\n")
+    assert run(["gammamax", "--plant", str(plant)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("method", ["proxn", "proxbb"])
+def test_infinite_gamma_is_invalid_input(p3_file, method):
+    assert run(["solve", "--plant", p3_file, "--resistive", "--gamma", "inf",
+                "--method", method, "--no-baseline"]) == EXIT_INVALID
+
+
 def test_solve_rejects_gamma_ranges(p3_file):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma",
                 "log:0.1:1:3"]) == EXIT_INVALID

@@ -7,8 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp import duality, graphs, proxgrad, proxnewton
-from gsp.errors import CertificateUnavailableError
-from gsp.objective import Objective
+from gsp.errors import (
+    CertificateInvalidError,
+    CertificateUnavailableError,
+    InvalidInputError,
+)
+from gsp.objective import Objective, edge_quad_diag
 
 
 def p3_problem(gamma=0.0):
@@ -24,6 +28,74 @@ def two_node_problem(gamma=0.0):
 
 
 TIGHT = proxgrad.ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6, report_every=1)
+
+
+# The certificate as a chain of three steps (blend, multipliers, residuals),
+# each re-reading r and the penalty vector: the reference for the one-pass
+# duality.certify, which must reproduce it byte for byte.
+
+def ref_make_dual_feasible(Y, problem, weights=None):
+    """Blend ``Y`` toward ``(1/n) 11^T`` until the dual bound holds."""
+    r = problem.scalar_r
+    if r is None:
+        raise CertificateUnavailableError("dual certificates require R = r I")
+    d = edge_quad_diag(Y, problem.candidates.pairs) - 2.0 * r
+    gam = duality._gamma_vector(problem, weights)
+    if problem.m == 0:
+        beta = 1.0
+    else:
+        mag = d if problem.resistive else np.abs(d)
+        denom = mag + 2.0 * r
+        with np.errstate(divide="ignore"):
+            bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
+        beta = float(min(1.0, bounds.min()))
+    n = problem.n
+    Y_hat = beta * Y + ((1.0 - beta) / n) * np.ones((n, n))
+    return Y_hat, beta
+
+
+def ref_multipliers(Y_hat, problem, weights=None):
+    """Clipped multipliers after the sign check."""
+    r = problem.scalar_r
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
+    gam = duality._gamma_vector(problem, weights)
+    if problem.resistive:
+        y = gam - d_hat
+        if y.size and y.min() < -duality._SIGN_TOL:
+            raise CertificateInvalidError(f"negative multiplier {y.min():.3e}")
+        return np.clip(y, 0.0, None)
+    y_plus = gam - d_hat
+    y_minus = gam + d_hat
+    worst = min(y_plus.min(initial=0.0), y_minus.min(initial=0.0))
+    if worst < -duality._SIGN_TOL:
+        raise CertificateInvalidError(f"negative multiplier {worst:.3e}")
+    return np.clip(y_plus, 0.0, None), np.clip(y_minus, 0.0, None)
+
+
+def ref_residuals(Y, Y_hat, y, problem, weights=None):
+    """Dual residuals: against ``Y`` (resistive) or ``Y_hat`` (signed)."""
+    r = problem.scalar_r
+    gam = duality._gamma_vector(problem, weights)
+    if problem.resistive:
+        d = edge_quad_diag(Y, problem.candidates.pairs) - 2.0 * r
+        return gam - d - y, None
+    y_plus, y_minus = y
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
+    return gam - d_hat - y_plus, gam + d_hat - y_minus
+
+
+def ref_certify(problem, objective, state, weights=None):
+    """The certificate fields, in DualCertificate order, from the chain."""
+    Y_hat, beta = ref_make_dual_feasible(state.Y, problem, weights)
+    gam = duality._gamma_vector(problem, weights)
+    x = state.x
+    primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
+    dual = duality.dual_objective(Y_hat, objective.qp, problem.plant.G)
+    y = ref_multipliers(Y_hat, problem, weights)
+    y_plus, y_minus = (y, None) if problem.resistive else y
+    r_d_plus, r_d_minus = ref_residuals(state.Y, Y_hat, y, problem, weights)
+    return (beta, Y_hat, y_plus, y_minus, primal - dual, r_d_plus, r_d_minus,
+            primal, dual)
 
 
 def test_dual_objective_two_node_hand_value():
@@ -75,6 +147,26 @@ def test_certify_reads_the_state(monkeypatch):
         assert cert.primal == float(st.h2 + obj.lin @ x + gam @ np.abs(x))
 
 
+def test_certify_builds_in_one_pass(monkeypatch):
+    # one penalty vector and two edge gathers (at Y and at Y_hat) per
+    # certificate, signed and resistive
+    calls = []
+    for name in ("_gamma_vector", "edge_quad_diag"):
+        def counting(*args, _name=name, _f=getattr(duality, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(duality, name, counting)
+    for prob, x in ((p3_problem(gamma=0.9), np.array([0.25])),
+                    (two_node_problem(gamma=2.0), np.array([0.3]))):
+        obj = Objective(prob)
+        st = obj.state(x)
+        calls.clear()
+        duality.certify(prob, obj, st, np.ones(prob.m))
+        assert sorted(calls) == ["_gamma_vector", "edge_quad_diag",
+                                 "edge_quad_diag"]
+
+
 def sqrt_dual_objective(Y, Qp, G_p):
     """The dual value through the symmetric square root of ``Q_p``."""
     lam, V = scipy.linalg.eigh(Qp)
@@ -104,20 +196,86 @@ def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r
     assume(cl.positive_definite)
     Ys = [obj.state(x, cl).Y]
     if scalar_r:
-        Ys.append(duality.make_dual_feasible(Ys[0], prob)[0])
+        Ys.append(ref_make_dual_feasible(Ys[0], prob)[0])
     for Y in Ys:
         ref = sqrt_dual_objective(Y, obj.qp.Qp, prob.plant.G)
         got = duality.dual_objective(Y, obj.qp, prob.plant.G)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-def test_make_dual_feasible_properties():
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 18), st.integers(0, 40), st.booleans(), st.booleans(),
+       st.sampled_from([0.1, 1.0]), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
+                                                       weighted, gamma, scale):
+    # certify reproduces the reference chain byte for byte, or raises the
+    # same error; every certificate it returns keeps Y_hat 1 = 1,
+    # non-negative multipliers and weak duality
+    plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
+    assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
+    prob = graphs.default_problem(plant, resistive=resistive, gamma=gamma)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = scale * rng.uniform(0.0 if resistive else -0.1, 1.0, prob.m)
+    w = None
+    if weighted:
+        w = rng.uniform(0.0, 3.0, prob.m)
+        w[rng.random(prob.m) < 0.2] = 0.0
+    obj = Objective(prob)
+    cl = obj.closed_loop(x)
+    assume(cl.positive_definite)
+    state = obj.state(x, cl)
+    try:
+        ref = ref_certify(prob, obj, state, w)
+    except CertificateInvalidError as exc:
+        with pytest.raises(CertificateInvalidError) as got:
+            duality.certify(prob, obj, state, w)
+        assert str(got.value) == str(exc)
+        return
+    cert = duality.certify(prob, obj, state, w)
+    got = (cert.beta, cert.Y_hat, cert.y_plus, cert.y_minus, cert.gap,
+           cert.r_d_plus, cert.r_d_minus, cert.primal, cert.dual)
+    for a, b in zip(got, ref):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert np.allclose(cert.Y_hat @ np.ones(n), 1.0, rtol=0.0, atol=1e-12)
+    for y in (cert.y_plus, cert.y_minus):
+        assert y is None or y.min(initial=0.0) >= 0.0
+    # rounding tolerance of weak duality: 1e-12 relative; over this whole
+    # strategy space dual - primal is at most 1.1e-15 relative
+    assert cert.primal >= cert.dual - 1e-12 * max(1.0, abs(cert.primal))
+
+
+@pytest.mark.parametrize("weights", [
+    -np.ones(3), np.ones(2), np.ones((3, 1)), np.full(3, np.nan),
+    np.array([1.0, np.inf, 1.0]),
+], ids=["negative", "short", "column", "nan", "inf"])
+def test_penalty_weights_are_validated(weights):
+    # every solver and certify turn weights into the penalty vector, and
+    # reject weights that are not one finite non-negative entry per edge
+    plant = graphs.generate("path", 4)
+    signed = graphs.default_problem(plant, gamma=0.5)
+    resistive = graphs.default_problem(plant, gamma=0.5, resistive=True)
+    obj = Objective(signed)
+    calls = [
+        lambda: duality.certify(signed, obj, obj.state(np.full(3, 0.2)), weights),
+        lambda: proxnewton.solve_newton(signed, weights=weights),
+        lambda: proxnewton.solve_newton(resistive, weights=weights),
+        lambda: proxgrad.solve_ista(signed, weights=weights),
+        lambda: proxgrad.solve_projected(resistive, weights=weights),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_blended_point_properties():
     # below the optimum the edge form is too large and blending repairs it
     prob = two_node_problem(gamma=0.5)
     obj = Objective(prob)
     for xv in (0.1, 0.2, 0.3):
-        st = obj.state(np.array([xv]))
-        Y_hat, beta = duality.make_dual_feasible(st.Y, prob)
+        cert = duality.certify(prob, obj, obj.state(np.array([xv])))
+        Y_hat, beta = cert.Y_hat, cert.beta
         assert 0 < beta <= 1
         assert np.allclose(Y_hat @ np.ones(2), np.ones(2), atol=1e-12)
         # dual inequality |diag(E^T (Y_hat - R) E)| <= gamma holds exactly
@@ -140,14 +298,14 @@ def test_blending_cannot_fix_small_edge_forms():
     assert duality.certify_or_none(prob, obj, st) is None
 
 
-def test_make_dual_feasible_at_optimum_keeps_Y():
+def test_blended_point_at_optimum_keeps_Y():
     # the gamma = 0 optimum is already dual feasible, so no blending happens
     prob = two_node_problem()
     obj = Objective(prob)
     st = obj.state(np.array([0.5]))
-    Y_hat, beta = duality.make_dual_feasible(st.Y, prob)
-    assert beta == pytest.approx(1.0)
-    assert np.allclose(Y_hat, st.Y, atol=1e-12)
+    cert = duality.certify(prob, obj, st)
+    assert cert.beta == pytest.approx(1.0)
+    assert np.allclose(cert.Y_hat, st.Y, atol=1e-12)
 
 
 def test_certificate_requires_scalar_R():
@@ -158,8 +316,6 @@ def test_certificate_requires_scalar_R():
     prob = graphs.Problem(graphs.PlantGraph.from_edges(plant), cand, Q, R)
     obj = Objective(prob)
     st = obj.state(np.array([0.4]))
-    with pytest.raises(CertificateUnavailableError):
-        duality.make_dual_feasible(st.Y, prob)
     with pytest.raises(CertificateUnavailableError):
         duality.certify(prob, obj, st)
     assert duality.certify_or_none(prob, obj, st) is None
@@ -199,7 +355,6 @@ def test_signed_residuals_identically_zero():
     prob = two_node_problem(gamma=2.0)
     obj = Objective(prob)
     cert = duality.certify(prob, obj, obj.state(np.array([0.3])))
-    assert np.allclose(cert.r_p, 0.0, atol=1e-14)
     assert np.allclose(cert.r_d_plus, 0.0, atol=1e-12)
     assert np.allclose(cert.r_d_minus, 0.0, atol=1e-12)
 

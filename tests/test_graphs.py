@@ -119,7 +119,7 @@ def test_problem_validation():
             graphs.incidence_from_edges(graphs.complement_candidates(plant)),
             np.eye(3), np.eye(3),
         )
-    for gamma in (-1.0, float("nan")):
+    for gamma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
             graphs.default_problem(plant, gamma=gamma)
         with pytest.raises(InvalidInputError):
@@ -322,6 +322,21 @@ def test_parse_edge_list_malformed():
         graphs.parse_edge_list("0 1 2 3\n")
     with pytest.raises(InvalidInputError):
         graphs.parse_edge_list("0\n")
+
+
+@pytest.mark.parametrize("count", ["abc", "2.5", "-3", "", "3 4"])
+def test_parse_edge_list_rejects_bad_node_counts(count):
+    # the node count must be one non-negative integer
+    for text in (f"n {count}\n", f"n {count}\n0 1\n"):
+        with pytest.raises(InvalidInputError):
+            graphs.parse_edge_list(text)
+
+
+def test_edge_list_rejects_negative_node_count():
+    with pytest.raises(InvalidInputError):
+        graphs.EdgeList(-1, np.zeros((0, 2), dtype=int), np.zeros(0))
+    with pytest.raises(InvalidInputError):
+        graphs.EdgeList.from_tuples(-3, [])
 
 
 def test_path_gen_file_has_nine_lines(tmp_path):

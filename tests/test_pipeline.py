@@ -8,6 +8,7 @@ import pytest
 from gsp import graphs, pipeline
 from gsp.errors import InfeasibleSupportError, InvalidInputError, UnsupportedError
 from gsp.objective import Objective
+from gsp.proxgrad import ProxGradOptions
 from gsp.proxnewton import NewtonOptions, solve_newton
 
 
@@ -219,3 +220,18 @@ def test_solve_centralized_dispatch():
         )
     with pytest.raises(InvalidInputError):
         pipeline.solve_centralized(prob, "nosuch")
+
+
+@pytest.mark.parametrize("method,opts", [
+    ("proxbb", NewtonOptions(tol_gap=1e-12)),
+    ("projgrad", NewtonOptions()),
+    ("proxn", ProxGradOptions(tol_gap=1e-12)),
+])
+def test_solver_options_must_match_the_method(method, opts):
+    # options of the other solver's class are an error, not replaced by
+    # the method's defaults
+    prob = p3_problem(1.0)
+    with pytest.raises(InvalidInputError):
+        pipeline.solve_centralized(prob, method, opts)
+    with pytest.raises(InvalidInputError):
+        pipeline.sweep(prob, [0.5], solver=method, opts=opts)
