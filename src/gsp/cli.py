@@ -263,7 +263,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["proxbb", "proxn", "projgrad"],
+    p.add_argument("--method", choices=["proxbb", "proxn"],
                    default="proxn")
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--tol-gap", type=float, dest="tol_gap")

@@ -17,7 +17,7 @@ from .proxnewton import NewtonOptions, solve_newton
 #: absolute threshold for support detection before polishing
 ZERO_TOL = 1e-6
 
-#: default epsilon in the reweighting update 1 / (|x| + eps)
+#: epsilon in the reweighting update 1 / (|x| + eps)
 REWEIGHT_EPS = 1e-3
 
 
@@ -61,12 +61,11 @@ def default_gamma_grid(problem: Problem, count: int = 50,
 
 
 #: options class of each solver method
-_OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions,
-            "projgrad": ProxGradOptions}
+_OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions}
 
 
 def _solve(problem: Problem, method: str, x0, opts, weights=None):
-    """Dispatch one solve by method name: proxbb, proxn or projgrad.
+    """Dispatch one solve by method name: proxbb or proxn.
 
     ``opts`` is None (the solver's defaults) or an instance of the method's
     options class.
@@ -80,8 +79,6 @@ def _solve(problem: Problem, method: str, x0, opts, weights=None):
         return solve_newton(problem, x0, opts, weights)
     if problem.resistive:
         return solve_projected(problem, x0, opts, weights)
-    if method == "projgrad":
-        raise InvalidInputError("projgrad requires a resistive problem")
     return solve_ista(problem, x0, opts, weights)
 
 
@@ -116,13 +113,12 @@ def polish(problem: Problem, support) -> tuple[np.ndarray, float]:
     return x, obj.value(x)
 
 
-def reweight_update(x, epsilon: float = REWEIGHT_EPS) -> np.ndarray:
+def reweight_update(x) -> np.ndarray:
     """Penalty weights inversely proportional to the current magnitudes."""
-    return 1.0 / (np.abs(np.asarray(x, dtype=float)) + epsilon)
+    return 1.0 / (np.abs(np.asarray(x, dtype=float)) + REWEIGHT_EPS)
 
 
-def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
-                    solver: str = "proxn", opts=None):
+def reweighted_path(problem: Problem, gammas, solver: str = "proxn", opts=None):
     """Path-following solves with iteratively reweighted penalties.
 
     The unpenalized solution initializes the weights; each subsequent gamma is
@@ -130,10 +126,10 @@ def reweighted_path(problem: Problem, gammas, epsilon: float = REWEIGHT_EPS,
     Returns a list of ``(gamma, x)``.
     """
     return [(g, x) for g, x, _, _ in
-            _reweighted_solves(problem, gammas, epsilon, solver, opts)]
+            _reweighted_solves(problem, gammas, solver, opts)]
 
 
-def _reweighted_solves(problem: Problem, gammas, epsilon, solver, opts, x_c=None):
+def _reweighted_solves(problem: Problem, gammas, solver, opts, x_c=None):
     """The reweighted path as ``(gamma, x, iterations, seconds)`` per gamma.
 
     ``x_c`` is the unpenalized solution when the caller already has it.
@@ -141,11 +137,9 @@ def _reweighted_solves(problem: Problem, gammas, epsilon, solver, opts, x_c=None
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size and np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
     if x_c is None:
         x_c, _ = solve_centralized(problem, solver, opts)
-    w = reweight_update(x_c, epsilon)
+    w = reweight_update(x_c)
     x_prev = x_c
     out = []
     for g in gammas:
@@ -155,7 +149,7 @@ def _reweighted_solves(problem: Problem, gammas, epsilon, solver, opts, x_c=None
             x, rep = _solve(prob_g, solver, x_prev, opts, weights=w)
         except InfeasibleStartError:
             x, rep = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
-        w = reweight_update(x, epsilon)
+        w = reweight_update(x)
         out.append((float(g), x, rep.iterations, time.perf_counter() - t0))
         x_prev = x
     return out
@@ -173,8 +167,7 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
 
     points = []
     if use_reweighting:
-        solutions = _reweighted_solves(problem, gammas, REWEIGHT_EPS, solver,
-                                       opts, x_c)
+        solutions = _reweighted_solves(problem, gammas, solver, opts, x_c)
     else:
         solutions = []
         x_prev = x_c

@@ -9,6 +9,12 @@ Resistive problems take the projection onto ``x >= 0`` and the non-monotone
 sufficient-decrease test against the largest of the last few objective values
 (SpaRSA, Wright, Nowak and Figueiredo 2009).  A trial rejected at the
 smallest allowed step raises LineSearchError.
+
+The step recipe is fixed by module constants, read at call time:
+``ALPHA_FALLBACK`` (the first step, and any step whose BB estimate is
+undefined), the BB clamp ``[ALPHA_MIN, ALPHA_MAX]``, the backtracking factor
+``BACKTRACK_SHRINK`` and the number of recent objective values the resistive
+test compares against, ``NONMONOTONE_MEMORY``.
 """
 
 from __future__ import annotations
@@ -28,32 +34,28 @@ from .errors import (
 from .graphs import Problem
 from .objective import Objective
 
+#: The step recipe; see the module docstring.
+ALPHA_FALLBACK = 1.0
+ALPHA_MIN = 1e-12
+ALPHA_MAX = 1e12
+BACKTRACK_SHRINK = 0.5
+NONMONOTONE_MEMORY = 10
+
 
 @dataclass
 class ProxGradOptions:
     """Tuning knobs for the first-order solvers."""
 
     max_iters: int = 10000
-    alpha_fallback: float = 1.0  # initial step when the BB estimate is undefined
-    backtrack_shrink: float = 0.5
-    alpha_min: float = 1e-12
-    alpha_max: float = 1e12
     tol_gap: float = 1e-4
     tol_rd: float = 1e-3
-    nonmonotone_memory: int = 10  # resistive only
     report_every: int = 10  # certification interval
 
     def __post_init__(self):
-        if not 0 < self.alpha_min <= self.alpha_max:
-            raise InvalidInputError("need 0 < alpha_min <= alpha_max")
-        if not 0 < self.backtrack_shrink < 1:
-            raise InvalidInputError("backtrack_shrink must lie in (0, 1)")
         if self.tol_gap <= 0 or self.tol_rd <= 0:
             raise InvalidInputError("tolerances must be positive")
         if self.max_iters < 1 or self.report_every < 1:
             raise InvalidInputError("max_iters and report_every must be at least 1")
-        if not self.alpha_min <= self.alpha_fallback <= self.alpha_max:
-            raise InvalidInputError("alpha_fallback must lie in [alpha_min, alpha_max]")
 
 
 @dataclass
@@ -85,17 +87,17 @@ def soft_threshold(v, kappa):
     return np.sign(v) * np.clip(np.abs(v) - kappa, 0.0, None)
 
 
-def bb_step(x_k, x_prev, g_k, g_prev, opts: ProxGradOptions) -> float:
+def bb_step(x_k, x_prev, g_k, g_prev) -> float:
     """Secant step estimate, clamped; falls back on degenerate curvature."""
     dx = np.asarray(x_k) - np.asarray(x_prev)
     dg = np.asarray(g_k) - np.asarray(g_prev)
     denom = float(dx @ dg)
     if not np.isfinite(denom) or denom <= 0.0:
-        return opts.alpha_fallback
+        return ALPHA_FALLBACK
     alpha = float(dx @ dx) / denom
     if not np.isfinite(alpha):
-        return opts.alpha_fallback
-    return float(np.clip(alpha, opts.alpha_min, opts.alpha_max))
+        return ALPHA_FALLBACK
+    return float(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))
 
 
 def _finish(report, t0, cert):
@@ -112,7 +114,7 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
     ``grad`` is the gradient of the smooth part, as in proximal Newton: the
     objective gradient for signed problems, the penalized one for resistive
     problems.  Raises LineSearchError when a trial is rejected at
-    ``opts.alpha_min``.
+    ``ALPHA_MIN``.
     """
     opts = opts or ProxGradOptions()
     obj = Objective(problem)
@@ -162,9 +164,9 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
 
     for k in range(1, opts.max_iters + 1):
         if x_prev is None:
-            alpha = opts.alpha_fallback
+            alpha = ALPHA_FALLBACK
         else:
-            alpha = bb_step(x, x_prev, grad, g_prev, opts)
+            alpha = bb_step(x, x_prev, grad, g_prev)
 
         f_ref = max(recent)
         while True:
@@ -179,10 +181,10 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
                     st, f_ref, trial, obj.value_at(trial_cl, trial), delta,
                     step_sq, alpha):
                 break
-            if alpha <= opts.alpha_min:
+            if alpha <= ALPHA_MIN:
                 raise LineSearchError(
-                    f"trial step rejected at alpha_min={opts.alpha_min:g}")
-            alpha = max(alpha * opts.backtrack_shrink, opts.alpha_min)
+                    f"trial step rejected at ALPHA_MIN={ALPHA_MIN:g}")
+            alpha = max(alpha * BACKTRACK_SHRINK, ALPHA_MIN)
 
         x_prev, g_prev = x, grad
         x = trial
@@ -190,7 +192,7 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
         F_new = st.J + penalty(x)
         grad = smooth_grad(st)
         recent.append(F_new)
-        if len(recent) > opts.nonmonotone_memory:
+        if len(recent) > NONMONOTONE_MEMORY:
             recent.pop(0)
         report.iterations = k
         report.step_trace.append(alpha)

@@ -9,6 +9,11 @@ moving coordinate's Hessian row, restricted to the active set.  A row is built
 from ``Y`` and ``G^-1`` the first time its coordinate moves and cached for
 later sweeps in one array of at most ``CD_CACHE_ELEMS`` entries, so neither
 the dense m-by-m Hessian nor its full active block is ever formed.
+
+The rest of the recipe is fixed by module constants, read at call time: the
+signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
+penalty) and the line search's Armijo constant ``ARMIJO_SIGMA``, step factor
+``BACKTRACK_SHRINK`` and budget ``MAX_BACKTRACKS``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,12 @@ from .proxgrad import SolveReport, _finish
 #: where few coordinates move.
 CD_CACHE_ELEMS = 1 << 18
 
+#: The rest of the recipe; see the module docstring.
+ACTIVE_EPS_FACTOR = 1e-4
+ARMIJO_SIGMA = 0.01
+BACKTRACK_SHRINK = 0.5
+MAX_BACKTRACKS = 60
+
 
 @dataclass
 class NewtonOptions:
@@ -45,20 +56,11 @@ class NewtonOptions:
     max_outer: int = 50
     cd_sweeps_max: int = 100
     cd_tol: float | None = None  # None: 1e-8 * max(1, |grad|_inf)
-    sigma: float = 0.01  # Armijo constant
-    backtrack_shrink: float = 0.5
-    active_eps_factor: float = 1e-4
     tol_gap: float = 1e-4
     tol_rd: float = 1e-3
-    max_backtracks: int = 60
 
     def __post_init__(self):
-        if not 0 < self.sigma < 0.5:
-            raise InvalidInputError("sigma must lie in (0, 0.5)")
-        if not 0 < self.backtrack_shrink < 1:
-            raise InvalidInputError("backtrack_shrink must lie in (0, 1)")
-        if min(self.max_outer, self.cd_sweeps_max, self.active_eps_factor,
-               self.tol_gap, self.tol_rd) <= 0:
+        if min(self.max_outer, self.cd_sweeps_max, self.tol_gap, self.tol_rd) <= 0:
             raise InvalidInputError("options must be positive")
 
 
@@ -159,8 +161,7 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     return xt
 
 
-def line_search(objective: Objective, gamma_vec, state, xt,
-                opts: NewtonOptions, resistive: bool):
+def line_search(objective: Objective, gamma_vec, state, xt, resistive: bool):
     """Backtracking with a generalized Armijo rule.
 
     Returns ``(alpha, x_new, cl_new)``; raises LineSearchError when no step
@@ -175,17 +176,17 @@ def line_search(objective: Objective, gamma_vec, state, xt,
         slope = float(state.grad @ xt) + float(gamma_vec @ np.abs(x_bar + xt)) - l1_bar
 
     alpha = 1.0
-    for _ in range(opts.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         x_new = x_bar + alpha * xt
         if resistive and x_new.size and x_new.min() < 0.0:
-            alpha *= opts.backtrack_shrink
+            alpha *= BACKTRACK_SHRINK
             continue
         cl = objective.closed_loop(x_new)
         if cl.positive_definite:
             f_new = objective.value_at(cl, x_new) + float(gamma_vec @ np.abs(x_new))
-            if f_new <= f_bar + alpha * opts.sigma * slope + 1e-12:
+            if f_new <= f_bar + alpha * ARMIJO_SIGMA * slope + 1e-12:
                 return alpha, x_new, cl
-        alpha *= opts.backtrack_shrink
+        alpha *= BACKTRACK_SHRINK
     raise LineSearchError("no acceptable step within the backtrack budget")
 
 
@@ -195,7 +196,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
     opts = opts or NewtonOptions()
     obj = Objective(problem)
     gam = _gamma_vector(problem, weights)
-    eps = opts.active_eps_factor * gam
+    eps = ACTIVE_EPS_FACTOR * gam
     t0 = time.perf_counter()
 
     if x0 is None:
@@ -242,7 +243,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             report.iterations = k - 1
             return x, _finish(report, t0, cert)
 
-        alpha, x, cl = line_search(obj, gam, st, xt, opts, resistive)
+        alpha, x, cl = line_search(obj, gam, st, xt, resistive)
         st = obj.state(x, cl)
         F = composite(st)
         report.iterations = k

@@ -101,15 +101,14 @@ def test_polish_embeds_support():
 
 
 def test_reweight_update_arithmetic():
-    w = pipeline.reweight_update(np.array([0.0, 1.0, -0.5]), epsilon=1e-3)
+    assert pipeline.REWEIGHT_EPS == 1e-3
+    w = pipeline.reweight_update(np.array([0.0, 1.0, -0.5]))
     assert np.allclose(w, [1000.0, 1.0 / 1.001, 1.0 / 0.501])
 
 
 def test_reweighted_path_requires_ascending():
     with pytest.raises(InvalidInputError):
         pipeline.reweighted_path(p3_problem(), [1.0, 0.5])
-    with pytest.raises(InvalidInputError):
-        pipeline.reweighted_path(p3_problem(), [0.5], epsilon=0.0)
 
 
 def test_reweighted_path_sparsifies():
@@ -211,20 +210,17 @@ def test_sweep_reweighting_records_iterations(monkeypatch):
 def test_solve_centralized_dispatch():
     prob = p3_problem(1.0)
     x_n, _ = pipeline.solve_centralized(prob, "proxn", TIGHT)
-    x_b, _ = pipeline.solve_centralized(prob, "projgrad")
+    x_b, _ = pipeline.solve_centralized(prob, "proxbb")
     assert x_n[0] == pytest.approx((2 / np.sqrt(2) - 1) / 2, abs=1e-5)
     assert x_b[0] == pytest.approx(x_n[0], abs=1e-4)
-    with pytest.raises(InvalidInputError):
-        pipeline.solve_centralized(
-            graphs.default_problem(graphs.generate("path", 3)), "projgrad"
-        )
-    with pytest.raises(InvalidInputError):
-        pipeline.solve_centralized(prob, "nosuch")
+    for method in ("nosuch", "projgrad"):
+        with pytest.raises(InvalidInputError):
+            pipeline.solve_centralized(prob, method)
 
 
 @pytest.mark.parametrize("method,opts", [
     ("proxbb", NewtonOptions(tol_gap=1e-12)),
-    ("projgrad", NewtonOptions()),
+    ("proxbb", NewtonOptions()),
     ("proxn", ProxGradOptions(tol_gap=1e-12)),
 ])
 def test_solver_options_must_match_the_method(method, opts):

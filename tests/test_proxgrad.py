@@ -61,34 +61,33 @@ def test_soft_threshold_is_l1_prox(v, kappa):
 
 def test_bb_step_hand_value():
     # dx = (1, 0), dg = (3, 1): alpha = |dx|^2 / (dx . dg) = 1/3
-    opts = ProxGradOptions()
     a = bb_step(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                np.array([3.0, 1.0]), np.array([0.0, 0.0]), opts)
+                np.array([3.0, 1.0]), np.array([0.0, 0.0]))
     assert a == pytest.approx(1.0 / 3.0)
 
 
 def test_bb_step_fallback_and_clamp():
-    opts = ProxGradOptions(alpha_fallback=0.7, alpha_min=0.1, alpha_max=2.0)
     # non-positive curvature falls back
     a = bb_step(np.array([1.0]), np.array([0.0]), np.array([-1.0]),
-                np.array([0.0]), opts)
-    assert a == pytest.approx(0.7)
+                np.array([0.0]))
+    assert a == proxgrad.ALPHA_FALLBACK
     # zero displacement (denominator 0) falls back
     a = bb_step(np.array([1.0]), np.array([1.0]), np.array([2.0]),
-                np.array([1.0]), opts)
-    assert a == pytest.approx(0.7)
-    # large secant estimates are clamped
-    a = bb_step(np.array([10.0]), np.array([0.0]), np.array([1e-8]),
-                np.array([0.0]), opts)
-    assert a == pytest.approx(2.0)
+                np.array([1.0]))
+    assert a == proxgrad.ALPHA_FALLBACK
+    # large secant estimates are clamped: dx . dx / dx . dg = 1e16
+    a = bb_step(np.array([1.0]), np.array([0.0]), np.array([1e-16]),
+                np.array([0.0]))
+    assert a == proxgrad.ALPHA_MAX
+    # and so are small ones: 1e-16
+    a = bb_step(np.array([1.0]), np.array([0.0]), np.array([1e16]),
+                np.array([0.0]))
+    assert a == proxgrad.ALPHA_MIN
 
 
 @pytest.mark.parametrize("kwargs", [
     {"report_every": 0},  # the loop takes k % report_every
     {"max_iters": 0},
-    {"alpha_fallback": 0.0},  # the first trial would equal x: a false stationary stop
-    {"alpha_fallback": 0.05, "alpha_min": 0.1},
-    {"alpha_fallback": 3.0, "alpha_max": 2.0},
 ])
 def test_options_reject_values_that_break_the_loop(kwargs):
     with pytest.raises(InvalidInputError):
@@ -145,12 +144,11 @@ def test_projected_nonmonotone_bound():
         graphs.generate("erdos_renyi", 15, p=0.3, seed=5),
         candidates=None, gamma=0.3, resistive=True,
     )
-    opts = ProxGradOptions(tol_gap=1e-10, tol_rd=1e-5, report_every=1,
-                           nonmonotone_memory=10)
+    opts = ProxGradOptions(tol_gap=1e-10, tol_rd=1e-5, report_every=1)
     x, rep = proxgrad.solve_projected(prob, opts=opts)
     assert rep.status == "converged"
     trace = rep.objective_trace
-    memory = opts.nonmonotone_memory
+    memory = proxgrad.NONMONOTONE_MEMORY
     for k in range(1, len(trace)):
         ref = max(trace[max(0, k - memory):k])
         assert trace[k] <= ref + 1e-9
@@ -212,11 +210,13 @@ def test_weighted_penalty_changes_solution():
     (False, 0.5, 50.0),  # the trial closed loop is not positive definite
     (True, 0.05, 1e3),  # the trial raises the objective
 ])
-def test_rejected_step_at_alpha_min_raises(resistive, gamma, alpha):
+def test_rejected_step_at_alpha_min_raises(monkeypatch, resistive, gamma, alpha):
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", 12, p=0.4, seed=9), gamma=gamma,
         resistive=resistive,
     )
+    monkeypatch.setattr(proxgrad, "ALPHA_FALLBACK", alpha)
+    monkeypatch.setattr(proxgrad, "ALPHA_MIN", alpha)
     solve = proxgrad.solve_projected if resistive else proxgrad.solve_ista
     with pytest.raises(LineSearchError):
-        solve(prob, opts=ProxGradOptions(alpha_fallback=alpha, alpha_min=alpha))
+        solve(prob)

@@ -31,10 +31,9 @@ TIGHT_ER = NewtonOptions(tol_gap=1e-9, tol_rd=1e-6)
 
 
 def test_options_validation():
-    with pytest.raises(InvalidInputError):
-        NewtonOptions(sigma=0.7)
-    with pytest.raises(InvalidInputError):
-        NewtonOptions(backtrack_shrink=1.5)
+    for field in ("max_outer", "cd_sweeps_max", "tol_gap", "tol_rd"):
+        with pytest.raises(InvalidInputError):
+            NewtonOptions(**{field: 0})
 
 
 def test_active_set_signed_rule():
@@ -247,9 +246,7 @@ def test_line_search_hand_trace():
     obj = Objective(prob)
     st = obj.state(np.array([1.0]))
     xt = np.array([-1.5])
-    opts = NewtonOptions(sigma=0.01, backtrack_shrink=0.5)
-    alpha, x_new, cl = line_search(obj, np.zeros(1), st, xt, opts,
-                                   resistive=False)
+    alpha, x_new, cl = line_search(obj, np.zeros(1), st, xt, resistive=False)
     assert alpha == pytest.approx(0.25)
     assert x_new[0] == pytest.approx(0.625)
     assert obj.value(x_new) == pytest.approx(2.05, abs=1e-12)
