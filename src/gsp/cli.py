@@ -45,7 +45,9 @@ def parse_gamma_spec(spec: str, problem) -> list[float]:
 
     Accepted forms: ``<float>``, ``<float>gmax`` and
     ``log:<lo>:<hi>:<count>`` where ``lo``/``hi`` may carry a ``gmax``
-    suffix.  Fractions of gamma_max require a connected plant.
+    suffix.  Fractions of gamma_max require a connected plant.  Every value
+    and bound must be finite and non-negative, so a bad spec fails before
+    any solve.
     """
     gmax = None
 
@@ -59,8 +61,13 @@ def parse_gamma_spec(spec: str, problem) -> list[float]:
                         "gmax fractions require a connected plant")
                 gmax = gamma_max(problem)
             frac = tok[: -len("gmax")]
-            return (float(frac) if frac else 1.0) * gmax
-        return float(tok)
+            value = (float(frac) if frac else 1.0) * gmax
+        else:
+            value = float(tok)
+        if not 0 <= value < np.inf:  # also rejects NaN
+            raise InvalidInputError(
+                f"gamma {tok!r} must be finite and non-negative")
+        return value
 
     try:
         if spec.startswith("log:"):

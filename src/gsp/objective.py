@@ -20,10 +20,9 @@ only formed where the Newton solver needs random entry access.  Every
 quadratic form ``xi_k^T A xi_l`` is assembled from four entries of ``A``
 because each incidence column has exactly two nonzeros.
 
-Only this module solves with the closed-loop factor; the two deliberate
-independent paths are ``pipeline.gamma_max``, which factors ``G_p`` itself,
-and :func:`lyapunov_h2_oracle`, a reference that does not use
-:class:`Objective`.
+Only this module solves with the closed-loop factor; the one deliberate
+independent path is :func:`lyapunov_h2_oracle`, a reference that does not
+use :class:`Objective`.
 """
 
 from __future__ import annotations

@@ -6,11 +6,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InfeasibleSupportError, InfeasibleStartError, InvalidInputError, UnsupportedError
 from .graphs import Problem
-from .objective import Objective, edge_quad_diag
+from .objective import Objective
 from .proxgrad import ProxGradOptions, solve_ista, solve_projected
 from .proxnewton import NewtonOptions, solve_newton
 
@@ -38,19 +37,18 @@ class TradeoffPoint:
 def gamma_max(problem: Problem) -> float:
     """Smallest penalty for which the optimal design adds no edges.
 
-    Defined for connected plants as the infinity norm of
-    ``diag(E^T G_p^-1 Q G_p^-1 E)``, evaluated per edge from four entries of
-    the dense middle matrix.
+    Defined for connected plants as the largest descent component
+    ``max(-grad J(0))``, which equals the infinity norm of
+    ``diag(E^T G_p^-1 Q G_p^-1 E)`` because the plant-only terms of the
+    gradient cancel at ``x = 0``.  It is read from the same
+    :meth:`Objective.state` as the solvers' gradient, so at this penalty
+    ``x = 0`` is an exact fixed point of their prox step.
     """
     if not problem.plant.connected:
         raise UnsupportedError("gamma_max is defined for connected plants only")
     if problem.m == 0:
         return 0.0
-    c = scipy.linalg.cho_factor(problem.plant.G, lower=True, check_finite=False)
-    M = scipy.linalg.cho_solve(c, scipy.linalg.cho_solve(c, problem.Q).T,
-                               check_finite=False)
-    M = 0.5 * (M + M.T)
-    return float(np.max(edge_quad_diag(M, problem.candidates.pairs)))
+    return float(np.max(-Objective(problem).state(np.zeros(problem.m)).grad))
 
 
 def default_gamma_grid(problem: Problem, count: int = 50,
@@ -125,34 +123,38 @@ def reweighted_path(problem: Problem, gammas, solver: str = "proxn", opts=None):
     warm-started from the previous solution and followed by a weight update.
     Returns a list of ``(gamma, x)``.
     """
-    return [(g, x) for g, x, _, _ in
-            _reweighted_solves(problem, gammas, solver, opts)]
-
-
-def _reweighted_solves(problem: Problem, gammas, solver, opts, x_c=None):
-    """The reweighted path as ``(gamma, x, iterations, seconds)`` per gamma.
-
-    ``x_c`` is the unpenalized solution when the caller already has it.
-    """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    if gammas.size and np.any(np.diff(gammas) < 0):
+    if np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
-    if x_c is None:
-        x_c, _ = solve_centralized(problem, solver, opts)
-    w = reweight_update(x_c)
+    x_c, _ = solve_centralized(problem, solver, opts)
+    return [(g, x) for g, x, _, _ in
+            _gamma_path(problem, gammas, solver, opts, x_c, reweight=True)]
+
+
+def _gamma_path(problem: Problem, gammas, solver, opts, x_c,
+                warm_start: bool = True, reweight: bool = False):
+    """Solve each gamma in turn; yields ``(gamma, x, iterations, seconds)``.
+
+    ``x_c`` is the unpenalized solution.  A warm start begins at ``x_c`` and
+    then at the previous solution, and one that is infeasible is retried
+    from the solver's default start; cold starts use that default
+    throughout.  With ``reweight`` the penalty weights are
+    :func:`reweight_update` of the same previous solution.
+    """
     x_prev = x_c
-    out = []
     for g in gammas:
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(float(g))
+        w = reweight_update(x_prev) if reweight else None
+        x0 = x_prev if warm_start else None
         try:
-            x, rep = _solve(prob_g, solver, x_prev, opts, weights=w)
+            x, rep = _solve(prob_g, solver, x0, opts, w)
         except InfeasibleStartError:
-            x, rep = _solve(prob_g, solver, np.ones(problem.m), opts, weights=w)
-        w = reweight_update(x)
-        out.append((float(g), x, rep.iterations, time.perf_counter() - t0))
+            if x0 is None:
+                raise
+            x, rep = _solve(prob_g, solver, None, opts, w)
+        yield float(g), x, rep.iterations, time.perf_counter() - t0
         x_prev = x
-    return out
 
 
 def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
@@ -160,32 +162,16 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
           warm_start: bool = True) -> list[TradeoffPoint]:
     """Tradeoff curve: solve, threshold, polish and normalize for each gamma."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    if use_reweighting and np.any(np.diff(gammas) < 0):
+        raise InvalidInputError("gammas must be ascending")
     obj = Objective(problem)
     x_c, _ = solve_centralized(problem, solver, opts)
     J_c = obj.value(x_c)
     card_c = int(np.count_nonzero(np.abs(x_c) > ZERO_TOL))
 
     points = []
-    if use_reweighting:
-        solutions = _reweighted_solves(problem, gammas, solver, opts, x_c)
-    else:
-        solutions = []
-        x_prev = x_c
-        for g in gammas:
-            t0 = time.perf_counter()
-            prob_g = problem.with_gamma(float(g))
-            if not warm_start:
-                x, rep = _solve(prob_g, solver, None, opts)
-            else:
-                try:
-                    x, rep = _solve(prob_g, solver, x_prev, opts)
-                except InfeasibleStartError:
-                    x, rep = _solve(prob_g, solver, None, opts)
-            solutions.append((float(g), x, rep.iterations,
-                              time.perf_counter() - t0))
-            x_prev = x
-
-    for (g, x, iters, solve_s) in solutions:
+    for g, x, iters, solve_s in _gamma_path(problem, gammas, solver, opts, x_c,
+                                            warm_start, use_reweighting):
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(g)
         support = np.flatnonzero(np.abs(x) > ZERO_TOL)

@@ -268,6 +268,23 @@ def test_infinite_gamma_is_invalid_input(p3_file, method):
                 "--method", method, "--no-baseline"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("spec", ["inf", "nan", "-1", "log:0.1:inf:3",
+                                  "log:nan:1:3", "log:0.1:1e400:3"])
+def test_bad_gamma_spec_fails_before_any_solve(p3_file, tmp_path, monkeypatch,
+                                              spec):
+    calls = []
+    real_solve = pipeline._solve
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_solve", spy)
+    assert run(["sweep", "--plant", p3_file, "--resistive", "--gammas", spec,
+                "--csv", str(tmp_path / "c.csv")]) == EXIT_INVALID
+    assert calls == []
+
+
 def test_solve_rejects_gamma_ranges(p3_file):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma",
                 "log:0.1:1:3"]) == EXIT_INVALID

@@ -4,11 +4,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsp import graphs, pipeline
 from gsp.errors import InfeasibleSupportError, InvalidInputError, UnsupportedError
 from gsp.objective import Objective
-from gsp.proxgrad import ProxGradOptions
+from gsp.proxgrad import ProxGradOptions, solve_ista, solve_projected
 from gsp.proxnewton import NewtonOptions, solve_newton
 
 
@@ -50,7 +52,23 @@ def test_gamma_max_matches_gradient_bound():
     )
     obj = Objective(prob)
     g0 = obj.gradient(np.zeros(prob.m))
-    assert pipeline.gamma_max(prob) == pytest.approx(np.max(-g0), abs=1e-10)
+    assert pipeline.gamma_max(prob) == np.max(-g0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 30), st.integers(0, 9), st.sampled_from([0.2, 0.4, 0.7]),
+       st.booleans())
+def test_zero_is_a_fixed_point_at_gamma_max(n, seed, p, resistive):
+    # gamma_max and the solvers read the same gradient at x = 0, so there
+    # the first prox step from zero is exactly zero and the solve stops
+    plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    assume(graphs.component_count(plant) == 1)
+    prob = graphs.default_problem(plant, resistive=resistive)
+    solve = solve_projected if resistive else solve_ista
+    x, rep = solve(prob.with_gamma(pipeline.gamma_max(prob)), np.zeros(prob.m))
+    assert rep.status == "converged"
+    assert rep.iterations == 1
+    assert not np.any(x)
 
 
 def test_gamma_max_disconnected_unsupported():
@@ -205,6 +223,20 @@ def test_sweep_reweighting_records_iterations(monkeypatch):
     assert len(reports) == 1 + len(points)
     assert [p.iterations for p in points] == [r.iterations for r in reports[1:]]
     assert any(p.iterations > 0 for p in points)
+
+
+def test_cold_reweighted_sweep_starts_every_solve_at_the_default(monkeypatch):
+    starts = []
+    real_solve = pipeline._solve
+
+    def recording_solve(problem, method, x0, *args, **kwargs):
+        starts.append(x0)
+        return real_solve(problem, method, x0, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_solve", recording_solve)
+    pipeline.sweep(p3_problem(), [0.5, 1.0], opts=TIGHT, use_reweighting=True,
+                   warm_start=False)
+    assert starts == [None, None, None]
 
 
 def test_solve_centralized_dispatch():
