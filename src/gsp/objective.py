@@ -64,6 +64,27 @@ def edge_quad_column(A: np.ndarray, edge: np.ndarray, pairs: np.ndarray) -> np.n
     return u[pairs[:, 0]] - u[pairs[:, 1]]
 
 
+def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Hessian entries ``2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l)`` for the edges
+    ``k`` of ``rows`` and ``l`` of ``cols``, written to ``out`` if given.
+
+    ``rows`` and ``cols`` each hold the two end-node indices of their edges,
+    as in ``pairs.T``; ``rows`` may also be one edge's two ints, which gives
+    one row.  Every entry is assembled from four entries of ``Y`` and of
+    ``Ginv`` with the same arithmetic, so for symmetric ``Y`` and ``Ginv``
+    it has the same bits whichever other entries are built with it.
+    """
+    i, j = rows
+    UY = Y[:, i] - Y[:, j]  # columns: Y xi_k
+    UG = Ginv[:, i] - Ginv[:, j]
+    ci, cj = cols
+    HY = UY[ci] - UY[cj]  # HY[l, k] = xi_l^T Y xi_k
+    HG = UG[ci] - UG[cj]
+    HY *= HESSIAN_SCALE
+    return np.multiply(HY, HG, out=None if out is None else out.T).T
+
+
 @dataclass(frozen=True)
 class QpMatrix:
     """Effective state weight ``Q_p`` with its lower Cholesky factor
@@ -197,13 +218,8 @@ class Objective:
                 "use hessian_diag/hessian_column"
             )
         st = self.state(x)
-        Ginv = self.closed_loop_inverse(st)
-        i, j = self.pairs[:, 0], self.pairs[:, 1]
-        UY = st.Y[i] - st.Y[j]  # rows: xi_l^T Y
-        UG = Ginv[i] - Ginv[j]
-        HY = UY[:, i] - UY[:, j]
-        HG = UG[:, i] - UG[:, j]
-        return HESSIAN_SCALE * HY * HG
+        ends = self.pairs.T
+        return hessian_rows(st.Y, self.closed_loop_inverse(st), ends, ends)
 
 
 def lyapunov_h2_oracle(problem: Problem, x) -> float:

@@ -2,13 +2,24 @@
 
 Each outer iteration materializes the dense inverse of the closed-loop matrix
 (coordinate updates need random entry access), builds the active set, runs
-cyclic coordinate descent with closed-form scalar updates to approximate the
-Newton direction, and backtracks with a generalized Armijo rule.  The running
-Hessian-direction product is kept current by one BLAS ``axpy`` with the
-moving coordinate's Hessian row, restricted to the active set.  A row is built
-from ``Y`` and ``G^-1`` the first time its coordinate moves and cached for
-later sweeps in one array of at most ``CD_CACHE_ELEMS`` entries, so neither
-the dense m-by-m Hessian nor its full active block is ever formed.
+cyclic coordinate descent with closed-form scalar prox steps to approximate
+the Newton direction, and backtracks with a generalized Armijo rule.  The
+m-by-m Hessian is never formed.  Its block over the ``k`` active coordinates
+with positive curvature is stored in one of two ways, chosen by ``k`` alone
+against the budget ``CD_CACHE_ELEMS`` (2 MB of float64):
+
+- ``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``): the whole block is built once
+  per direction, and each sweep is a projected Gauss-Seidel step: one
+  product with the block's strict upper triangle, one BLAS forward
+  substitution (``trsv``) with its lower triangle, and a vectorized check of
+  the prox branches it assumed, re-solved from the first coordinate whose
+  branch was guessed wrong;
+- larger blocks: a scalar loop keeps the running Hessian-direction product
+  current with one BLAS ``axpy`` per move, building a coordinate's Hessian
+  row the first time it moves and caching rows within the same budget.
+
+Both visit the coordinates in the same order with the same prox steps and
+stopping rule, so their directions are equal in exact arithmetic.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
@@ -22,7 +33,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dtrmv, dtrsv
 
 from .duality import _gamma_vector, certify_or_none
 from .errors import (
@@ -33,14 +44,20 @@ from .errors import (
     LineSearchError,
 )
 from .graphs import Problem
-from .objective import HESSIAN_SCALE, Objective, edge_quad_diag
+from .objective import HESSIAN_SCALE, Objective, edge_quad_diag, hessian_rows
 from .proxgrad import SolveReport, _finish
 
-#: Entries of the Hessian-row cache in :func:`cd_direction` (2 MB of
-#: float64).  Kept small on purpose: a cache of the whole active block costs
-#: resident memory on the rare calls with thousands of active coordinates,
-#: where few coordinates move.
+#: Storage budget of :func:`cd_direction`, in float64 entries (2 MB): an
+#: active block of ``k`` usable coordinates is held whole when ``k**2`` fits,
+#: otherwise at most this many entries of its rows are cached.  Kept small
+#: on purpose: a cache of the whole active block costs resident memory on
+#: the rare calls with thousands of active coordinates, where few
+#: coordinates move.
 CD_CACHE_ELEMS = 1 << 18
+
+#: Entries of the Hessian block built at a time by :func:`_scaled_block`
+#: (256 kB of float64 per temporary).
+_BUILD_ELEMS = 1 << 12
 
 #: The rest of the recipe; see the module docstring.
 ACTIVE_EPS_FACTOR = 1e-4
@@ -85,15 +102,22 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     """Approximate Newton direction by cyclic sweeps over active coordinates.
 
     ``grad`` follows the same convention as in :func:`active_set`; ``active``
-    holds distinct candidate indices.  After each nonzero scalar update the
-    running product of the Hessian with the direction, restricted to the
-    active set, gains ``delta`` times that coordinate's Hessian row, in place
-    through one BLAS ``daxpy``.  The row is ``HESSIAN_SCALE`` times the
-    elementwise product of two incidence-sparse factor rows, one from ``Y``
-    and one from ``Ginv``; it is built the first time its coordinate moves
-    and kept for later sweeps in one cache of at most ``CD_CACHE_ELEMS``
-    entries.  Rows past that budget are rebuilt on every move.  The inputs
-    are not modified.
+    holds distinct candidate indices, and ``Y`` and ``Ginv`` are symmetric.
+    Coordinates with positive curvature are visited in their order in
+    ``active``; each visit is the closed-form scalar prox step, and the
+    sweeps stop once no coordinate moved by more than ``cd_tol`` or after
+    ``cd_sweeps_max`` sweeps.  How the Hessian block over those ``k``
+    coordinates is stored depends only on ``k``:
+
+    - ``k**2 <= CD_CACHE_ELEMS``: the whole block is built once and each
+      sweep runs as a projected Gauss-Seidel step on it
+      (:func:`_block_sweeps`);
+    - larger blocks: each coordinate's Hessian row is built the first time
+      it moves and kept, within the same budget, for later sweeps
+      (:func:`_row_cache_sweeps`).
+
+    Both give the same direction in exact arithmetic.  The inputs are not
+    modified.
     """
     m = x_bar.shape[0]
     xt = np.zeros(m)
@@ -102,17 +126,143 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
         return xt
 
     sub = pairs[act]
-    ai, aj = sub[:, 0], sub[:, 1]
     a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
     usable = a > 0.0
-    if not usable.any():
+    k = int(np.count_nonzero(usable))
+    if k == 0:
         raise DegenerateCurvatureError("no positive-curvature coordinate")
 
     cd_tol = opts.cd_tol
     if cd_tol is None:
         cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
 
-    size = act.size
+    if k * k <= CD_CACHE_ELEMS:
+        cols = act[usable]
+        xt[cols] = _block_sweeps(Y, Ginv, sub[usable], a[usable], grad[cols],
+                                 x_bar[cols], gamma_vec[cols], opts.cd_sweeps_max,
+                                 cd_tol, resistive)
+    else:
+        xt[act] = _row_cache_sweeps(Y, Ginv, sub, a, usable, grad[act],
+                                    x_bar[act], gamma_vec[act],
+                                    opts.cd_sweeps_max, cd_tol, resistive)
+    return xt
+
+
+def _scaled_block(Y, Ginv, sub, a):
+    """Hessian block over the edges ``sub`` as :func:`_block_sweeps` reads
+    it: the strict upper triangle as :func:`hessian_rows` builds it, the
+    strict lower triangle its mirror with row ``t`` divided by ``a[t]``, and
+    a zero diagonal.  Built a chunk of rows at a time, so no temporary has
+    more than ``_BUILD_ELEMS`` entries."""
+    k = a.size
+    ends = sub.T
+    H = np.empty((k, k))
+    col = np.arange(k)
+    step = max(1, _BUILD_ELEMS // k)
+    for r0 in range(0, k, step):
+        r1 = min(k, r0 + step)
+        hessian_rows(Y, Ginv, ends[:, r0:r1], ends[:, r0:], out=H[r0:r1, r0:])
+        np.divide(H[:r1, r0:r1].T, a[r0:r1, None], out=H[r0:r1, :r1],
+                  where=col[:r1] < col[r0:r1, None])
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+def _branch(v, thresh, resistive):
+    """Prox branch at the unthresholded value ``v`` of ``x_bar +
+    direction``, for arrays or scalars: 1.0 free above the threshold, -1.0
+    free below minus it (signed only), 0.0 at zero."""
+    if resistive:
+        return 1.0 * (v >= 0.0)
+    return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
+
+
+def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive):
+    """Cyclic coordinate descent on the prebuilt block, one sweep at a time.
+
+    With ``H = D + L + U`` (diagonal ``a``, strict lower and upper parts), a
+    sweep from ``d`` to ``d_new`` solves, for every coordinate on a free prox
+    branch with sign ``s``, ``a_t d_new_t = -g_t - (L d_new)_t - (U d)_t -
+    s gam_t``, and sets ``d_new_t = -xb_t`` for every coordinate at zero.
+    With the branches guessed (the previous sweep's, or for the first sweep
+    each coordinate's step from ``d = 0`` alone) that is one product with
+    ``U`` and one unit forward substitution with ``D^-1 L``, in which the
+    row of a coordinate at zero keeps only its unit diagonal.  The guesses
+    are then checked in visit order: a free value must lie on its sign's
+    side of zero, and a coordinate at zero must still be thresholded away.
+    At the first that fails, the branch its value shows replaces the guess
+    and the substitution is solved again; the coordinates before it are
+    accepted and not checked again.
+    """
+    k = a.size
+    H = _scaled_block(Y, Ginv, sub, a)
+    B = H.T  # Fortran order for BLAS: lower triangle U^T, upper (D^-1 L)^T
+    negg = -g
+    neg_xb = 0.0 - xb  # no negative zeros
+    thresh = np.zeros(k) if resistive else gam / a
+    sign = _branch(xb + negg / a, thresh, resistive)
+    zero = sign == 0.0
+    for t in np.flatnonzero(zero):
+        H[t, :t] = 0.0
+    shift = sign * thresh
+    d = np.zeros(k)
+    for _ in range(sweeps_max):
+        w = dtrmv(B, d, lower=1, trans=1)  # U d
+        np.subtract(negg, w, out=w)
+        w /= a
+        r = w - shift
+        np.copyto(r, neg_xb, where=zero)
+        d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
+        start = 0
+        while True:
+            y = xb + d_new
+            y_s = y * sign
+            bad = y_s < 0.0 if resistive else y_s <= 0.0
+            if zero[start:].any():
+                v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
+                v /= a
+                np.subtract(w, v, out=v)
+                v += xb
+                np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
+                          where=zero)
+            bad[:start] = False
+            t = int(bad.argmax())
+            if not bad[t]:
+                break
+            s_t = _branch(v[t] if zero[t] else y[t] + shift[t], thresh[t],
+                          resistive)
+            if zero[t]:
+                np.divide(H[:t, t], a[t], out=H[t, :t])
+            zero[t] = s_t == 0.0
+            if zero[t]:
+                H[t, :t] = 0.0
+            sign[t] = s_t
+            shift[t] = s_t * thresh[t]
+            r[t] = neg_xb[t] if zero[t] else w[t] - shift[t]
+            d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
+            start = t + 1
+        step = float(np.abs(d_new - d).max())
+        d = d_new
+        if step <= cd_tol:
+            break
+    if resistive:
+        # a free coordinate accepted at the cone's edge may round just below it
+        np.maximum(d, neg_xb, out=d)
+    return d
+
+
+def _row_cache_sweeps(Y, Ginv, sub, a, usable, g, xb, gam, sweeps_max, cd_tol,
+                      resistive):
+    """Cyclic coordinate descent with a running Hessian-direction product.
+
+    After each nonzero scalar update the product, restricted to the active
+    set, gains ``delta`` times that coordinate's Hessian row, in place
+    through one BLAS ``daxpy``.  A row is built by :func:`hessian_rows` the
+    first time its coordinate moves and kept for later sweeps in one cache
+    of at most ``CD_CACHE_ELEMS`` entries; rows past that budget are built
+    again on every move.
+    """
+    size = a.size
     cap = min(size, CD_CACHE_ELEMS // size)
     rows = np.empty((cap, size))
     slot = [-1] * size  # cache row of each coordinate, -1 while not cached
@@ -120,13 +270,14 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
 
     # the scalar loop runs on Python floats, much cheaper than numpy scalars
     # and the same IEEE double arithmetic
-    coords = np.flatnonzero(usable).tolist()
-    a, g = a.tolist(), grad[act].tolist()
-    xb, gam = x_bar[act].tolist(), gamma_vec[act].tolist()
+    cols = tuple(sub.T)
     ends = sub.tolist()
+    coords = np.flatnonzero(usable).tolist()
+    a, g = a.tolist(), g.tolist()
+    xb, gam = xb.tolist(), gam.tolist()
     d = [0.0] * size  # the direction on the active coordinates
     hv = np.zeros(size)  # (hessian @ xt) restricted to active coordinates
-    for _ in range(opts.cd_sweeps_max):
+    for _ in range(sweeps_max):
         max_step = 0.0
         for t in coords:
             at = a[t]
@@ -144,21 +295,17 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
                 s = slot[t]
                 if s >= 0:
                     row = rows[s]
+                elif cached < cap:
+                    row = hessian_rows(Y, Ginv, ends[t], cols, out=rows[cached])
+                    slot[t] = cached
+                    cached += 1
                 else:
-                    p, q = ends[t]
-                    uY = Y[:, p] - Y[:, q]
-                    uG = Ginv[:, p] - Ginv[:, q]
-                    row = (HESSIAN_SCALE * (uY[ai] - uY[aj])) * (uG[ai] - uG[aj])
-                    if cached < cap:
-                        rows[cached] = row
-                        slot[t] = cached
-                        cached += 1
+                    row = hessian_rows(Y, Ginv, ends[t], cols)
                 hv = daxpy(row, hv, a=delta)
                 max_step = max(max_step, abs(delta))
         if max_step <= cd_tol:
             break
-    xt[act] = d
-    return xt
+    return d
 
 
 def line_search(objective: Objective, gamma_vec, state, xt, resistive: bool):

@@ -181,30 +181,95 @@ def random_cd_case(n, seed, frac, resistive):
             resistive)
 
 
+def usable_count(args):
+    """Coordinates of ``args`` with positive curvature: the block size ``k``."""
+    pairs, Y, Ginv, act = args[0], args[1], args[2], args[6]
+    sub = pairs[act]
+    return int(np.count_nonzero(edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub) > 0.0))
+
+
 def capped_cd(args, cache):
-    """``cd_direction(*args)``; "partial" caps the row cache at three rows so
-    most coordinates take the uncached path."""
+    """``cd_direction(*args)`` with the storage budget set by ``cache``:
+    "full" keeps the default, which holds the whole block at these sizes;
+    "partial" allows at most three rows of the row cache (fewer where three
+    would already hold the block), so most rows are rebuilt on every move;
+    "block" and "rows" put the budget at ``k**2`` and one entry below it.
+    Returns the direction and the storage path taken."""
+    paths = []
     with pytest.MonkeyPatch.context() as mp:
-        if cache == "partial":
-            mp.setattr(proxnewton, "CD_CACHE_ELEMS", 3 * args[6].size)
-        return cd_direction(*args)
+        for name in ("_block_sweeps", "_row_cache_sweeps"):
+            def spy(*a, _name=name, _real=getattr(proxnewton, name)):
+                paths.append(_name)
+                return _real(*a)
+            mp.setattr(proxnewton, name, spy)
+        k = usable_count(args)
+        budget = {"full": proxnewton.CD_CACHE_ELEMS,
+                  "partial": min(3 * args[6].size, k * k - 1),
+                  "block": k * k, "rows": k * k - 1}[cache]
+        mp.setattr(proxnewton, "CD_CACHE_ELEMS", budget)
+        xt = cd_direction(*args)
+    assert len(paths) == 1
+    return xt, paths[0]
 
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(5, 14), seed=st.integers(0, 50),
        frac=st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]),
        resistive=st.booleans())
-@pytest.mark.parametrize("cache", ["full", "partial"])
+@pytest.mark.parametrize("cache", ["full", "partial", "boundary"])
 def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
-    # byte-equal to the uncached loop with the same arithmetic, so the cache
-    # slots are pinned bit for bit; within rounding of the three-ufunc update
+    # the row cache is byte-equal to the uncached loop with the same
+    # arithmetic, so its slots are pinned bit for bit; the block sweeps
+    # reorder the arithmetic and stay within rounding of both reference loops
     args = random_cd_case(n, seed, frac, resistive)
     assume(args is not None)
-    xt = capped_cd(args, cache)
     ref = per_update_cd(*args, update=axpy_update)
-    assert xt.tobytes() == ref.tobytes()
     ufunc_ref = per_update_cd(*args, update=ufunc_update)
-    assert np.max(np.abs(xt - ufunc_ref)) <= 1e-3 * default_cd_tol(args[3])
+    bound = 1e-3 * default_cd_tol(args[3])
+    x_bar = args[4]
+    runs = {"full": ["full"], "partial": ["partial"],
+            "boundary": ["block", "rows"]}[cache]
+    for budget in runs:
+        xt, path = capped_cd(args, budget)
+        if budget in ("partial", "rows"):
+            assert path == "_row_cache_sweeps"
+            assert xt.tobytes() == ref.tobytes()
+        else:
+            assert path == "_block_sweeps"
+            assert np.max(np.abs(xt - ref)) <= bound
+            # where the reference's prox step lands at zero (up to the
+            # rounding of its d + (-(x_bar + d))), the block sweeps land on it
+            at_zero = np.abs(x_bar + ref) <= 4 * np.finfo(float).eps * np.abs(x_bar)
+            assert np.array_equal(xt[at_zero], -x_bar[at_zero])
+        assert np.max(np.abs(xt - ufunc_ref)) <= bound
+        if resistive:
+            assert np.min(x_bar + xt) >= 0.0
+
+
+@pytest.mark.parametrize("sweeps", [1, 100])
+def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
+    # resistive from x_bar = 0: every active coordinate's own step from
+    # d = 0 is positive, so the block sweeps guess every branch free, but in
+    # the first sweep earlier moves push the free steps of coordinates 1, 3,
+    # 5 and 6 below zero; each must be corrected and the rest re-solved
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 6, p=0.4, seed=7), resistive=True
+    )
+    obj = Objective(prob)
+    x = np.zeros(prob.m)
+    state = obj.state(x)
+    gam = np.full(prob.m, 0.3 * float(np.max(np.abs(state.grad))))
+    grad = state.grad + gam
+    act = active_set(x, grad, gam, 1e-4 * gam, resistive=True)
+    assert np.all(grad[act] < 0.0)
+    args = (obj.pairs, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
+            act, NewtonOptions(cd_sweeps_max=sweeps), True)
+    xt, path = capped_cd(args, "full")
+    assert path == "_block_sweeps"
+    ref = per_update_cd(*args, update=axpy_update)
+    assert list(np.flatnonzero(ref[act] == 0.0)) == [1, 3, 5, 6]
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(grad)
+    assert list(np.flatnonzero(xt[act] == 0.0)) == [1, 3, 5, 6]
 
 
 @pytest.mark.parametrize("cache", ["full", "partial"])
@@ -214,7 +279,7 @@ def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
     args = random_cd_case(12, 3, 0.1, resistive)
     assert args is not None
     before = [np.copy(v) for v in args[:7]]
-    xt = capped_cd(args, cache)
+    xt, _ = capped_cd(args, cache)
     assert np.any(xt)
     for v, b in zip(args[:7], before):
         assert v.tobytes() == b.tobytes()
