@@ -85,6 +85,22 @@ def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
     return np.multiply(HY, HG, out=None if out is None else out.T).T
 
 
+def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarray:
+    """Hessian block over the edges of ``rows`` and ``cols`` times ``v``,
+    without building one Hessian entry.
+
+    With ``L_v = sum_l v_l xi_l xi_l^T`` over the edges ``l`` of ``cols``,
+    entry ``k`` is ``2 xi_k^T (Y L_v G^-1) xi_k``; ``Y L_v G^-1`` is one
+    n-by-n product of the two n-by-|cols| incidence gathers, and each row
+    edge then reads four of its entries.  ``rows`` and ``cols`` are given as
+    in :func:`hessian_rows`.
+    """
+    i, j = cols
+    M = ((Y[:, i] - Y[:, j]) * v) @ (Ginv[:, i] - Ginv[:, j]).T
+    ri, rj = rows
+    return HESSIAN_SCALE * (M[ri, ri] - M[ri, rj] - M[rj, ri] + M[rj, rj])
+
+
 @dataclass(frozen=True)
 class QpMatrix:
     """Effective state weight ``Q_p`` with its lower Cholesky factor

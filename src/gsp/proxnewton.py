@@ -4,22 +4,23 @@ Each outer iteration materializes the dense inverse of the closed-loop matrix
 (coordinate updates need random entry access), builds the active set, runs
 cyclic coordinate descent with closed-form scalar prox steps to approximate
 the Newton direction, and backtracks with a generalized Armijo rule.  The
-m-by-m Hessian is never formed.  Its block over the ``k`` active coordinates
-with positive curvature is stored in one of two ways, chosen by ``k`` alone
-against the budget ``CD_CACHE_ELEMS`` (2 MB of float64):
+m-by-m Hessian is never formed.  The descent runs on the block of the
+Hessian over a working set of the ``k`` active coordinates with positive
+curvature; each sweep is a projected Gauss-Seidel step on that block: one
+product with its strict upper triangle, one BLAS forward substitution
+(``trsv``) with its lower triangle, and a vectorized check of the prox
+branches it assumed, re-solved from the first coordinate whose branch was
+guessed wrong.
 
-- ``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``): the whole block is built once
-  per direction, and each sweep is a projected Gauss-Seidel step: one
-  product with the block's strict upper triangle, one BLAS forward
-  substitution (``trsv``) with its lower triangle, and a vectorized check of
-  the prox branches it assumed, re-solved from the first coordinate whose
-  branch was guessed wrong;
-- larger blocks: a scalar loop keeps the running Hessian-direction product
-  current with one BLAS ``axpy`` per move, building a coordinate's Hessian
-  row the first time it moves and caching rows within the same budget.
-
-Both visit the coordinates in the same order with the same prox steps and
-stopping rule, so their directions are equal in exact arithmetic.
+- ``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``): the working set is all ``k``
+  coordinates, and their block is built once per direction.
+- Larger blocks: the working set starts as the coordinates away from zero.
+  After each solve on it, one matrix-free Hessian-direction product gives
+  every coordinate outside it its prox step from the current direction (a
+  KKT check of the zero those coordinates hold); those that would move by
+  more than ``cd_tol`` join, and the solve resumes from the current
+  direction.  The working set, and with it the block that is built, grows
+  with the coordinates that move, with no cap on its size.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
@@ -33,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dtrmv, dtrsv
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from .duality import _gamma_vector, certify_or_none
 from .errors import (
@@ -44,20 +45,30 @@ from .errors import (
     LineSearchError,
 )
 from .graphs import Problem
-from .objective import HESSIAN_SCALE, Objective, edge_quad_diag, hessian_rows
+from .objective import (
+    HESSIAN_SCALE,
+    Objective,
+    edge_quad_diag,
+    hessian_product,
+    hessian_rows,
+)
 from .proxgrad import SolveReport, _finish
 
-#: Storage budget of :func:`cd_direction`, in float64 entries (2 MB): an
-#: active block of ``k`` usable coordinates is held whole when ``k**2`` fits,
-#: otherwise at most this many entries of its rows are cached.  Kept small
-#: on purpose: a cache of the whole active block costs resident memory on
-#: the rare calls with thousands of active coordinates, where few
-#: coordinates move.
+#: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
+#: builds whole: an active block of ``k`` usable coordinates with ``k**2``
+#: above it is solved on a working set grown by a KKT check instead.  Kept
+#: small on purpose: on the calls with thousands of active coordinates few
+#: of them move, and the whole block would cost time and resident memory for
+#: rows that stay at zero.
 CD_CACHE_ELEMS = 1 << 18
 
 #: Entries of the Hessian block built at a time by :func:`_scaled_block`
-#: (256 kB of float64 per temporary).
+#: (32 kB of float64 per temporary).
 _BUILD_ELEMS = 1 << 12
+
+#: Fewest coordinates allowed to join the working set in one growth round;
+#: otherwise as many as it already holds.
+_GROW_MIN = 32
 
 #: The rest of the recipe; see the module docstring.
 ACTIVE_EPS_FACTOR = 1e-4
@@ -106,18 +117,17 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     Coordinates with positive curvature are visited in their order in
     ``active``; each visit is the closed-form scalar prox step, and the
     sweeps stop once no coordinate moved by more than ``cd_tol`` or after
-    ``cd_sweeps_max`` sweeps.  How the Hessian block over those ``k``
-    coordinates is stored depends only on ``k``:
+    ``cd_sweeps_max`` sweeps.  The sweeps run on the Hessian block over a
+    working set of those ``k`` coordinates (:func:`_block_sweeps`):
 
-    - ``k**2 <= CD_CACHE_ELEMS``: the whole block is built once and each
-      sweep runs as a projected Gauss-Seidel step on it
-      (:func:`_block_sweeps`);
-    - larger blocks: each coordinate's Hessian row is built the first time
-      it moves and kept, within the same budget, for later sweeps
-      (:func:`_row_cache_sweeps`).
+    - ``k**2 <= CD_CACHE_ELEMS``: the working set is all ``k`` coordinates;
+    - larger blocks: it starts as the coordinates with ``x_bar != 0`` and
+      grows by a KKT check of the coordinates outside it until none of them
+      would move by more than ``cd_tol`` (:func:`_working_set_sweeps`).
+      Each solve on the working set has its own ``cd_sweeps_max``.
 
-    Both give the same direction in exact arithmetic.  The inputs are not
-    modified.
+    Coordinates outside the final working set keep a zero direction.  The
+    inputs are not modified.
     """
     m = x_bar.shape[0]
     xt = np.zeros(m)
@@ -136,15 +146,10 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     if cd_tol is None:
         cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
 
-    if k * k <= CD_CACHE_ELEMS:
-        cols = act[usable]
-        xt[cols] = _block_sweeps(Y, Ginv, sub[usable], a[usable], grad[cols],
-                                 x_bar[cols], gamma_vec[cols], opts.cd_sweeps_max,
-                                 cd_tol, resistive)
-    else:
-        xt[act] = _row_cache_sweeps(Y, Ginv, sub, a, usable, grad[act],
-                                    x_bar[act], gamma_vec[act],
-                                    opts.cd_sweeps_max, cd_tol, resistive)
+    cols = act[usable]
+    sweeps = _block_sweeps if k * k <= CD_CACHE_ELEMS else _working_set_sweeps
+    xt[cols] = sweeps(Y, Ginv, sub[usable], a[usable], grad[cols], x_bar[cols],
+                      gamma_vec[cols], opts.cd_sweeps_max, cd_tol, resistive)
     return xt
 
 
@@ -177,22 +182,24 @@ def _branch(v, thresh, resistive):
     return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
 
 
-def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive):
-    """Cyclic coordinate descent on the prebuilt block, one sweep at a time.
+def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
+                  d0=None):
+    """Cyclic coordinate descent on the block over the edges ``sub``, one
+    sweep at a time from the direction ``d0`` (zero if ``None``).
 
     With ``H = D + L + U`` (diagonal ``a``, strict lower and upper parts), a
     sweep from ``d`` to ``d_new`` solves, for every coordinate on a free prox
     branch with sign ``s``, ``a_t d_new_t = -g_t - (L d_new)_t - (U d)_t -
     s gam_t``, and sets ``d_new_t = -xb_t`` for every coordinate at zero.
     With the branches guessed (the previous sweep's, or for the first sweep
-    each coordinate's step from ``d = 0`` alone) that is one product with
-    ``U`` and one unit forward substitution with ``D^-1 L``, in which the
-    row of a coordinate at zero keeps only its unit diagonal.  The guesses
-    are then checked in visit order: a free value must lie on its sign's
-    side of zero, and a coordinate at zero must still be thresholded away.
-    At the first that fails, the branch its value shows replaces the guess
-    and the substitution is solved again; the coordinates before it are
-    accepted and not checked again.
+    each coordinate's step from the starting direction alone) that is one
+    product with ``U`` and one unit forward substitution with ``D^-1 L``, in
+    which the row of a coordinate at zero keeps only its unit diagonal.  The
+    guesses are then checked in visit order: a free value must lie on its
+    sign's side of zero, and a coordinate at zero must still be thresholded
+    away.  At the first that fails, the branch its value shows replaces the
+    guess and the substitution is solved again; the coordinates before it
+    are accepted and not checked again.
     """
     k = a.size
     H = _scaled_block(Y, Ginv, sub, a)
@@ -200,12 +207,19 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive):
     negg = -g
     neg_xb = 0.0 - xb  # no negative zeros
     thresh = np.zeros(k) if resistive else gam / a
-    sign = _branch(xb + negg / a, thresh, resistive)
+    if d0 is None:
+        d = np.zeros(k)
+        own = xb + negg / a
+    else:
+        d = d0.copy()
+        own = negg - dtrmv(B, d, lower=1, trans=1) - dtrmv(B, d, lower=1)
+        own /= a
+        own += xb
+    sign = _branch(own, thresh, resistive)
     zero = sign == 0.0
     for t in np.flatnonzero(zero):
         H[t, :t] = 0.0
     shift = sign * thresh
-    d = np.zeros(k)
     for _ in range(sweeps_max):
         w = dtrmv(B, d, lower=1, trans=1)  # U d
         np.subtract(negg, w, out=w)
@@ -251,61 +265,42 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive):
     return d
 
 
-def _row_cache_sweeps(Y, Ginv, sub, a, usable, g, xb, gam, sweeps_max, cd_tol,
-                      resistive):
-    """Cyclic coordinate descent with a running Hessian-direction product.
+def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol,
+                        resistive):
+    """:func:`_block_sweeps` on a working set ``W`` grown until no
+    coordinate outside it would move.
 
-    After each nonzero scalar update the product, restricted to the active
-    set, gains ``delta`` times that coordinate's Hessian row, in place
-    through one BLAS ``daxpy``.  A row is built by :func:`hessian_rows` the
-    first time its coordinate moves and kept for later sweeps in one cache
-    of at most ``CD_CACHE_ELEMS`` entries; rows past that budget are built
-    again on every move.
+    ``W`` starts as the coordinates with ``xb != 0``, so every coordinate
+    outside it sits at ``xb + d = 0``.  After each solve on ``W``, one
+    :func:`hessian_product` with the coordinates of ``W`` that moved gives
+    each outside coordinate its prox step from the current direction.  Those
+    whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
+    |W|)`` of them per round with the largest steps first; ``W`` is kept in
+    visit order and the next solve starts from the current direction.  When
+    no step exceeds ``cd_tol`` the direction is returned, zero outside
+    ``W``.
     """
-    size = a.size
-    cap = min(size, CD_CACHE_ELEMS // size)
-    rows = np.empty((cap, size))
-    slot = [-1] * size  # cache row of each coordinate, -1 while not cached
-    cached = 0
-
-    # the scalar loop runs on Python floats, much cheaper than numpy scalars
-    # and the same IEEE double arithmetic
-    cols = tuple(sub.T)
-    ends = sub.tolist()
-    coords = np.flatnonzero(usable).tolist()
-    a, g = a.tolist(), g.tolist()
-    xb, gam = xb.tolist(), gam.tolist()
-    d = [0.0] * size  # the direction on the active coordinates
-    hv = np.zeros(size)  # (hessian @ xt) restricted to active coordinates
-    for _ in range(sweeps_max):
-        max_step = 0.0
-        for t in coords:
-            at = a[t]
-            b = hv.item(t) + g[t]
-            c = xb[t] + d[t]
-            if resistive:
-                z = c - b / at
-                delta = -b / at if z >= 0.0 else -c
-            else:
-                v = c - b / at
-                k = gam[t] / at
-                delta = -c + (v - k if v > k else v + k if v < -k else 0.0)
-            if delta != 0.0:
-                d[t] += delta
-                s = slot[t]
-                if s >= 0:
-                    row = rows[s]
-                elif cached < cap:
-                    row = hessian_rows(Y, Ginv, ends[t], cols, out=rows[cached])
-                    slot[t] = cached
-                    cached += 1
-                else:
-                    row = hessian_rows(Y, Ginv, ends[t], cols)
-                hv = daxpy(row, hv, a=delta)
-                max_step = max(max_step, abs(delta))
-        if max_step <= cd_tol:
-            break
-    return d
+    ends = sub.T
+    inside = xb != 0.0
+    d = np.zeros(a.size)
+    while True:
+        W = np.flatnonzero(inside)
+        if W.size:
+            d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
+                                 sweeps_max, cd_tol, resistive, d0=d[W])
+        out = np.flatnonzero(~inside)
+        moved = W[d[W] != 0.0]
+        v = hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, out])
+        v += g[out]
+        v /= -a[out]  # the unthresholded step of each outside coordinate
+        step = np.maximum(v, 0.0) if resistive else np.abs(v) - gam[out] / a[out]
+        grow = np.flatnonzero(step > cd_tol)
+        if grow.size == 0:
+            return d
+        cap = max(_GROW_MIN, W.size)
+        if grow.size > cap:
+            grow = grow[np.argsort(-step[grow], kind="stable")[:cap]]
+        inside[out[grow]] = True
 
 
 def line_search(objective: Objective, gamma_vec, state, xt, resistive: bool):

@@ -135,6 +135,26 @@ def test_dense_hessian_consistency():
     assert lam.min() >= -1e-8  # convexity on the feasible region
 
 
+def test_hessian_product_matches_dense_block():
+    # the matrix-free product over any row and column subsets is the dense
+    # Hessian block times the vector
+    prob = seeded_problem(n=12, seed=2)
+    obj = Objective(prob)
+    x = feasible_point(prob, seed=11)
+    H = obj.hessian(x)
+    state = obj.state(x)
+    Ginv = obj.closed_loop_inverse(state)
+    ends = obj.pairs.T
+    rng = np.random.Generator(np.random.PCG64(3))
+    for _ in range(5):
+        rows = rng.choice(prob.m, size=int(rng.integers(1, prob.m)), replace=False)
+        cols = rng.choice(prob.m, size=int(rng.integers(0, prob.m)), replace=False)
+        v = rng.standard_normal(cols.size)
+        hv = objective.hessian_product(state.Y, Ginv, ends[:, cols], v, ends[:, rows])
+        ref = H[np.ix_(rows, cols)] @ v
+        assert np.max(np.abs(hv - ref)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
+
+
 def test_hessian_size_cap(monkeypatch):
     prob = seeded_problem(n=12, seed=2)
     monkeypatch.setattr(objective, "DENSE_HESSIAN_CAP", 3)
