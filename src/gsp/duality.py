@@ -6,16 +6,18 @@ with ``Y 1 = 1`` subject to a bound on ``diag(E^T (Y - R) E)``.  A primal
 iterate yields ``Y = G^-1 Q_p G^-1``; when it violates the dual bound it is
 blended with ``(1/n) 11^T`` by the largest admissible factor ``beta``, which
 keeps ``Y 1 = 1`` and restores feasibility for scalar control weights.
-:func:`certify` builds the blended point, the multipliers with their sign
-check, the gap and the dual residuals in one pass.
+As ``Q 1 = 0`` and ``G_p 1 = 1``, the all-ones vector is an eigenvector of
+``Q_p``, ``G`` and ``Y`` with eigenvalue 1 and blending scales only the rest:
+``xi^T Y_hat xi = beta xi^T Y xi`` and the dual value has the closed form of
+:func:`dual_objective`.  :func:`certify` builds the multipliers with their
+sign check, the gap and the dual residuals in one pass, without ``Y_hat``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificateInvalidError,
@@ -23,7 +25,7 @@ from .errors import (
     InvalidInputError,
 )
 from .graphs import Problem
-from .objective import Objective, ObjectiveState, QpMatrix, edge_quad_diag
+from .objective import Objective, ObjectiveState, edge_quad_diag
 
 #: sign tolerance on multiplier components
 _SIGN_TOL = 1e-12
@@ -31,15 +33,15 @@ _SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Blended dual point ``Y_hat = beta Y + ((1 - beta)/n) 11^T`` of one
-    primal iterate, its multipliers (clipped at zero), dual residuals and gap.
+    """Certificate of one primal iterate at the blended dual point
+    ``Y_hat = beta Y + ((1 - beta)/n) 11^T``: the blending factor ``beta``,
+    the multipliers (clipped at zero), dual residuals and gap.
 
     For resistive problems ``y_minus``, ``r_d_minus`` are None and ``y_plus``
     holds the single multiplier vector.
     """
 
     beta: float
-    Y_hat: np.ndarray = field(repr=False)
     y_plus: np.ndarray
     y_minus: np.ndarray | None
     gap: float
@@ -56,16 +58,19 @@ class DualCertificate:
         return r
 
 
-def dual_objective(Y: np.ndarray, qp: QpMatrix, G_p: np.ndarray) -> float:
-    """Dual value ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>``.
+def dual_objective(state: ObjectiveState, beta: float, G_p: np.ndarray) -> float:
+    """Dual value ``2 trace((Q_p^{1/2} Y_hat Q_p^{1/2})^{1/2}) - <Y_hat, G_p>``
+    at ``Y_hat = beta Y + ((1 - beta)/n) 11^T``, ``Y = state.Y``, ``beta > 0``.
 
-    The trace needs only the spectrum of ``Q_p^{1/2} Y Q_p^{1/2}``, which it
-    takes from ``C^T Y C`` with ``C`` the Cholesky factor of ``Q_p``:
-    ``C = Q_p^{1/2} U`` with ``U`` orthogonal, so the two are similar.
+    ``M = Q_p^{1/2} G^-1 Q_p^{1/2}`` is the PSD square root of
+    ``Q_p^{1/2} Y Q_p^{1/2}``, with ``M 1 = 1`` and ``trace M = state.h2``.
+    Blending keeps that unit eigenvalue and scales the others by ``beta``, and
+    ``1^T G_p 1 = n``, so the value is
+    ``2 (sqrt(beta) (h2 - 1) + 1) - beta <Y, G_p> - (1 - beta)``, exact up to
+    the ``Q 1 = 0`` defect that :class:`~gsp.graphs.Problem` tolerates.
     """
-    S = qp.chol.T @ Y @ qp.chol
-    lam = scipy.linalg.eigh(0.5 * (S + S.T), eigvals_only=True)
-    return float(2.0 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - np.sum(Y * G_p))
+    return float(2.0 * (np.sqrt(beta) * (state.h2 - 1.0) + 1.0)
+                 - beta * np.vdot(state.Y, G_p) - (1.0 - beta))
 
 
 def _gamma_vector(problem: Problem, weights) -> np.ndarray:
@@ -108,14 +113,13 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     if r is None:
         raise CertificateUnavailableError("dual certificates require R = r I")
     gam = _gamma_vector(problem, weights)
-    n, pairs = problem.n, problem.candidates.pairs
-    d = edge_quad_diag(state.Y, pairs) - 2.0 * r
+    q = edge_quad_diag(state.Y, problem.candidates.pairs)
+    d = q - 2.0 * r
     denom = (d if problem.resistive else np.abs(d)) + 2.0 * r
     with np.errstate(divide="ignore"):
         bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
     beta = float(min(1.0, bounds.min(initial=np.inf)))
-    Y_hat = beta * state.Y + ((1.0 - beta) / n) * np.ones((n, n))
-    d_hat = edge_quad_diag(Y_hat, pairs) - 2.0 * r
+    d_hat = beta * q - 2.0 * r  # the blend center has zero edge forms
     # multipliers before clipping; resistive problems have y_plus only
     y_plus = gam - d_hat
     y_minus = None if problem.resistive else gam + d_hat
@@ -124,7 +128,7 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
         raise CertificateInvalidError(f"negative multiplier {worst:.3e}")
     x = state.x
     primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
-    dual = dual_objective(Y_hat, objective.qp, problem.plant.G)
+    dual = dual_objective(state, beta, problem.plant.G)
     # The multiplier products of duality_gap only equal the primal/dual
     # difference once the blending factor reaches 1; before that they can
     # vanish at non-optimal points, so the certificate gap is taken directly.
@@ -134,10 +138,10 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     y_plus_c = np.clip(y_plus, 0.0, None)
     r_d_plus = (gam - d if problem.resistive else y_plus) - y_plus_c
     if y_minus is None:
-        return DualCertificate(beta, Y_hat, y_plus_c, None, gap, r_d_plus,
-                               None, primal, dual)
+        return DualCertificate(beta, y_plus_c, None, gap, r_d_plus, None,
+                               primal, dual)
     y_minus_c = np.clip(y_minus, 0.0, None)
-    return DualCertificate(beta, Y_hat, y_plus_c, y_minus_c, gap, r_d_plus,
+    return DualCertificate(beta, y_plus_c, y_minus_c, gap, r_d_plus,
                            y_minus - y_minus_c, primal, dual)
 
 

@@ -58,12 +58,6 @@ def edge_quad_diag(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return A[i, i] - 2.0 * A[i, j] + A[j, j]
 
 
-def edge_quad_column(A: np.ndarray, edge: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Vector of quadratic forms ``xi_k^T A xi_l`` for fixed ``l`` over all ``k``."""
-    u = A[:, edge[0]] - A[:, edge[1]]
-    return u[pairs[:, 0]] - u[pairs[:, 1]]
-
-
 def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Hessian entries ``2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l)`` for the edges
@@ -108,10 +102,6 @@ class QpMatrix:
 
     Qp: np.ndarray
     chol: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.Qp.shape[0]
 
 
 def build_qp(problem: Problem) -> QpMatrix:
@@ -219,11 +209,8 @@ class Objective:
 
     def hessian_column(self, x, l: int) -> np.ndarray:
         st = self.state(x)
-        Ginv = self.closed_loop_inverse(st)
-        edge = self.pairs[l]
-        return HESSIAN_SCALE * edge_quad_column(st.Y, edge, self.pairs) * edge_quad_column(
-            Ginv, edge, self.pairs
-        )
+        return hessian_rows(st.Y, self.closed_loop_inverse(st), self.pairs[l],
+                            self.pairs.T)
 
     def hessian(self, x) -> np.ndarray:
         """Dense Hessian, permitted only below the configured edge-count cap."""

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsp import graphs, objective
+from gsp import duality, graphs, objective, pipeline, proxgrad, proxnewton
 from gsp.errors import InfeasiblePointError, SizeCapError
 from gsp.objective import HESSIAN_SCALE, Objective
 
@@ -170,12 +170,14 @@ def test_edge_quad_forms_match_dense():
     A = A + A.T
     assert np.allclose(objective.edge_quad_diag(A, prob.candidates.pairs),
                        np.diag(E.T @ A @ E), atol=1e-12)
+    # one Hessian row: 2 (E^T A E)[:, l] * (E^T B E)[:, l]
+    B = rng.random((10, 10))
+    B = B + B.T
     l = 3
-    assert np.allclose(
-        objective.edge_quad_column(A, prob.candidates.pairs[l],
-                                   prob.candidates.pairs),
-        E.T @ A @ E[:, l], atol=1e-12,
-    )
+    ref = 2.0 * (E.T @ A @ E[:, l]) * (E.T @ B @ E[:, l])
+    ends = prob.candidates.pairs.T
+    assert np.allclose(objective.hessian_rows(A, B, ends[:, l], ends), ref,
+                       atol=1e-12)
 
 
 def test_lyapunov_oracle_equals_half_objective():
@@ -306,6 +308,8 @@ def test_state_after_value_at_reuses_the_half_solve(monkeypatch, resistive):
 @pytest.mark.parametrize("resistive", [False, True])
 @pytest.mark.parametrize("scalar_r", [False, True])
 def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r):
+    # neither the objective nor a certificate nor a full solve with either
+    # solver family takes an eigendecomposition
     prob = er_problem(12, 3, resistive, scalar_r)
 
     def forbidden(*args, **kwargs):
@@ -316,4 +320,11 @@ def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r)
             monkeypatch.setattr(module, name, forbidden)
     obj = Objective(prob)
     assert np.allclose(obj.qp.chol @ obj.qp.chol.T, obj.qp.Qp, atol=1e-12)
-    obj.state(feasible_point(prob, seed=2))
+    st = obj.state(feasible_point(prob, seed=2))
+    duality.certify_or_none(prob, obj, st)
+    prob = prob.with_gamma(0.5 * pipeline.gamma_max(prob))
+    first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
+    for solve in (proxnewton.solve_newton, first_order):
+        _, rep = solve(prob)
+        assert rep.status == "converged"
+        assert (rep.certificate is None) == (not scalar_r)
