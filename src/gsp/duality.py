@@ -113,7 +113,7 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     if r is None:
         raise CertificateUnavailableError("dual certificates require R = r I")
     gam = _gamma_vector(problem, weights)
-    q = edge_quad_diag(state.Y, problem.candidates.pairs)
+    q = edge_quad_diag(state.Y, problem.candidates.positions)
     d = q - 2.0 * r
     denom = (d if problem.resistive else np.abs(d)) + 2.0 * r
     with np.errstate(divide="ignore"):

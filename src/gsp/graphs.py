@@ -9,6 +9,23 @@ Outside data is checked once, in the constructor that takes it; checked
 objects are read-only and trusted by what derives from them:
 ``Problem.with_gamma``, ``Problem.restrict`` and ``controller_laplacian``
 check only what they add (penalty, support, edge weights).
+
+The closed-loop kernels are called once or more per solver iteration on
+small matrices, so they are written for low per-call overhead:
+
+- ``IncidenceMatrix.positions`` caches, once per candidate set, the flat
+  positions ``i n + i``, ``j n + j``, ``i n + j`` and ``j n + i`` of every
+  edge's four entries in a C-ordered n-by-n matrix.  Edge subsets take its
+  columns.
+- A Laplacian is one ``np.bincount`` over those positions.  ``bincount``
+  adds each bin's weights in input order starting from ``+0.0``, so it adds
+  the same values in the same order as scattering the four entry groups
+  one after another, and the result is byte-equal to that assembly.
+- The Cholesky factorization and the solves with its factor call LAPACK
+  (``dpotrf``, ``dpotrs``, ``dtrtrs``) directly: the calls SciPy's
+  wrappers make, without their argument checks.  A non-zero ``info``
+  raises ``scipy.linalg.LinAlgError``, except that a matrix that is not
+  positive definite makes :func:`try_cholesky` return None.
 """
 
 from __future__ import annotations
@@ -18,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import InvalidInputError
 
@@ -37,14 +55,22 @@ def _check_pairs(n: int, pairs, what: str) -> np.ndarray:
     return p
 
 
-def _laplacian(n: int, pairs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    L = np.zeros((n, n))
+def _positions(n: int, pairs: np.ndarray) -> np.ndarray:
+    """(4, m) flat positions ``i n + i``, ``j n + j``, ``i n + j``, ``j n + i``
+    of each edge's entries in a C-ordered n-by-n matrix, read-only."""
     i, j = pairs[:, 0], pairs[:, 1]
-    np.add.at(L, (i, i), w)
-    np.add.at(L, (j, j), w)
-    np.add.at(L, (i, j), -w)
-    np.add.at(L, (j, i), -w)
-    return L
+    pos = np.stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i))
+    pos.setflags(write=False)
+    return pos
+
+
+def _laplacian(n: int, pos: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplacian of the edges at flat positions ``pos`` (see :func:`_positions`)
+    with weights ``w``.  ``bincount`` returns integers for an empty ``pos``;
+    ``astype`` makes those float zeros and copies nothing otherwise."""
+    vals = np.concatenate((w, w, -w, -w))
+    L = np.bincount(pos.ravel(), vals, minlength=n * n).astype(float, copy=False)
+    return L.reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -94,7 +120,7 @@ class EdgeList:
 
     def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (dense, symmetric, zero row sums)."""
-        return _laplacian(self.n, self.pairs, self.weights)
+        return _laplacian(self.n, _positions(self.n, self.pairs), self.weights)
 
 
 @dataclass(frozen=True)
@@ -115,6 +141,12 @@ class IncidenceMatrix:
     @property
     def m(self) -> int:
         return self.pairs.shape[0]
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(4, m) flat positions of each column's four entries in a C-ordered
+        n-by-n matrix: ``i n + i``, ``j n + j``, ``i n + j``, ``j n + i``."""
+        return _positions(self.n, self.pairs)
 
     def dense(self) -> np.ndarray:
         """Materialize the n-by-m incidence matrix (tests and small problems)."""
@@ -152,7 +184,7 @@ def controller_laplacian(inc: IncidenceMatrix, x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("edge weights must be finite")
     nz = np.flatnonzero(x)
-    return _laplacian(inc.n, inc.pairs[nz], x[nz])
+    return _laplacian(inc.n, inc.positions[:, nz], x[nz])
 
 
 def strengthened(L: np.ndarray) -> np.ndarray:
@@ -162,16 +194,23 @@ def strengthened(L: np.ndarray) -> np.ndarray:
     return L + np.full((n, n), 1.0 / n)
 
 
+def _lapack_result(x, info: int, routine: str) -> np.ndarray:
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"{routine} returned info = {info}")
+    return x
+
+
 def try_cholesky(A: np.ndarray):
-    """Lower Cholesky factor of ``A`` or None if ``A`` is not positive definite.
+    """Lower Cholesky factor of ``A`` (Fortran-ordered, upper triangle zero)
+    or None if ``A`` is not positive definite.
 
     Success/failure of the factorization is the feasibility test used
     throughout; no tolerance is added.
     """
-    try:
-        return scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    c, info = dpotrf(A, lower=1, clean=1)
+    if info > 0:  # leading minor ``info`` is not positive definite
         return None
+    return _lapack_result(c, info, "dpotrf")
 
 
 @dataclass(frozen=True)
@@ -187,18 +226,23 @@ class ClosedLoop:
 
     def solve(self, B):
         """Solve ``G Z = B`` reusing the retained factorization."""
-        return scipy.linalg.cho_solve((self.chol, True), B, check_finite=False)
+        if B.size == 0:  # as SciPy's wrappers do: LAPACK rejects n = 0
+            return np.empty_like(B, dtype=float)
+        return _lapack_result(*dpotrs(self.chol, B, lower=1), "dpotrs")
 
     def tri_solve(self, B, trans: bool = False):
         """Solve ``L Z = B``, or ``L^T Z = B`` with ``trans``, for the lower
         factor ``L`` of ``G = L L^T``: half of :meth:`solve`."""
-        return scipy.linalg.solve_triangular(self.chol, B, trans=int(trans),
-                                             lower=True, check_finite=False)
+        if B.size == 0:
+            return np.empty_like(B, dtype=float)
+        return _lapack_result(*dtrtrs(self.chol, B, lower=1, trans=int(trans)),
+                              "dtrtrs")
 
 
 def closed_loop(G_p: np.ndarray, inc: IncidenceMatrix, x) -> ClosedLoop:
     """Form ``G_p + E diag(x) E^T`` and attempt its factorization."""
-    G = G_p + controller_laplacian(inc, x)
+    G = controller_laplacian(inc, x)
+    np.add(G_p, G, out=G)  # G_p + L without a second n-by-n temporary
     return ClosedLoop(G, try_cholesky(G))
 
 
@@ -339,10 +383,15 @@ class Problem:
 
     @cached_property
     def scalar_r(self) -> float | None:
-        """Return ``r`` if ``R = r I``, else None; derived problems share ``R``
-        and copy the cached value."""
+        """Return ``r = R[0, 0]`` if every entry of ``R - r I`` is within
+        ``1e-12 max(1, |r|)`` of zero, else None.  The bound is absolute: a
+        relative tolerance would pass a diagonal that differs from ``r`` by
+        parts in a million, and certificates built on such an ``r`` are not
+        valid bounds.  Derived problems share ``R`` and copy the cached
+        value."""
         r = float(self.R[0, 0])
-        if np.allclose(self.R, r * np.eye(self.n), atol=1e-12):
+        if np.allclose(self.R, r * np.eye(self.n), rtol=0.0,
+                       atol=1e-12 * max(1.0, abs(r))):
             return r
         return None
 

@@ -20,6 +20,14 @@ only formed where the Newton solver needs random entry access.  Every
 quadratic form ``xi_k^T A xi_l`` is assembled from four entries of ``A``
 because each incidence column has exactly two nonzeros.
 
+The edge forms ``xi_l^T A xi_l`` of :func:`edge_quad_diag` are one ``take``
+from ``A.ravel()`` at the flat positions that
+:attr:`~gsp.graphs.IncidenceMatrix.positions` caches per candidate set; the
+gathered entries are combined as ``(A_ii - 2 A_ij) + A_jj``, the same
+operations in the same order as indexing ``A`` by the end-node pairs, so
+the result is byte-equal to that.  The triangular and Cholesky solves call
+LAPACK directly (see :mod:`gsp.graphs`).
+
 Only this module solves with the closed-loop factor; the one deliberate
 independent path is :func:`lyapunov_h2_oracle`, a reference that does not
 use :class:`Objective`.
@@ -52,10 +60,12 @@ HESSIAN_SCALE = 2.0
 DENSE_HESSIAN_CAP = 2000
 
 
-def edge_quad_diag(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Vector of quadratic forms ``xi_l^T A xi_l`` for all edges."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    return A[i, i] - 2.0 * A[i, j] + A[j, j]
+def edge_quad_diag(A: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Vector of quadratic forms ``xi_l^T A xi_l`` for the edges whose flat
+    positions (:attr:`~gsp.graphs.IncidenceMatrix.positions` or some of its
+    columns) are ``pos``."""
+    ii, jj, ij = A.ravel().take(pos[:3])
+    return ii - 2.0 * ij + jj
 
 
 def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
@@ -142,8 +152,9 @@ class Objective:
         self.problem = problem
         self.qp = build_qp(problem)
         self.pairs = problem.candidates.pairs
+        self.positions = problem.candidates.positions
         # linear coefficient diag(E^T R E) and the x-independent offset
-        self.lin = edge_quad_diag(problem.R, self.pairs)
+        self.lin = edge_quad_diag(problem.R, self.positions)
         self.const = -float(np.sum(problem.R * problem.plant.L)) - 1.0
         self._half = (None, None)  # (closed loop, its L^-1 C)
 
@@ -186,7 +197,7 @@ class Objective:
         V = self._half_solve(cl)
         W = cl.tri_solve(V, trans=True)
         Y = W @ W.T  # one syrk: exactly symmetric
-        grad = self.lin - edge_quad_diag(Y, self.pairs)
+        grad = self.lin - edge_quad_diag(Y, self.positions)
         h2 = self._h2(V)
         return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
@@ -203,8 +214,8 @@ class Objective:
     def hessian_diag(self, x) -> np.ndarray:
         st = self.state(x)
         Ginv = self.closed_loop_inverse(st)
-        return HESSIAN_SCALE * edge_quad_diag(st.Y, self.pairs) * edge_quad_diag(
-            Ginv, self.pairs
+        return HESSIAN_SCALE * edge_quad_diag(st.Y, self.positions) * edge_quad_diag(
+            Ginv, self.positions
         )
 
     def hessian_column(self, x, l: int) -> np.ndarray:

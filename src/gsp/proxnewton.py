@@ -44,7 +44,7 @@ from .errors import (
     InvalidInputError,
     LineSearchError,
 )
-from .graphs import Problem
+from .graphs import IncidenceMatrix, Problem
 from .objective import (
     HESSIAN_SCALE,
     Objective,
@@ -108,12 +108,13 @@ def active_set(x_bar, grad, gamma_vec, eps_vec, resistive: bool) -> np.ndarray:
     return np.flatnonzero(~inactive)
 
 
-def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
+def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
                  opts: NewtonOptions, resistive: bool):
     """Approximate Newton direction by cyclic sweeps over active coordinates.
 
-    ``grad`` follows the same convention as in :func:`active_set`; ``active``
-    holds distinct candidate indices, and ``Y`` and ``Ginv`` are symmetric.
+    ``inc`` is the candidate incidence structure; ``grad`` follows the same
+    convention as in :func:`active_set`; ``active`` holds distinct candidate
+    indices, and ``Y`` and ``Ginv`` are symmetric.
     Coordinates with positive curvature are visited in their order in
     ``active``; each visit is the closed-form scalar prox step, and the
     sweeps stop once no coordinate moved by more than ``cd_tol`` or after
@@ -135,8 +136,9 @@ def cd_direction(pairs, Y, Ginv, grad, x_bar, gamma_vec, active,
     if act.size == 0:
         return xt
 
-    sub = pairs[act]
-    a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
+    sub = inc.pairs[act]
+    pos = inc.positions[:, act]
+    a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
     usable = a > 0.0
     k = int(np.count_nonzero(usable))
     if k == 0:
@@ -353,7 +355,6 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
 
     report = SolveReport()
     resistive = problem.resistive
-    pairs = obj.pairs
 
     def composite(state):
         return state.J + float(gam @ np.abs(state.x))
@@ -377,8 +378,8 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
         Ginv = obj.closed_loop_inverse(st)
         smooth_grad = st.grad + gam if resistive else st.grad
         act = active_set(x, smooth_grad, gam, eps, resistive)
-        xt = cd_direction(pairs, st.Y, Ginv, smooth_grad, x, gam, act,
-                          opts, resistive)
+        xt = cd_direction(problem.candidates, st.Y, Ginv, smooth_grad, x, gam,
+                          act, opts, resistive)
         if not np.any(xt):
             # a zero Newton direction means the iterate solves its own model
             report.status = "converged"

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsp import duality, graphs, proxgrad, proxnewton
+from gsp import duality, graphs, pipeline, proxgrad, proxnewton
 from gsp.errors import (
     CertificateInvalidError,
     CertificateUnavailableError,
@@ -57,7 +57,7 @@ def ref_make_dual_feasible(Y, problem, weights=None):
     r = problem.scalar_r
     if r is None:
         raise CertificateUnavailableError("dual certificates require R = r I")
-    d = edge_quad_diag(Y, problem.candidates.pairs) - 2.0 * r
+    d = edge_quad_diag(Y, problem.candidates.positions) - 2.0 * r
     gam = duality._gamma_vector(problem, weights)
     if problem.m == 0:
         beta = 1.0
@@ -73,7 +73,7 @@ def ref_make_dual_feasible(Y, problem, weights=None):
 def ref_multipliers(Y_hat, problem, weights=None):
     """Clipped multipliers after the sign check."""
     r = problem.scalar_r
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - 2.0 * r
     gam = duality._gamma_vector(problem, weights)
     if problem.resistive:
         y = gam - d_hat
@@ -93,10 +93,10 @@ def ref_residuals(Y, Y_hat, y, problem, weights=None):
     r = problem.scalar_r
     gam = duality._gamma_vector(problem, weights)
     if problem.resistive:
-        d = edge_quad_diag(Y, problem.candidates.pairs) - 2.0 * r
+        d = edge_quad_diag(Y, problem.candidates.positions) - 2.0 * r
         return gam - d - y, None
     y_plus, y_minus = y
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.pairs) - 2.0 * r
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - 2.0 * r
     return gam - d_hat - y_plus, gam + d_hat - y_minus
 
 
@@ -259,7 +259,7 @@ def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
     assert np.float64(cert.primal).tobytes() == np.float64(primal).tobytes()
     assert abs(cert.dual - dual) <= 1e-12 * abs(dual)
     assert abs(cert.gap - gap) <= 1e-12 * abs(dual)
-    q = edge_quad_diag(state.Y, prob.candidates.pairs)
+    q = edge_quad_diag(state.Y, prob.candidates.positions)
     scale = max(1.0, np.max(duality._gamma_vector(prob, w), initial=0.0),
                 np.max(np.abs(q), initial=0.0))
     for a, b in ((cert.y_plus, y_plus), (cert.y_minus, y_minus),
@@ -431,6 +431,31 @@ def test_certificate_requires_scalar_R():
     with pytest.raises(CertificateUnavailableError):
         duality.certify(prob, obj, st)
     assert duality.certify_or_none(prob, obj, st) is None
+
+
+def test_scalar_r_tolerance_is_absolute():
+    # R = 50 diag(1 + 9e-6, 1, ..., 1) is within np.allclose's default
+    # relative tolerance of 50 I but is not scalar: a certificate built on
+    # r = R[0, 0] would put the dual above the primal (gap -2.5e-7 at
+    # 0.3 gamma_max); entries off by rounding still count as scalar
+    plant = graphs.generate("erdos_renyi", 12, p=0.3, seed=1)
+    base = graphs.default_problem(plant, resistive=True)
+    scale = np.ones(12)
+    scale[0] += 9e-6
+    prob = graphs.Problem(base.plant, base.candidates, base.Q, 50.0 * np.diag(scale),
+                          0.0, True)
+    assert prob.scalar_r is None
+    prob = prob.with_gamma(0.3 * pipeline.gamma_max(prob))
+    obj = Objective(prob)
+    st = obj.state(np.zeros(prob.m))
+    with pytest.raises(CertificateUnavailableError):
+        duality.certify(prob, obj, st)
+    _, rep = proxnewton.solve_newton(prob)
+    assert rep.certificate is None
+    R = 50.0 * np.eye(12)
+    R[0, 0] += 2e-14
+    near = graphs.Problem(base.plant, base.candidates, base.Q, R, 0.0, True)
+    assert near.scalar_r == R[0, 0]
 
 
 def test_weak_duality_random_points():

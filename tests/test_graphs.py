@@ -4,7 +4,8 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp import graphs
@@ -192,7 +193,7 @@ def test_controller_laplacian_equals_all_edge_assembly(n, seed, p, kind, signed)
     inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
     x = _weights_with_zeros(inc.m, seed, kind, signed)
     L = graphs.controller_laplacian(inc, x)
-    ref = graphs._laplacian(n, inc.pairs, x)
+    ref = graphs._laplacian(n, inc.positions, x)
     assert L.dtype == ref.dtype and L.shape == ref.shape
     assert L.tobytes() == ref.tobytes()
 
@@ -201,21 +202,125 @@ def test_controller_laplacian_assembles_only_the_support(monkeypatch):
     seen = []
     assemble = graphs._laplacian
 
-    def recording(n, pairs, w):
-        seen.append((pairs.copy(), w.copy()))
-        return assemble(n, pairs, w)
+    def recording(n, pos, w):
+        seen.append((pos.copy(), w.copy()))
+        return assemble(n, pos, w)
 
     monkeypatch.setattr(graphs, "_laplacian", recording)
     plant = graphs.generate("erdos_renyi", 15, p=0.3, seed=2)
     inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
     x = _weights_with_zeros(inc.m, 7, "mixed", signed=True)
     graphs.controller_laplacian(inc, x)
-    [(pairs, w)] = seen
+    [(pos, w)] = seen
     nz = np.flatnonzero(x)
     assert 0 < nz.size < inc.m
     assert np.all(w != 0.0)
-    assert np.array_equal(pairs, inc.pairs[nz])
+    assert np.array_equal(pos, inc.positions[:, nz])
     assert np.array_equal(w, x[nz])
+
+
+def add_at_laplacian(n, pairs, w):
+    """The Laplacian as four scatter-adds, one per entry group: the
+    assembly that the one-``bincount`` ``graphs._laplacian`` replaced."""
+    L = np.zeros((n, n))
+    i, j = pairs[:, 0], pairs[:, 1]
+    np.add.at(L, (i, i), w)
+    np.add.at(L, (j, j), w)
+    np.add.at(L, (i, j), -w)
+    np.add.at(L, (j, i), -w)
+    return L
+
+
+def test_positions_are_cached_flat_entry_indices():
+    inc = graphs.IncidenceMatrix(4, np.array([(0, 2), (1, 3), (2, 3)]))
+    pos = inc.positions
+    assert pos is inc.positions
+    assert pos.shape == (4, 3) and not pos.flags.writeable
+    for l, (i, j) in enumerate(inc.pairs):
+        assert list(pos[:, l]) == [i * 4 + i, j * 4 + j, i * 4 + j, j * 4 + i]
+    empty = graphs.IncidenceMatrix(3, np.empty((0, 2), dtype=int))
+    assert empty.positions.shape == (4, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 50), st.sampled_from([0.1, 0.3, 0.6]),
+       st.sampled_from(["mixed", "zeros", "negzeros"]), st.booleans())
+def test_laplacian_equals_add_at_assembly(n, seed, p, kind, signed):
+    # one bincount adds every entry's weights in the order of the four
+    # scatter-adds, from +0.0, so the two are byte-equal, on every edge,
+    # on the support only and for an edge list's weights
+    plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    x = _weights_with_zeros(inc.m, seed, kind, signed)
+    nz = np.flatnonzero(x)
+    edges = graphs.EdgeList(n, inc.pairs, x)
+    for got, ref in ((graphs._laplacian(n, inc.positions, x),
+                      add_at_laplacian(n, inc.pairs, x)),
+                     (graphs.controller_laplacian(inc, x),
+                      add_at_laplacian(n, inc.pairs[nz], x[nz])),
+                     (edges.laplacian(), add_at_laplacian(n, inc.pairs, x))):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def spd_closed_loop(n, seed, p):
+    """A positive definite closed loop on a seeded ER plant, or None."""
+    plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(0.0, 2.0, inc.m) * (rng.random(inc.m) < 0.5)
+    cl = graphs.closed_loop(graphs.PlantGraph.from_edges(plant).G, inc, x)
+    return cl if cl.positive_definite else None
+
+
+def assert_same_array(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 50), st.sampled_from([0.1, 0.3, 0.6]),
+       st.integers(1, 4), st.booleans())
+def test_lapack_kernels_equal_scipy_wrappers(n, seed, p, nrhs, fortran):
+    # the direct LAPACK calls give SciPy's factor and solves byte for byte,
+    # for C- and Fortran-ordered right-hand sides
+    cl = spd_closed_loop(n, seed, p)
+    assume(cl is not None)
+    assert_same_array(cl.chol, scipy.linalg.cholesky(cl.G, lower=True,
+                                                     check_finite=False))
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    B = rng.standard_normal((n, nrhs))
+    if fortran:
+        B = np.asfortranarray(B)
+    before = B.copy()
+    assert_same_array(cl.solve(B), scipy.linalg.cho_solve(
+        (cl.chol, True), B, check_finite=False))
+    for trans in (False, True):
+        assert_same_array(cl.tri_solve(B, trans=trans), scipy.linalg.solve_triangular(
+            cl.chol, B, trans=int(trans), lower=True, check_finite=False))
+    assert np.array_equal(B, before)  # the right-hand side is not overwritten
+
+
+def test_lapack_kernels_edge_cases():
+    # not positive definite: None, as scipy.linalg.cholesky raises
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cholesky(A, lower=True, check_finite=False)
+    assert graphs.try_cholesky(A) is None
+    assert graphs.try_cholesky(-np.eye(3)) is None
+    # 0-by-0: an empty factor and empty solves
+    empty = np.zeros((0, 0))
+    chol = graphs.try_cholesky(empty)
+    assert chol.shape == (0, 0) and chol.dtype == np.float64
+    cl = graphs.ClosedLoop(empty, chol)
+    for Z in (cl.solve(empty), cl.tri_solve(empty), cl.tri_solve(empty, trans=True)):
+        assert Z.shape == (0, 0) and Z.dtype == np.float64
+    # a non-zero LAPACK info raises LinAlgError, as solve_triangular does
+    singular = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.solve_triangular(singular, np.ones((2, 1)), lower=True)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        graphs.ClosedLoop(np.eye(2), singular).tri_solve(np.ones((2, 1)))
 
 
 def test_problem_data_is_read_only():

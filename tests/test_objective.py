@@ -115,8 +115,8 @@ def test_hessian_scale_pinned_by_two_node_instance():
         assert obj.hessian_diag(xv)[0] == pytest.approx(1.0 / x**3, rel=1e-10)
         st = obj.state(xv)
         Ginv = st.cl.solve(np.eye(2))
-        raw = objective.edge_quad_diag(st.Y, obj.pairs) * objective.edge_quad_diag(
-            Ginv, obj.pairs
+        raw = objective.edge_quad_diag(st.Y, obj.positions) * objective.edge_quad_diag(
+            Ginv, obj.positions
         )
         assert HESSIAN_SCALE * raw[0] == pytest.approx(1.0 / x**3, rel=1e-10)
     assert HESSIAN_SCALE == 2.0
@@ -162,13 +162,38 @@ def test_hessian_size_cap(monkeypatch):
         Objective(prob).hessian(feasible_point(prob, seed=1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 50), st.sampled_from([0.1, 0.3, 0.6]),
+       st.booleans(), st.booleans())
+def test_edge_quad_diag_equals_pair_indexing(n, seed, p, fortran, subset):
+    # the flat gather keeps (A_ii - 2 A_ij) + A_jj, so it is byte-equal to
+    # indexing A by the end-node pairs, for any memory order of A, on all
+    # candidates or a column subset of the positions; A is not symmetric,
+    # so a transposed read would show
+    plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
+    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    A = rng.standard_normal((n, n))
+    A[rng.random((n, n)) < 0.2] = 0.0
+    A[rng.random((n, n)) < 0.1] = -0.0
+    if fortran:
+        A = np.asfortranarray(A)
+    cols = (rng.permutation(inc.m)[:inc.m // 2] if subset
+            else np.arange(inc.m))
+    i, j = inc.pairs[cols, 0], inc.pairs[cols, 1]
+    ref = A[i, i] - 2.0 * A[i, j] + A[j, j]
+    got = objective.edge_quad_diag(A, inc.positions[:, cols])
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_edge_quad_forms_match_dense():
     prob = seeded_problem(n=10, seed=4)
     E = prob.candidates.dense()
     rng = np.random.Generator(np.random.PCG64(9))
     A = rng.random((10, 10))
     A = A + A.T
-    assert np.allclose(objective.edge_quad_diag(A, prob.candidates.pairs),
+    assert np.allclose(objective.edge_quad_diag(A, prob.candidates.positions),
                        np.diag(E.T @ A @ E), atol=1e-12)
     # one Hessian row: 2 (E^T A E)[:, l] * (E^T B E)[:, l]
     B = rng.random((10, 10))
@@ -254,7 +279,7 @@ def test_state_matches_two_cho_solve_formulas(n, seed, resistive, scalar_r):
     Y = scipy.linalg.cho_solve((cl.chol, True), Z.T)
     Y = 0.5 * (Y + Y.T)
     J = h2 + float(obj.lin @ x) + obj.const
-    grad = obj.lin - objective.edge_quad_diag(Y, obj.pairs)
+    grad = obj.lin - objective.edge_quad_diag(Y, obj.positions)
 
     value = obj.value_at(cl, x)
     state = obj.state(x, cl)

@@ -63,7 +63,7 @@ def test_cd_direction_two_node_hand_value():
     st = obj.state(np.array([1.0]))
     Ginv = st.cl.solve(np.eye(2))
     gam = np.zeros(1)
-    xt = cd_direction(obj.pairs, st.Y, Ginv, st.grad, st.x, gam,
+    xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, st.x, gam,
                       np.array([0]), NewtonOptions(), resistive=False)
     assert xt[0] == pytest.approx(-1.5, abs=1e-10)
 
@@ -83,7 +83,7 @@ def test_cd_direction_matches_dense_reference():
     gam = np.full(prob.m, prob.gamma)
     opts = NewtonOptions(cd_sweeps_max=30, cd_tol=1e-14)
     act = active_set(x, st.grad, gam, 1e-4 * gam, resistive=False)
-    xt = cd_direction(obj.pairs, st.Y, Ginv, st.grad, x, gam, act,
+    xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, x, gam, act,
                       opts, resistive=False)
 
     H = obj.hessian(x)
@@ -114,7 +114,7 @@ def ufunc_update(hv, delta, colY, colG):
     return hv
 
 
-def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
+def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
                   resistive, update):
     """Coordinate descent that rebuilds both incidence columns from ``Y`` and
     ``Ginv`` on every nonzero update, soft-thresholds numpy scalars and adds
@@ -122,9 +122,10 @@ def per_update_cd(pairs, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
     coordinate-descent loop, kept as the reference."""
     xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
+    pairs = inc.pairs
     ai, aj = pairs[act, 0], pairs[act, 1]
-    sub = pairs[act]
-    a = HESSIAN_SCALE * edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub)
+    pos = inc.positions[:, act]
+    a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
     usable = a > 0.0
     cd_tol = opts.cd_tol
     if cd_tol is None:
@@ -196,15 +197,15 @@ def random_cd_case(n, seed, frac, resistive):
     act = active_set(x, grad, gam, 1e-4 * gam, resistive)
     if act.size <= 3:
         return None
-    return (obj.pairs, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
+    return (prob.candidates, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
             resistive)
 
 
 def usable_count(args):
     """Coordinates of ``args`` with positive curvature: the block size ``k``."""
-    pairs, Y, Ginv, act = args[0], args[1], args[2], args[6]
-    sub = pairs[act]
-    return int(np.count_nonzero(edge_quad_diag(Y, sub) * edge_quad_diag(Ginv, sub) > 0.0))
+    inc, Y, Ginv, act = args[0], args[1], args[2], args[6]
+    pos = inc.positions[:, act]
+    return int(np.count_nonzero(edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos) > 0.0))
 
 
 def capped_cd(args, cache):
@@ -292,7 +293,7 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
     grad = state.grad + gam
     act = active_set(x, grad, gam, 1e-4 * gam, resistive=True)
     assert np.all(grad[act] < 0.0)
-    args = (obj.pairs, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
+    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
             act, NewtonOptions(cd_sweeps_max=sweeps), True)
     xt, path = capped_cd(args, "full")
     assert path == "_block_sweeps"
@@ -306,16 +307,18 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
 @pytest.mark.parametrize("resistive", [False, True])
 def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
     # the sweeps work in place on their own buffers; no input may share
-    # their memory
+    # their memory, and the incidence structure's arrays are read-only
     args = random_cd_case(12, 3, 0.1, resistive)
     assert args is not None
-    before = [np.copy(v) for v in args[:7]]
+    inc = args[0]
+    assert not (inc.pairs.flags.writeable or inc.positions.flags.writeable)
+    before = [np.copy(v) for v in args[1:7]]
     budget, expected = {"full": ("full", "_block_sweeps"),
                         "working_set": ("none", "_working_set_sweeps")}[cache]
     xt, path = capped_cd(args, budget)
     assert path == expected
     assert np.any(xt)
-    for v, b in zip(args[:7], before):
+    for v, b in zip(args[1:7], before):
         assert v.tobytes() == b.tobytes()
 
 
@@ -337,7 +340,7 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
     gam = np.full(prob.m, 0.3 * float(np.max(-state.grad)))
     grad = state.grad + gam
     act = active_set(x, grad, gam, 1e-4 * gam, resistive=True)
-    args = (obj.pairs, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
+    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
             act, CONVERGED, True)
     k = usable_count(args)
     assert k * k > proxnewton.CD_CACHE_ELEMS
@@ -381,7 +384,7 @@ def test_cd_direction_resistive_respects_cone():
     gam = np.full(prob.m, prob.gamma)
     grad_f = st.grad + gam
     act = active_set(x, grad_f, gam, 1e-4 * gam, resistive=True)
-    xt = cd_direction(obj.pairs, st.Y, Ginv, grad_f, x, gam, act,
+    xt = cd_direction(prob.candidates, st.Y, Ginv, grad_f, x, gam, act,
                       NewtonOptions(), resistive=True)
     assert np.min(x + xt) >= -1e-12
 
