@@ -8,17 +8,24 @@ The objective of the design problem is
 
 and everything at a point comes from two lower Cholesky factors,
 ``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per
-:class:`Objective`).  With ``V = L^-1 C`` and ``W = L^-T V = G^-1 C``:
+:class:`Objective`).  Both triangular solves are taken from the row side,
+on the transposes ``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
 
-    h2 = <G^-1, Q_p> = ||V||_F^2,
+    h2 = <G^-1, Q_p> = ||V^T||_F^2,
     J  = h2 + diag(E^T R E)^T x - <R, L_p> - 1,
-    Y  = G^-1 Q_p G^-1 = W W^T,
+    Y  = G^-1 Q_p G^-1 = (W^T)^T W^T,
 
 so a trial value costs one triangular solve and a state one more, plus the
-product ``W W^T`` (exactly symmetric).  The explicit inverse ``G^-1`` is
-only formed where the Newton solver needs random entry access.  Every
-quadratic form ``xi_k^T A xi_l`` is assembled from four entries of ``A``
-because each incidence column has exactly two nonzeros.
+product ``(W^T)^T W^T``, one ``syrk`` and exactly symmetric.  The row side
+is used because OpenBLAS solves it faster.  With SciPy's bundled OpenBLAS
+0.3.31 on one thread of a 2-core Xeon VM, the right-side ``dtrsm`` took
+97-127 us at n = 120 and 15-23 us at n = 60, where the left-side
+``dtrtrs`` that solves ``V = L^-1 C`` took 150-187 us and 26-38 us; at
+n = 10-40 the left side was never faster.  ``C^T`` is stored
+Fortran-ordered once per :class:`QpMatrix`.  The explicit
+inverse ``G^-1`` is only formed where the Newton solver needs random entry
+access.  Every quadratic form ``xi_k^T A xi_l`` is assembled from four
+entries of ``A`` because each incidence column has exactly two nonzeros.
 
 The edge forms ``xi_l^T A xi_l`` of :func:`edge_quad_diag` are one ``take``
 from ``A.ravel()`` at the flat positions that
@@ -26,7 +33,7 @@ from ``A.ravel()`` at the flat positions that
 gathered entries are combined as ``(A_ii - 2 A_ij) + A_jj``, the same
 operations in the same order as indexing ``A`` by the end-node pairs, so
 the result is byte-equal to that.  The triangular and Cholesky solves call
-LAPACK directly (see :mod:`gsp.graphs`).
+BLAS and LAPACK directly (see :mod:`gsp.graphs`).
 
 Only this module solves with the closed-loop factor; the one deliberate
 independent path is :func:`lyapunov_h2_oracle`, a reference that does not
@@ -108,10 +115,12 @@ def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarra
 @dataclass(frozen=True)
 class QpMatrix:
     """Effective state weight ``Q_p`` with its lower Cholesky factor
-    ``chol`` (``Q_p = chol @ chol.T``) cached."""
+    ``chol`` (``Q_p = chol @ chol.T``) and the factor's transpose
+    ``chol_t``, Fortran-ordered for the row-side solves, cached."""
 
     Qp: np.ndarray
     chol: np.ndarray
+    chol_t: np.ndarray
 
 
 def build_qp(problem: Problem) -> QpMatrix:
@@ -121,7 +130,7 @@ def build_qp(problem: Problem) -> QpMatrix:
     chol = try_cholesky(Qp)
     if chol is None:
         raise InvalidInputError("effective state weight is not positive definite")
-    return QpMatrix(Qp, chol)
+    return QpMatrix(Qp, chol, np.asfortranarray(chol.T))
 
 
 @dataclass(frozen=True)
@@ -139,13 +148,19 @@ class ObjectiveState:
 class Objective:
     """Evaluator bound to one problem.
 
+    A trial value is ``h2 = ||V^T||_F^2`` with ``V^T = C^T L^-T``, and a
+    state adds ``W^T = V^T L^-1 = C^T G^-1`` and ``Y = (W^T)^T W^T``; both
+    solves are row-side :meth:`~gsp.graphs.ClosedLoop.tri_solve` calls,
+    which OpenBLAS runs in about 0.6 of the time of the column-side
+    ``L^-1 C`` (see the module docstring).
+
     Apart from cached problem data it remembers one entry: the closed loop
     of the last value or state it evaluated and that loop's half solve
-    ``V = L^-1 C``.  A line search that accepts a trial point therefore
-    hands ``state(x, cl)`` the ``V`` that ``value_at(cl, x)`` just
-    computed, and the state needs only the second triangular solve.  The
-    entry is keyed by the identity of the :class:`ClosedLoop` (which it
-    keeps alive), and ``V`` depends on nothing else.
+    ``V^T``.  A line search that accepts a trial point therefore hands
+    ``state(x, cl)`` the ``V^T`` that ``value_at(cl, x)`` just computed,
+    and the state needs only the second triangular solve.  The entry is
+    keyed by the identity of the :class:`ClosedLoop` (which it keeps
+    alive), and ``V^T`` depends on nothing else.
     """
 
     def __init__(self, problem: Problem):
@@ -156,15 +171,15 @@ class Objective:
         # linear coefficient diag(E^T R E) and the x-independent offset
         self.lin = edge_quad_diag(problem.R, self.positions)
         self.const = -float(np.sum(problem.R * problem.plant.L)) - 1.0
-        self._half = (None, None)  # (closed loop, its L^-1 C)
+        self._half = (None, None)  # (closed loop, its C^T L^-T)
 
     def closed_loop(self, x) -> ClosedLoop:
         return closed_loop(self.problem.plant.G, self.problem.candidates, x)
 
     def _half_solve(self, cl: ClosedLoop) -> np.ndarray:
-        """``V = L^-1 C`` of a closed loop, reused for the last one asked."""
+        """``V^T = C^T L^-T`` of a closed loop, reused for the last one asked."""
         if self._half[0] is not cl:
-            self._half = (cl, cl.tri_solve(self.qp.chol))
+            self._half = (cl, cl.tri_solve(self.qp.chol_t, trans=True))
         return self._half[1]
 
     @staticmethod
@@ -194,11 +209,11 @@ class Objective:
             cl = self.closed_loop(x)
         if not cl.positive_definite:
             raise InfeasiblePointError("closed-loop matrix is not positive definite")
-        V = self._half_solve(cl)
-        W = cl.tri_solve(V, trans=True)
-        Y = W @ W.T  # one syrk: exactly symmetric
+        Vt = self._half_solve(cl)
+        Wt = cl.tri_solve(Vt)  # C^T G^-1
+        Y = Wt.T @ Wt  # one syrk: exactly symmetric
         grad = self.lin - edge_quad_diag(Y, self.positions)
-        h2 = self._h2(V)
+        h2 = self._h2(Vt)
         return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
     def gradient(self, x) -> np.ndarray:

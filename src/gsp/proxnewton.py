@@ -201,7 +201,13 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
     sign's side of zero, and a coordinate at zero must still be thresholded
     away.  At the first that fails, the branch its value shows replaces the
     guess and the substitution is solved again; the coordinates before it
-    are accepted and not checked again.
+    are accepted and not checked again.  A correction that leaves the
+    coordinate's right-hand side bitwise equal, and its zero status as it
+    was, changes nothing in the substitution, so it is not solved again and
+    the check goes on from the next coordinate.  That is the common case
+    in the ``gamma = 0`` centralized solve: a free signed coordinate with
+    ``gam_t = 0`` flips its sign, and its shift goes from ``+-0.0`` to
+    ``-+0.0``.
     """
     k = a.size
     H = _scaled_block(Y, Ginv, sub, a)
@@ -230,33 +236,40 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
         np.copyto(r, neg_xb, where=zero)
         d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
         start = 0
+        bad = None
         while True:
-            y = xb + d_new
-            y_s = y * sign
-            bad = y_s < 0.0 if resistive else y_s <= 0.0
-            if zero[start:].any():
-                v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
-                v /= a
-                np.subtract(w, v, out=v)
-                v += xb
-                np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
-                          where=zero)
+            if bad is None:  # check the guesses on a new d_new
+                y = xb + d_new
+                y_s = y * sign
+                bad = y_s < 0.0 if resistive else y_s <= 0.0
+                if zero[start:].any():
+                    v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
+                    v /= a
+                    np.subtract(w, v, out=v)
+                    v += xb
+                    np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
+                              where=zero)
             bad[:start] = False
             t = int(bad.argmax())
             if not bad[t]:
                 break
             s_t = _branch(v[t] if zero[t] else y[t] + shift[t], thresh[t],
                           resistive)
-            if zero[t]:
+            was_zero = zero[t]
+            if was_zero:
                 np.divide(H[:t, t], a[t], out=H[t, :t])
             zero[t] = s_t == 0.0
             if zero[t]:
                 H[t, :t] = 0.0
             sign[t] = s_t
             shift[t] = s_t * thresh[t]
-            r[t] = neg_xb[t] if zero[t] else w[t] - shift[t]
-            d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
+            r_t = neg_xb[t] if zero[t] else w[t] - shift[t]
             start = t + 1
+            if zero[t] == was_zero and r_t.tobytes() == r[t].tobytes():
+                continue  # same substitution: d_new and the checks past t hold
+            r[t] = r_t
+            d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
+            bad = None
         step = float(np.abs(d_new - d).max())
         d = d_new
         if step <= cd_tol:

@@ -170,6 +170,23 @@ def test_controller_laplacian_rejects_bad_weights(x):
         graphs.controller_laplacian(inc, x)
 
 
+def test_controller_laplacian_rejects_any_non_finite_weight():
+    # only the support's weights are checked, and NaN and +-inf are always
+    # in it: at every position, among zeros and -0.0 or among nonzeros
+    inc = graphs.incidence_from_edges(graphs.generate("ring", 6))
+    for base in (np.zeros(6), np.full(6, -0.0), np.linspace(-1.0, 1.5, 6)):
+        graphs.controller_laplacian(inc, base)
+        for l in range(6):
+            for bad in (np.nan, np.inf, -np.inf):
+                x = base.copy()
+                x[l] = bad
+                with pytest.raises(InvalidInputError, match="finite"):
+                    graphs.controller_laplacian(inc, x)
+    for m in (0, 5, 7):
+        with pytest.raises(InvalidInputError, match="length"):
+            graphs.controller_laplacian(inc, np.ones(m))
+
+
 def _weights_with_zeros(m, seed, kind, signed):
     """Edge weights where ``kind`` puts exact zeros: ``mixed`` (0.0 and -0.0
     among nonzeros), ``zeros`` (all 0.0) or ``negzeros`` (all -0.0)."""
@@ -231,6 +248,27 @@ def add_at_laplacian(n, pairs, w):
     return L
 
 
+def test_problems_on_one_candidate_list_share_its_incidence():
+    # one incidence structure per candidate edge list: problems built from
+    # it share one read-only positions cache
+    plant = graphs.generate("erdos_renyi", 10, p=0.3, seed=1)
+    cand = graphs.complement_candidates(plant)
+    resistive = graphs.default_problem(plant, cand, resistive=True)
+    signed = graphs.default_problem(plant, cand)
+    inc = graphs.incidence_from_edges(cand)
+    assert resistive.candidates is inc and signed.candidates is inc
+    assert signed.candidates.positions is resistive.candidates.positions
+    assert np.shares_memory(inc.pairs, cand.pairs)
+    for a in (inc.pairs, inc.positions):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    # a candidate list of its own gets its own structure
+    other = graphs.default_problem(plant, graphs.complement_candidates(plant))
+    assert other.candidates is not inc
+    assert np.array_equal(other.candidates.pairs, inc.pairs)
+
+
 def test_positions_are_cached_flat_entry_indices():
     inc = graphs.IncidenceMatrix(4, np.array([(0, 2), (1, 3), (2, 3)]))
     pos = inc.positions
@@ -282,23 +320,32 @@ def assert_same_array(got, ref):
 @given(st.integers(2, 20), st.integers(0, 50), st.sampled_from([0.1, 0.3, 0.6]),
        st.integers(1, 4), st.booleans())
 def test_lapack_kernels_equal_scipy_wrappers(n, seed, p, nrhs, fortran):
-    # the direct LAPACK calls give SciPy's factor and solves byte for byte,
-    # for C- and Fortran-ordered right-hand sides
+    # the direct LAPACK calls give SciPy's factor and full solve byte for
+    # byte, and the row-side triangular solve is SciPy's right-side dtrsm
+    # byte for byte and solve_triangular on the transposed system within
+    # rounding, for C- and Fortran-ordered right-hand sides
     cl = spd_closed_loop(n, seed, p)
     assume(cl is not None)
     assert_same_array(cl.chol, scipy.linalg.cholesky(cl.G, lower=True,
                                                      check_finite=False))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     B = rng.standard_normal((n, nrhs))
+    Bt = rng.standard_normal((nrhs, n))  # row-side: n columns
     if fortran:
-        B = np.asfortranarray(B)
-    before = B.copy()
+        B, Bt = np.asfortranarray(B), np.asfortranarray(Bt)
+    before = B.copy(), Bt.copy()
     assert_same_array(cl.solve(B), scipy.linalg.cho_solve(
         (cl.chol, True), B, check_finite=False))
     for trans in (False, True):
-        assert_same_array(cl.tri_solve(B, trans=trans), scipy.linalg.solve_triangular(
-            cl.chol, B, trans=int(trans), lower=True, check_finite=False))
-    assert np.array_equal(B, before)  # the right-hand side is not overwritten
+        Z = cl.tri_solve(Bt, trans=trans)
+        assert_same_array(Z, scipy.linalg.blas.dtrsm(
+            1.0, cl.chol, Bt, side=1, lower=1, trans_a=int(trans)))
+        # Z L = B is L^T Z^T = B^T, and Z L^T = B is L Z^T = B^T
+        ref = scipy.linalg.solve_triangular(
+            cl.chol, Bt.T, trans=int(not trans), lower=True, check_finite=False).T
+        assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the right-hand sides are not overwritten
+    assert np.array_equal(B, before[0]) and np.array_equal(Bt, before[1])
 
 
 def test_lapack_kernels_edge_cases():
@@ -315,12 +362,22 @@ def test_lapack_kernels_edge_cases():
     cl = graphs.ClosedLoop(empty, chol)
     for Z in (cl.solve(empty), cl.tri_solve(empty), cl.tri_solve(empty, trans=True)):
         assert Z.shape == (0, 0) and Z.dtype == np.float64
-    # a non-zero LAPACK info raises LinAlgError, as solve_triangular does
+    # no right-hand side rows on a non-empty factor
+    cl = graphs.ClosedLoop(np.eye(2), graphs.try_cholesky(np.eye(2)))
+    for trans in (False, True):
+        Z = cl.tri_solve(np.zeros((0, 2)), trans=trans)
+        assert Z.shape == (0, 2) and Z.dtype == np.float64
+    # a zero pivot raises LinAlgError, as solve_triangular does; dtrsm
+    # itself would divide by it
     singular = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.solve_triangular(singular, np.ones((2, 1)), lower=True)
-    with pytest.raises(scipy.linalg.LinAlgError):
-        graphs.ClosedLoop(np.eye(2), singular).tri_solve(np.ones((2, 1)))
+    assert not np.all(np.isfinite(scipy.linalg.blas.dtrsm(
+        1.0, singular, np.ones((1, 2)), side=1, lower=1)))
+    for trans in (False, True):
+        with pytest.raises(scipy.linalg.LinAlgError):
+            graphs.ClosedLoop(np.eye(2), singular).tri_solve(np.ones((1, 2)),
+                                                             trans=trans)
 
 
 def test_problem_data_is_read_only():

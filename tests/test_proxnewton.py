@@ -303,6 +303,41 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
     assert list(np.flatnonzero(xt[act] == 0.0)) == [1, 3, 5, 6]
 
 
+def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
+    # signed with gamma = 0: every threshold is 0, so a free coordinate
+    # whose sign flips keeps its right-hand side bitwise (the shift is
+    # +-0.0), and its correction needs no second substitution.  Branches
+    # are corrected, yet the forward substitution runs once per sweep (one
+    # product with the strict upper triangle each), and the direction
+    # matches the per-update reference loop
+    args = random_cd_case(12, 1, 0.0, False)
+    assert args is not None and not np.any(args[5])
+    calls = {"dtrsv": 0, "sweeps": 0, "corrections": 0}
+
+    def dtrsv(*a, _real=proxnewton.dtrsv, **kw):
+        calls["dtrsv"] += 1
+        return _real(*a, **kw)
+
+    def dtrmv(*a, _real=proxnewton.dtrmv, **kw):
+        calls["sweeps"] += kw.get("trans") == 1  # U d, once per sweep
+        return _real(*a, **kw)
+
+    def branch(v, *a, _real=proxnewton._branch):
+        calls["corrections"] += np.ndim(v) == 0  # one coordinate at a time
+        return _real(v, *a)
+
+    monkeypatch.setattr(proxnewton, "dtrsv", dtrsv)
+    monkeypatch.setattr(proxnewton, "dtrmv", dtrmv)
+    monkeypatch.setattr(proxnewton, "_branch", branch)
+    xt, path = capped_cd(args, "full")
+    assert path == "_block_sweeps"
+    assert calls["corrections"] > 0
+    assert 1 < calls["sweeps"] < args[7].cd_sweeps_max
+    assert calls["dtrsv"] == calls["sweeps"]
+    ref = per_update_cd(*args, update=axpy_update)
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(args[3])
+
+
 @pytest.mark.parametrize("cache", ["full", "working_set"])
 @pytest.mark.parametrize("resistive", [False, True])
 def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
