@@ -30,9 +30,8 @@ from .graphs import (
     write_edge_list,
 )
 from .objective import Objective
-from .pipeline import ZERO_TOL, TradeoffPoint, gamma_max, polish, solve_centralized, sweep, _solve
-from .proxgrad import ProxGradOptions
-from .proxnewton import NewtonOptions
+from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _solve, gamma_max,
+                       polish, solve_centralized, sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -81,19 +80,25 @@ def parse_gamma_spec(spec: str, problem) -> list[float]:
         raise InvalidInputError(f"malformed gamma spec {spec!r}: {exc}") from exc
 
 
+def _point_record(p: TradeoffPoint) -> dict:
+    """One tradeoff point as the CSV's columns, in order, and the JSON
+    report's point keys."""
+    return {
+        "gamma": p.gamma, "cardinality": p.cardinality,
+        "J_sparse": p.J_sparse, "J_polished": p.J_polished,
+        "rel_loss": p.rel_performance_loss, "rel_card": p.rel_cardinality,
+        "iterations": p.iterations, "wall_time_s": p.wall_time,
+    }
+
+
 def write_tradeoff_csv(points: list[TradeoffPoint], path) -> None:
     """Serialize a tradeoff curve, one row per gamma, 12 significant digits."""
     if not points:
         raise InvalidInputError("cannot write an empty tradeoff curve")
-    rows = ["gamma,cardinality,J_sparse,J_polished,rel_loss,rel_card,"
-            "iterations,wall_time_s"]
-    for p in sorted(points, key=lambda p: p.gamma):
-        rows.append(",".join([
-            f"{p.gamma:.12g}", str(p.cardinality), f"{p.J_sparse:.12g}",
-            f"{p.J_polished:.12g}", f"{p.rel_performance_loss:.12g}",
-            f"{p.rel_cardinality:.12g}", str(p.iterations),
-            f"{p.wall_time:.12g}",
-        ]))
+    records = [_point_record(p) for p in sorted(points, key=lambda p: p.gamma)]
+    rows = [",".join(records[0])] + [
+        ",".join(str(v) if isinstance(v, int) else f"{v:.12g}" for v in r.values())
+        for r in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -110,10 +115,8 @@ def _load_problem(args, gamma: float = 0.0):
 
 def _solver_options(args):
     """Solver options built through their constructor, which checks the flags."""
-    cls, iters = ((NewtonOptions, "max_outer") if args.method == "proxn"
-                  else (ProxGradOptions, "max_iters"))
-    flags = {iters: args.max_iters, "tol_gap": args.tol_gap, "tol_rd": args.tol_rd}
-    return cls(**{k: v for k, v in flags.items() if v is not None})
+    flags = {k: getattr(args, k) for k in ("max_iters", "tol_gap", "tol_rd")}
+    return _OPTIONS[args.method](**{k: v for k, v in flags.items() if v is not None})
 
 
 def _config_echo(args) -> dict:
@@ -223,13 +226,7 @@ def _cmd_sweep(args) -> int:
     payload = {
         "config": _config_echo(args),
         "problem": _problem_summary(problem),
-        "points": [{
-            "gamma": p.gamma, "cardinality": p.cardinality,
-            "J_sparse": p.J_sparse, "J_polished": p.J_polished,
-            "rel_loss": p.rel_performance_loss,
-            "rel_card": p.rel_cardinality,
-            "iterations": p.iterations, "wall_time_s": p.wall_time,
-        } for p in points],
+        "points": [_point_record(p) for p in points],
     }
     _write_report(args.out, payload)
     return EXIT_OK

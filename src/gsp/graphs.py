@@ -7,8 +7,9 @@ has exactly two nonzero entries; dense matrices are only formed on request.
 
 Outside data is checked once, in the constructor that takes it; checked
 objects are read-only and trusted by what derives from them:
-``Problem.with_gamma``, ``Problem.restrict`` and ``controller_laplacian``
-check only what they add (penalty, support, edge weights).
+``EdgeList.incidence`` checks nothing again, and ``Problem.with_gamma``,
+``Problem.restrict`` and ``controller_laplacian`` check only what they add
+(penalty, support, edge weights).
 
 The closed-loop kernels are called once or more per solver iteration on
 small matrices, so they are written for low per-call overhead:
@@ -139,8 +140,10 @@ class EdgeList:
     def incidence(self) -> "IncidenceMatrix":
         """Incidence structure of the edges (weights are ignored), built once
         per edge list, so problems on one candidate list share it and its
-        cached ``positions``.  It shares the read-only ``pairs``."""
-        return IncidenceMatrix(self.n, self.pairs)
+        cached ``positions``.  It shares the read-only, checked ``pairs``."""
+        inc = object.__new__(IncidenceMatrix)  # skips __post_init__: no re-check
+        inc.__dict__.update(n=self.n, pairs=self.pairs)
+        return inc
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,7 @@ def polish(problem: Problem, support) -> tuple[np.ndarray, float]:
         return x0, obj.value(x0)
     reduced = problem.restrict(support).with_gamma(0.0)
     try:
-        x0 = np.zeros(support.size) if reduced.resistive else None
-        x_red, _ = solve_newton(reduced, x0)
+        x_red, _ = solve_newton(reduced)
     except InfeasibleStartError as exc:
         raise InfeasibleSupportError(
             "support cannot make the closed loop positive definite"

@@ -15,6 +15,13 @@ The step recipe is fixed by module constants, read at call time:
 undefined), the BB clamp ``[ALPHA_MIN, ALPHA_MAX]``, the backtracking factor
 ``BACKTRACK_SHRINK`` and the number of recent objective values the resistive
 test compares against, ``NONMONOTONE_MEMORY``.
+
+The frame around the loop is shared with proximal Newton: :func:`_start`
+(default start ``x = 1`` signed and ``x = 0`` resistive, the non-negative
+start check, the first state or InfeasibleStartError), the certificate test
+:func:`_certified` and :func:`_finish`, which sets the status.  A run that
+stops by its own rule is ``converged``; one that uses up its iterations is
+certified once more and is ``converged`` only if that certificate passes.
 """
 
 from __future__ import annotations
@@ -100,14 +107,42 @@ def bb_step(x_k, x_prev, g_k, g_prev) -> float:
     return float(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))
 
 
-def _finish(report, t0, cert):
+def _start(problem: Problem, x0, weights):
+    """``(obj, gam, st)`` of a solve from ``x0`` (None: the default start):
+    objective, per-edge penalty and first state, whose ``st.x`` is the
+    iterate.  Raises InvalidInputError for a negative resistive start."""
+    if x0 is None:
+        x0 = np.zeros(problem.m) if problem.resistive else np.ones(problem.m)
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if problem.resistive and x.size and x.min() < 0:
+        raise InvalidInputError("resistive starting point must be non-negative")
+    obj = Objective(problem)
+    gam = _gamma_vector(problem, weights)
+    try:
+        return obj, gam, obj.state(x)
+    except InfeasiblePointError as exc:
+        raise InfeasibleStartError(str(exc)) from exc
+
+
+def _certified(cert: DualCertificate | None, opts) -> bool:
+    """The certificate test both solvers stop on, at ``opts``' tolerances."""
+    return (cert is not None and cert.gap <= opts.tol_gap
+            and cert.rd_norm <= opts.tol_rd)
+
+
+def _finish(report, t0, cert, opts=None):
+    """Stamp certificate, wall time and status on ``report``.  A run that
+    used up its iterations passes its ``opts``: it is ``converged`` only if
+    ``cert`` passes :func:`_certified`, otherwise ``max_iters``."""
+    converged = opts is None or _certified(cert, opts)
+    report.status = "converged" if converged else "max_iters"
     report.wall_time = time.perf_counter() - t0
     report.certificate = cert
     return report
 
 
-def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
-                   weights, resistive: bool):
+def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
+                   weights):
     """The proximal-gradient loop behind :func:`solve_ista` and
     :func:`solve_projected`; the per-mode rules are fixed before it starts.
 
@@ -117,13 +152,10 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
     ``ALPHA_MIN``.
     """
     opts = opts or ProxGradOptions()
-    obj = Objective(problem)
-    gam = _gamma_vector(problem, weights)
     t0 = time.perf_counter()
-    try:
-        st = obj.state(x)
-    except InfeasiblePointError as exc:
-        raise InfeasibleStartError(str(exc)) from exc
+    obj, gam, st = _start(problem, x0, weights)
+    x = st.x
+    resistive = problem.resistive
 
     def penalty(z):
         return float(gam @ np.abs(z))  # resistive iterates are non-negative
@@ -159,7 +191,6 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
     flat_count = 0
 
     if problem.m == 0:
-        report.status = "converged"
         return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
 
     for k in range(1, opts.max_iters + 1):
@@ -211,16 +242,12 @@ def _prox_gradient(problem: Problem, x, opts: ProxGradOptions | None,
             cert = certify_or_none(problem, obj, st, weights)
             if cert is not None:
                 report.gap_trace.append(cert.gap)
-                if stationary or (cert.gap <= opts.tol_gap
-                                  and cert.rd_norm <= opts.tol_rd):
-                    report.status = "converged"
+                if stationary or _certified(cert, opts):
                     return x, _finish(report, t0, cert)
             elif flat_count >= 5 or stationary:
-                report.status = "converged"
                 return x, _finish(report, t0, None)
 
-    report.status = "max_iters"
-    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
+    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights), opts)
 
 
 def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
@@ -233,10 +260,7 @@ def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
     if problem.resistive:
         raise InvalidInputError("solve_ista handles the signed problem; "
                                 "use solve_projected for resistive problems")
-    if x0 is None:
-        x0 = np.ones(problem.m)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    return _prox_gradient(problem, x0, opts, weights, resistive=False)
+    return _prox_gradient(problem, x0, opts, weights)
 
 
 def solve_projected(problem: Problem, x0=None,
@@ -244,9 +268,4 @@ def solve_projected(problem: Problem, x0=None,
     """Projected gradient with non-monotone BB steps for resistive problems."""
     if not problem.resistive:
         raise InvalidInputError("solve_projected requires a resistive problem")
-    if x0 is None:
-        x0 = np.zeros(problem.m)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size and x0.min() < 0:
-        raise InvalidInputError("resistive starting point must be non-negative")
-    return _prox_gradient(problem, x0, opts, weights, resistive=True)
+    return _prox_gradient(problem, x0, opts, weights)

@@ -26,6 +26,12 @@ The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
 penalty) and the line search's Armijo constant ``ARMIJO_SIGMA``, step factor
 ``BACKTRACK_SHRINK`` and budget ``MAX_BACKTRACKS``.
+
+The start, the certificate test and the status rule are those of
+:mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
+a usable certificate it stops after three flat steps in a row.  A run that
+uses up ``max_iters`` outer iterations is ``converged`` only if its last
+iterate is certified within ``tol_gap``/``tol_rd``.
 """
 
 from __future__ import annotations
@@ -36,14 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrmv, dtrsv
 
-from .duality import _gamma_vector, certify_or_none
-from .errors import (
-    DegenerateCurvatureError,
-    InfeasiblePointError,
-    InfeasibleStartError,
-    InvalidInputError,
-    LineSearchError,
-)
+from .duality import certify_or_none
+from .errors import DegenerateCurvatureError, InvalidInputError, LineSearchError
 from .graphs import IncidenceMatrix, Problem
 from .objective import (
     HESSIAN_SCALE,
@@ -52,7 +52,7 @@ from .objective import (
     hessian_product,
     hessian_rows,
 )
-from .proxgrad import SolveReport, _finish
+from .proxgrad import SolveReport, _certified, _finish, _start
 
 #: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
 #: builds whole: an active block of ``k`` usable coordinates with ``k**2``
@@ -81,14 +81,14 @@ MAX_BACKTRACKS = 60
 class NewtonOptions:
     """Tuning knobs for the proximal Newton solver."""
 
-    max_outer: int = 50
+    max_iters: int = 50  # outer iterations
     cd_sweeps_max: int = 100
     cd_tol: float | None = None  # None: 1e-8 * max(1, |grad|_inf)
     tol_gap: float = 1e-4
     tol_rd: float = 1e-3
 
     def __post_init__(self):
-        if min(self.max_outer, self.cd_sweeps_max, self.tol_gap, self.tol_rd) <= 0:
+        if min(self.max_iters, self.cd_sweeps_max, self.tol_gap, self.tol_rd) <= 0:
             raise InvalidInputError("options must be positive")
 
 
@@ -351,42 +351,29 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
                  weights=None):
     """Proximal Newton solve; returns ``(x, SolveReport)``."""
     opts = opts or NewtonOptions()
-    obj = Objective(problem)
-    gam = _gamma_vector(problem, weights)
-    eps = ACTIVE_EPS_FACTOR * gam
     t0 = time.perf_counter()
-
-    if x0 is None:
-        x0 = np.zeros(problem.m) if problem.resistive else np.ones(problem.m)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if problem.resistive and x.size and x.min() < 0:
-        raise InvalidInputError("resistive starting point must be non-negative")
-    try:
-        st = obj.state(x)
-    except InfeasiblePointError as exc:
-        raise InfeasibleStartError(str(exc)) from exc
-
-    report = SolveReport()
+    obj, gam, st = _start(problem, x0, weights)
+    x = st.x
+    eps = ACTIVE_EPS_FACTOR * gam
     resistive = problem.resistive
 
     def composite(state):
         return state.J + float(gam @ np.abs(state.x))
 
+    report = SolveReport()
     report.objective_trace.append(composite(st))
+    if problem.m == 0:
+        return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
+
     prev_F = report.objective_trace[0]
     flat_count = 0
 
-    for k in range(1, opts.max_outer + 1):
+    for k in range(1, opts.max_iters + 1):
         cert = certify_or_none(problem, obj, st, weights)
         if cert is not None:
             report.gap_trace.append(cert.gap)
-            if cert.gap <= opts.tol_gap and cert.rd_norm <= opts.tol_rd:
-                report.status = "converged"
+            if _certified(cert, opts):
                 return x, _finish(report, t0, cert)
-
-        if problem.m == 0:
-            report.status = "converged"
-            return x, _finish(report, t0, cert)
 
         Ginv = obj.closed_loop_inverse(st)
         smooth_grad = st.grad + gam if resistive else st.grad
@@ -395,7 +382,6 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
                           act, opts, resistive)
         if not np.any(xt):
             # a zero Newton direction means the iterate solves its own model
-            report.status = "converged"
             report.iterations = k - 1
             return x, _finish(report, t0, cert)
 
@@ -411,16 +397,10 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             # no usable certificate (non-scalar R, or gamma = 0 where the
             # blended point fails its sign checks): stop on a flat objective
             if flat_count >= 3 and cert is None:
-                report.status = "converged"
                 cert = certify_or_none(problem, obj, st, weights)
                 return x, _finish(report, t0, cert)
         else:
             flat_count = 0
         prev_F = F
 
-    cert = certify_or_none(problem, obj, st, weights)
-    if cert is not None and cert.gap <= opts.tol_gap and cert.rd_norm <= opts.tol_rd:
-        report.status = "converged"
-    else:
-        report.status = "max_iters"
-    return x, _finish(report, t0, cert)
+    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights), opts)

@@ -10,6 +10,7 @@ from gsp.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
     EXIT_OK,
+    _point_record,
     parse_gamma_spec,
     run,
     write_tradeoff_csv,
@@ -147,6 +148,24 @@ def test_csv_twelve_significant_digits(tmp_path):
     row = path.read_text().strip().splitlines()[1].split(",")
     assert row[0] == "0.333333333333"
     assert row[2] == "0.666666666667"
+
+
+def test_csv_columns_are_the_json_point_keys(p3_file, tmp_path):
+    # both views of a sweep are one record per point: the CSV's columns in
+    # the record's order, the JSON's keys (written sorted) the same names
+    csv, report = tmp_path / "c.csv", tmp_path / "c.json"
+    assert run(["sweep", "--plant", p3_file, "--resistive", "--gammas",
+                "log:0.1:2:4", "--csv", str(csv), "--out", str(report)]) == EXIT_OK
+    header, *rows = [r.split(",") for r in csv.read_text().splitlines()]
+    assert header == list(_point_record(TradeoffPoint(0.0, 0, 0.0, 0.0, 0.0,
+                                                      0.0, 0, 0.0)))
+    points = sorted(json.loads(report.read_text())["points"],
+                    key=lambda p: p["gamma"])
+    assert len(points) == len(rows) == 4
+    for point, row in zip(points, rows):
+        assert list(point) == sorted(header)
+        assert row == [str(point[k]) if isinstance(point[k], int)
+                       else f"{point[k]:.12g}" for k in header]
 
 
 def test_sweep_csv_deterministic(p3_file, tmp_path):

@@ -269,6 +269,24 @@ def test_problems_on_one_candidate_list_share_its_incidence():
     assert np.array_equal(other.candidates.pairs, inc.pairs)
 
 
+def test_incidence_of_an_edge_list_is_not_rechecked(monkeypatch):
+    # the edge list checked its pairs when it was built, so its incidence
+    # structure trusts them; the constructor still checks outside callers
+    # (malformed columns: test_incidence_rejects_bad_columns)
+    cand = graphs.complement_candidates(graphs.generate("erdos_renyi", 10, p=0.3,
+                                                        seed=1))
+    calls = []
+    check = graphs._check_pairs
+    monkeypatch.setattr(graphs, "_check_pairs",
+                        lambda *args: calls.append(args) or check(*args))
+    inc = cand.incidence
+    assert calls == []
+    assert inc.n == cand.n and inc.pairs is cand.pairs and inc.m == cand.m
+    built = graphs.IncidenceMatrix(cand.n, cand.pairs)
+    assert len(calls) == 1
+    assert inc.positions.tobytes() == built.positions.tobytes()
+
+
 def test_positions_are_cached_flat_entry_indices():
     inc = graphs.IncidenceMatrix(4, np.array([(0, 2), (1, 3), (2, 3)]))
     pos = inc.positions

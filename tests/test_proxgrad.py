@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gsp import graphs, proxgrad
+from gsp import graphs, pipeline, proxgrad, proxnewton
 from gsp.errors import InfeasibleStartError, InvalidInputError, LineSearchError
 from gsp.objective import Objective
 from gsp.proxgrad import ProxGradOptions, bb_step, soft_threshold
@@ -102,16 +102,6 @@ def test_ista_rejects_resistive():
 def test_projected_rejects_signed():
     with pytest.raises(InvalidInputError):
         proxgrad.solve_projected(two_node_problem())
-
-
-def test_ista_infeasible_start():
-    with pytest.raises(InfeasibleStartError):
-        proxgrad.solve_ista(two_node_problem(), x0=np.array([-1.0]))
-
-
-def test_projected_negative_start():
-    with pytest.raises(InvalidInputError):
-        proxgrad.solve_projected(p3_problem(), x0=np.array([-0.5]))
 
 
 def test_ista_two_node_analytic():
@@ -220,3 +210,62 @@ def test_rejected_step_at_alpha_min_raises(monkeypatch, resistive, gamma, alpha)
     solve = proxgrad.solve_projected if resistive else proxgrad.solve_ista
     with pytest.raises(LineSearchError):
         solve(prob)
+
+
+# -- the frame shared with proximal Newton -----------------------------------
+
+
+def er_problem(resistive, frac, n=20, p=0.2, seed=2):
+    prob = graphs.default_problem(graphs.generate("erdos_renyi", n, p=p, seed=seed),
+                                  resistive=resistive)
+    return prob.with_gamma(frac * pipeline.gamma_max(prob))
+
+
+@pytest.mark.parametrize("frac, max_iters, status", [
+    (0.3, 19, "converged"), (0.2, 24, "converged"), (0.5, 14, "converged"),
+    (0.3, 3, "max_iters"),
+])
+def test_status_when_iterations_run_out(frac, max_iters, status):
+    # the last iterate is certified once more, and the run is converged only
+    # if that certificate is within the tolerances: Newton's rule too
+    opts = ProxGradOptions(max_iters=max_iters)
+    x, rep = proxgrad.solve_projected(er_problem(True, frac), opts=opts)
+    assert rep.iterations == max_iters
+    certified = rep.final_gap <= opts.tol_gap and rep.final_rd_norm <= opts.tol_rd
+    assert certified == (status == "converged")
+    assert rep.status == status
+
+
+SOLVERS = {
+    "ista": proxgrad.solve_ista,
+    "projected": proxgrad.solve_projected,
+    "newton": proxnewton.solve_newton,
+}
+
+
+@pytest.mark.parametrize("solver, resistive", [
+    ("ista", False), ("projected", True), ("newton", False), ("newton", True),
+])
+def test_default_start_is_ones_signed_zeros_resistive(solver, resistive):
+    prob = er_problem(resistive, 0.3, n=12, p=0.3, seed=1)
+    x0 = np.zeros(prob.m) if resistive else np.ones(prob.m)
+    x_def, r_def = SOLVERS[solver](prob)
+    x_exp, r_exp = SOLVERS[solver](prob, x0)
+    assert x_def.tobytes() == x_exp.tobytes()
+    assert r_def.objective_trace == r_exp.objective_trace
+    assert (r_def.iterations, r_def.status) == (r_exp.iterations, r_exp.status)
+    assert r_def.final_gap == r_exp.final_gap
+
+
+@pytest.mark.parametrize("solver", ["projected", "newton"])
+def test_negative_resistive_start_is_invalid(solver):
+    with pytest.raises(InvalidInputError):
+        SOLVERS[solver](p3_problem(), np.array([-0.5]))
+
+
+# a non-negative start on a resistive problem, whose plant is connected, is
+# always feasible, so only the signed solvers can start infeasible
+@pytest.mark.parametrize("solver", ["ista", "newton"])
+def test_infeasible_start_raises(solver):
+    with pytest.raises(InfeasibleStartError):
+        SOLVERS[solver](two_node_problem(), np.array([-1.0]))

@@ -31,7 +31,7 @@ TIGHT_ER = NewtonOptions(tol_gap=1e-9, tol_rd=1e-6)
 
 
 def test_options_validation():
-    for field in ("max_outer", "cd_sweeps_max", "tol_gap", "tol_rd"):
+    for field in ("max_iters", "cd_sweeps_max", "tol_gap", "tol_rd"):
         with pytest.raises(InvalidInputError):
             NewtonOptions(**{field: 0})
 
