@@ -87,7 +87,7 @@ def _laplacian(n: int, pos: np.ndarray, w: np.ndarray) -> np.ndarray:
     return L.reshape(n, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeList:
     """Undirected edge list over ``n`` nodes, 0-based, canonical ``i < j``."""
 
@@ -146,7 +146,7 @@ class EdgeList:
         return inc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """Candidate-edge incidence structure stored as index pairs.
 
@@ -240,7 +240,7 @@ def try_cholesky(A: np.ndarray):
     return _lapack_result(c, info, "dpotrf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """Closed-loop strengthened Laplacian together with its factorization."""
 
@@ -276,7 +276,7 @@ def closed_loop(G_p: np.ndarray, inc: IncidenceMatrix, x) -> ClosedLoop:
     return ClosedLoop(G, try_cholesky(G))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantGraph:
     """Plant Laplacian with its strengthened form and connectivity flag."""
 
@@ -358,7 +358,7 @@ def _check_gamma(gamma) -> None:
         raise InvalidInputError("gamma must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
 

@@ -49,6 +49,13 @@ BACKTRACK_SHRINK = 0.5
 NONMONOTONE_MEMORY = 10
 
 
+def _check_tolerances(tol_gap, tol_rd):
+    """Reject certificate tolerances that are not positive and finite: a
+    NaN one would never certify."""
+    if not (0.0 < tol_gap < np.inf and 0.0 < tol_rd < np.inf):
+        raise InvalidInputError("tolerances must be positive and finite")
+
+
 @dataclass
 class ProxGradOptions:
     """Tuning knobs for the first-order solvers."""
@@ -59,8 +66,7 @@ class ProxGradOptions:
     report_every: int = 10  # certification interval
 
     def __post_init__(self):
-        if self.tol_gap <= 0 or self.tol_rd <= 0:
-            raise InvalidInputError("tolerances must be positive")
+        _check_tolerances(self.tol_gap, self.tol_rd)
         if self.max_iters < 1 or self.report_every < 1:
             raise InvalidInputError("max_iters and report_every must be at least 1")
 

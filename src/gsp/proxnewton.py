@@ -10,7 +10,11 @@ curvature; each sweep is a projected Gauss-Seidel step on that block: one
 product with its strict upper triangle, one BLAS forward substitution
 (``trsv``) with its lower triangle, and a vectorized check of the prox
 branches it assumed, re-solved from the first coordinate whose branch was
-guessed wrong.
+guessed wrong.  A signed coordinate with a zero penalty is unpenalized: its
+two free branches solve the same equation, so it is never checked, and the
+sweeps of the signed ``gamma = 0`` centralized solve make one substitution
+each.  A resistive coordinate is always checked, because the cone ``x >= 0``
+holds at every penalty.
 
 - ``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``): the working set is all ``k``
   coordinates, and their block is built once per direction.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 from scipy.linalg.blas import dtrmv, dtrsv
@@ -52,7 +57,7 @@ from .objective import (
     hessian_product,
     hessian_rows,
 )
-from .proxgrad import SolveReport, _certified, _finish, _start
+from .proxgrad import SolveReport, _certified, _check_tolerances, _finish, _start
 
 #: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
 #: builds whole: an active block of ``k`` usable coordinates with ``k**2``
@@ -88,8 +93,11 @@ class NewtonOptions:
     tol_rd: float = 1e-3
 
     def __post_init__(self):
-        if min(self.max_iters, self.cd_sweeps_max, self.tol_gap, self.tol_rd) <= 0:
+        if min(self.max_iters, self.cd_sweeps_max) <= 0:
             raise InvalidInputError("options must be positive")
+        _check_tolerances(self.tol_gap, self.tol_rd)
+        if self.cd_tol is not None and not self.cd_tol > 0.0:
+            raise InvalidInputError("cd_tol must be positive")
 
 
 def active_set(x_bar, grad, gamma_vec, eps_vec, resistive: bool) -> np.ndarray:
@@ -204,10 +212,19 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
     are accepted and not checked again.  A correction that leaves the
     coordinate's right-hand side bitwise equal, and its zero status as it
     was, changes nothing in the substitution, so it is not solved again and
-    the check goes on from the next coordinate.  That is the common case
-    in the ``gamma = 0`` centralized solve: a free signed coordinate with
-    ``gam_t = 0`` flips its sign, and its shift goes from ``+-0.0`` to
-    ``-+0.0``.
+    the check goes on from the next coordinate.
+
+    A free value is off its side exactly when ``s d_new_t <= s (-xb_t)``
+    (``<`` resistive): a rounded sum ``xb_t + d_new_t`` is at most zero
+    exactly when ``d_new_t <= -xb_t``.  That bound is kept per coordinate,
+    so the check forms no ``xb + d_new``.  A free signed coordinate with a
+    zero threshold (``gam_t = 0``, as in the centralized solve) is
+    *unpenalized*: both of its free branches solve the same equation, so it
+    is never checked or corrected, and a sweep in which every coordinate is
+    unpenalized checks nothing.  A coordinate with ``gam_t = 0`` guessed at
+    zero is checked until its first correction frees it.  The rule is signed
+    only: a resistive coordinate with ``gam_t = 0`` still keeps ``xb_t +
+    d_new_t >= 0``.
     """
     k = a.size
     H = _scaled_block(Y, Ginv, sub, a)
@@ -228,48 +245,71 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
     for t in np.flatnonzero(zero):
         H[t, :t] = 0.0
     shift = sign * thresh
+    zero_pen = (thresh == 0.0) & (not resistive)
+    # a free value is off its side when d_new * sign is past lim; an
+    # unpenalized coordinate never is
+    lim = sign * neg_xb
+    lim[zero_pen & ~zero] = -np.inf
+    off_side = np.less if resistive else np.less_equal
+    n_zero = int(np.count_nonzero(zero))
+    n_unpenalized = int(np.count_nonzero(zero_pen & ~zero))
+    zero_pen, thresh_l = zero_pen.tolist(), thresh.tolist()
+    xb_l, neg_xb_l = xb.tolist(), neg_xb.tolist()
+    mul = np.empty(k)
+    bad = np.empty(k, dtype=bool)
     for _ in range(sweeps_max):
         w = dtrmv(B, d, lower=1, trans=1)  # U d
         np.subtract(negg, w, out=w)
         w /= a
         r = w - shift
-        np.copyto(r, neg_xb, where=zero)
+        if n_zero:
+            np.copyto(r, neg_xb, where=zero)
         d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
         start = 0
-        bad = None
-        while True:
-            if bad is None:  # check the guesses on a new d_new
-                y = xb + d_new
-                y_s = y * sign
-                bad = y_s < 0.0 if resistive else y_s <= 0.0
-                if zero[start:].any():
-                    v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
-                    v /= a
-                    np.subtract(w, v, out=v)
-                    v += xb
-                    np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
-                              where=zero)
-            bad[:start] = False
-            t = int(bad.argmax())
-            if not bad[t]:
+        fresh = n_unpenalized < k  # the guesses are checked on each new d_new
+        while fresh:
+            fresh = False
+            off_side(np.multiply(d_new, sign, out=mul), lim, out=bad)
+            if n_zero and zero[start:].any():
+                v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
+                v /= a
+                np.subtract(w, v, out=v)
+                v += xb
+                np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
+                          where=zero)
+            while start < k:
+                t = start + int(bad[start:].argmax())
+                if not bad[t]:
+                    break
+                was_zero = bool(zero[t])
+                s_t = _branch(v.item(t) if was_zero
+                              else (xb_l[t] + d_new.item(t)) + shift.item(t),
+                              thresh_l[t], resistive)
+                if was_zero:
+                    np.divide(H[:t, t], a[t], out=H[t, :t])
+                now_zero = s_t == 0.0
+                if now_zero:
+                    H[t, :t] = 0.0
+                zero[t] = now_zero
+                n_zero += now_zero - was_zero
+                sign[t] = s_t
+                shift_t = s_t * thresh_l[t]
+                shift[t] = shift_t
+                if zero_pen[t] and not now_zero:
+                    lim[t] = -np.inf
+                    n_unpenalized += 1
+                else:
+                    lim[t] = s_t * neg_xb_l[t]
+                r_t = neg_xb_l[t] if now_zero else w.item(t) - shift_t
+                r_old = r.item(t)
+                start = t + 1
+                if (now_zero == was_zero and r_t == r_old
+                        and copysign(1.0, r_t) == copysign(1.0, r_old)):
+                    continue  # same substitution: d_new and the checks past t hold
+                r[t] = r_t
+                d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
+                fresh = True
                 break
-            s_t = _branch(v[t] if zero[t] else y[t] + shift[t], thresh[t],
-                          resistive)
-            was_zero = zero[t]
-            if was_zero:
-                np.divide(H[:t, t], a[t], out=H[t, :t])
-            zero[t] = s_t == 0.0
-            if zero[t]:
-                H[t, :t] = 0.0
-            sign[t] = s_t
-            shift[t] = s_t * thresh[t]
-            r_t = neg_xb[t] if zero[t] else w[t] - shift[t]
-            start = t + 1
-            if zero[t] == was_zero and r_t.tobytes() == r[t].tobytes():
-                continue  # same substitution: d_new and the checks past t hold
-            r[t] = r_t
-            d_new = dtrsv(B, r, lower=0, trans=1, diag=1)
-            bad = None
         step = float(np.abs(d_new - d).max())
         d = d_new
         if step <= cd_tol:

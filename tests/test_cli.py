@@ -268,7 +268,8 @@ def test_removed_flags_are_usage_errors(p3_file, argv, capsys):
 
 @pytest.mark.parametrize("method", ["proxn", "proxbb"])
 @pytest.mark.parametrize("flag", [["--tol-gap", "-1"], ["--tol-rd", "0"],
-                                  ["--max-iters", "0"]])
+                                  ["--max-iters", "0"], ["--tol-gap", "nan"],
+                                  ["--tol-rd", "inf"]])
 def test_bad_solver_flags_are_invalid_input(p3_file, method, flag):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma", "0.5",
                 "--method", method, "--no-baseline"] + flag) == EXIT_INVALID

@@ -405,6 +405,20 @@ def test_problem_data_is_read_only():
             a[0, 0] = 5
 
 
+def test_equality_is_identity():
+    # the array-holding dataclasses compare by identity: a field-wise
+    # comparison of numpy arrays has no single truth value
+    a, b = graphs.generate("path", 4), graphs.generate("path", 4)
+    pa, pb = graphs.default_problem(a), graphs.default_problem(b)
+    loops = [graphs.ClosedLoop(np.eye(2), np.eye(2)) for _ in range(2)]
+    for x, y in ((a, b), (a.incidence, b.incidence),
+                 (graphs.PlantGraph.from_edges(a), graphs.PlantGraph.from_edges(b)),
+                 (pa, pb), loops):
+        assert (x == y) is False and (x != y) is True
+        assert (x == x) is True
+        assert len({x, y}) == 2
+
+
 def test_derived_problems_are_not_rechecked(monkeypatch):
     # checked once at construction; solvers and polish trust the problem, and
     # only the restricted incidence structure built by polish is checked

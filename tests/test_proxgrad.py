@@ -88,6 +88,11 @@ def test_bb_step_fallback_and_clamp():
 @pytest.mark.parametrize("kwargs", [
     {"report_every": 0},  # the loop takes k % report_every
     {"max_iters": 0},
+    # a NaN tolerance never certifies, an infinite one always does
+    {"tol_gap": float("nan")},
+    {"tol_gap": float("inf")},
+    {"tol_rd": float("nan")},
+    {"tol_rd": float("inf")},
 ])
 def test_options_reject_values_that_break_the_loop(kwargs):
     with pytest.raises(InvalidInputError):

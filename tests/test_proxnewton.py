@@ -34,6 +34,16 @@ def test_options_validation():
     for field in ("max_iters", "cd_sweeps_max", "tol_gap", "tol_rd"):
         with pytest.raises(InvalidInputError):
             NewtonOptions(**{field: 0})
+    # a NaN tolerance would never certify, an infinite one always would
+    for field in ("tol_gap", "tol_rd"):
+        for value in (np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(InvalidInputError):
+                NewtonOptions(**{field: value})
+    for value in (0.0, -1e-8, np.nan):
+        with pytest.raises(InvalidInputError):
+            NewtonOptions(cd_tol=value)
+    NewtonOptions(cd_tol=None)
+    NewtonOptions(cd_tol=1e-14)
 
 
 def test_active_set_signed_rule():
@@ -172,9 +182,10 @@ CONVERGED = NewtonOptions(cd_tol=1e-13, cd_sweeps_max=10_000)
 CONVERGED_BOUND = 1e-10
 
 
-def random_cd_case(n, seed, frac, resistive):
+def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     """Weighted penalties at a random point with some zero weights, both as
-    solve_newton builds them; returns the ``cd_direction`` arguments, or
+    solve_newton builds them, and about a share ``zero_frac`` of the
+    penalties set to exactly 0; returns the ``cd_direction`` arguments, or
     None for a disconnected resistive plant, an infeasible or numerically
     singular point (``max|grad| > GRAD_BOUND``) or an active set of at most
     three coordinates."""
@@ -193,6 +204,8 @@ def random_cd_case(n, seed, frac, resistive):
         return None
     Ginv = obj.closed_loop_inverse(state)
     gam = frac * float(np.max(np.abs(state.grad))) * (0.5 + rng.random(prob.m))
+    if zero_frac:
+        gam[rng.random(prob.m) < zero_frac] = 0.0
     grad = state.grad + gam if resistive else state.grad
     act = active_set(x, grad, gam, 1e-4 * gam, resistive)
     if act.size <= 3:
@@ -303,15 +316,10 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
     assert list(np.flatnonzero(xt[act] == 0.0)) == [1, 3, 5, 6]
 
 
-def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
-    # signed with gamma = 0: every threshold is 0, so a free coordinate
-    # whose sign flips keeps its right-hand side bitwise (the shift is
-    # +-0.0), and its correction needs no second substitution.  Branches
-    # are corrected, yet the forward substitution runs once per sweep (one
-    # product with the strict upper triangle each), and the direction
-    # matches the per-update reference loop
-    args = random_cd_case(12, 1, 0.0, False)
-    assert args is not None and not np.any(args[5])
+def count_block_calls(monkeypatch):
+    """Spy on the kernels of ``_block_sweeps``: ``dtrsv`` substitutions,
+    sweeps (one ``dtrmv`` with the strict upper triangle each) and scalar
+    branch corrections (``_branch`` on one coordinate)."""
     calls = {"dtrsv": 0, "sweeps": 0, "corrections": 0}
 
     def dtrsv(*a, _real=proxnewton.dtrsv, **kw):
@@ -329,13 +337,85 @@ def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
     monkeypatch.setattr(proxnewton, "dtrsv", dtrsv)
     monkeypatch.setattr(proxnewton, "dtrmv", dtrmv)
     monkeypatch.setattr(proxnewton, "_branch", branch)
+    return calls
+
+
+def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
+    # signed with gamma = 0: every threshold is 0, so both free branches of
+    # a coordinate solve the same equation and no coordinate is checked or
+    # corrected.  No scalar correction is made, the forward substitution
+    # runs once per sweep (one product with the strict upper triangle
+    # each), and the direction matches the per-update reference loop
+    args = random_cd_case(12, 1, 0.0, False)
+    assert args is not None and not np.any(args[5])
+    calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == "_block_sweeps"
-    assert calls["corrections"] > 0
+    assert calls["corrections"] == 0
     assert 1 < calls["sweeps"] < args[7].cd_sweeps_max
     assert calls["dtrsv"] == calls["sweeps"]
     ref = per_update_cd(*args, update=axpy_update)
     assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(args[3])
+
+
+def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
+    # the unpenalized rule is signed only: a resistive coordinate with
+    # gamma = 0 (the polish) still keeps x >= 0.  At this point 8 of the 12
+    # active coordinates of the reference end at x_bar + d = 0; the block
+    # sweeps reach them by scalar corrections, and land on the same ones
+    plant = graphs.generate("erdos_renyi", 8, p=0.4, seed=1)
+    prob = graphs.default_problem(plant, resistive=True)
+    obj = Objective(prob)
+    rng = np.random.Generator(np.random.PCG64(1))
+    x = 10.0 ** rng.uniform(-2, 0, prob.m) * (rng.random(prob.m) < 0.6)
+    state = obj.state(x)
+    gam = np.zeros(prob.m)
+    act = active_set(x, state.grad, gam, gam, resistive=True)
+    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
+            x, gam, act, NewtonOptions(), True)
+    calls = count_block_calls(monkeypatch)
+    xt, path = capped_cd(args, "full")
+    assert path == "_block_sweeps"
+    assert calls["corrections"] > 0
+    ref = per_update_cd(*args, update=axpy_update)
+    ref_zero = x[act] + ref[act] == 0.0
+    assert act.size == 12 and np.count_nonzero(ref_zero) == 8
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(args[3])
+    assert np.array_equal(x[act] + xt[act] == 0.0, ref_zero)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(5, 14), seed=st.integers(0, 50),
+       frac=st.sampled_from([0.02, 0.1, 0.4, 0.9]),
+       zero_frac=st.sampled_from([0.2, 0.5, 0.8]),
+       resistive=st.booleans())
+@pytest.mark.parametrize("cache", ["full", "working_set"])
+def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
+                                               resistive):
+    # a random subset of the per-edge penalties is exactly 0 (at gamma = 0
+    # all of them are): signed, those coordinates are unpenalized and never
+    # checked; resistive, they are checked like the rest.  Both match the
+    # per-update reference within the bounds of
+    # test_cd_direction_matches_per_update_loop
+    args = random_cd_case(n, seed, frac, resistive, zero_frac)
+    assume(args is not None)
+    gam, act = args[5], args[6]
+    assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
+    x_bar = args[4]
+    if cache == "full":
+        ref = per_update_cd(*args, update=axpy_update)
+        bound = 1e-3 * default_cd_tol(args[3])
+        budget, expected = "full", "_block_sweeps"
+    else:
+        args = args[:7] + (CONVERGED, resistive)
+        ref = per_update_cd(*args, update=axpy_update)
+        bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
+        budget, expected = "none", "_working_set_sweeps"
+    xt, path = capped_cd(args, budget)
+    assert path == expected
+    assert np.max(np.abs(xt - ref)) <= bound
+    if resistive:
+        assert np.min(x_bar + xt) >= 0.0
 
 
 @pytest.mark.parametrize("cache", ["full", "working_set"])
