@@ -6,12 +6,7 @@ proximal gradient and proximal Newton solvers, certified by dual bounds.
 """
 
 from . import errors
-from .duality import (
-    DualCertificate,
-    certify,
-    dual_objective,
-    duality_gap,
-)
+from .duality import DualCertificate, certify, dual_objective
 from .graphs import (
     PRNG_ID,
     ClosedLoop,
@@ -24,18 +19,12 @@ from .graphs import (
     controller_laplacian,
     default_problem,
     generate,
-    incidence_from_edges,
     random_geometric,
     read_edge_list,
     strengthened,
     write_edge_list,
 )
-from .objective import (
-    Objective,
-    QpMatrix,
-    build_qp,
-    lyapunov_h2_oracle,
-)
+from .objective import Objective, QpMatrix, build_qp
 from .pipeline import (
     TradeoffPoint,
     default_gamma_grid,

@@ -52,6 +52,10 @@ class DualCertificate:
 
     @property
     def rd_norm(self) -> float:
+        """Largest absolute dual residual.  A signed residual is a
+        multiplier's part below zero and :func:`certify` raises on any
+        multiplier below -1e-12, so a signed ``rd_norm`` is at most 1e-12 by
+        construction and ``tol_rd`` binds only resistive solves."""
         r = float(np.max(np.abs(self.r_d_plus), initial=0.0))
         if self.r_d_minus is not None:
             r = max(r, float(np.max(np.abs(self.r_d_minus), initial=0.0)))
@@ -91,16 +95,6 @@ def _gamma_vector(problem: Problem, weights) -> np.ndarray:
     return g
 
 
-def duality_gap(x, y_plus, y_minus=None) -> float:
-    """Gap ``y_+^T x_+ + y_-^T x_-`` (signed) or ``y^T x`` (resistive)."""
-    x = np.asarray(x, dtype=float)
-    if y_minus is None:
-        return float(y_plus @ x)
-    x_plus = np.clip(x, 0.0, None)
-    x_minus = np.clip(-x, 0.0, None)
-    return float(y_plus @ x_plus + y_minus @ x_minus)
-
-
 def certify(problem: Problem, objective: Objective, state: ObjectiveState,
             weights=None) -> DualCertificate:
     """Certificate at a feasible iterate, built in one pass from ``state.Y``.
@@ -129,9 +123,9 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     x = state.x
     primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
     dual = dual_objective(state, beta, problem.plant.G)
-    # The multiplier products of duality_gap only equal the primal/dual
-    # difference once the blending factor reaches 1; before that they can
-    # vanish at non-optimal points, so the certificate gap is taken directly.
+    # The multiplier products y_+^T x_+ + y_-^T x_- only equal the
+    # primal/dual difference once the blending factor reaches 1; before that
+    # they can vanish at non-optimal points, so the gap is taken directly.
     gap = primal - dual
     # signed residuals are the multiplier defects at Y_hat, the resistive
     # one is taken against the unblended Y

@@ -29,10 +29,6 @@ class CertificateInvalidError(GspError):
     """A constructed certificate violates its sign constraints."""
 
 
-class SizeCapError(GspError):
-    """A dense m-by-m matrix was requested above the configured size cap."""
-
-
 class DegenerateCurvatureError(GspError):
     """Every coordinate in a descent sweep had non-positive curvature."""
 

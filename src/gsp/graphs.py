@@ -186,12 +186,6 @@ class IncidenceMatrix:
         return IncidenceMatrix(self.n, self.pairs[idx])
 
 
-def incidence_from_edges(edges: EdgeList) -> IncidenceMatrix:
-    """Incidence structure of an edge list (weights are ignored): its
-    :attr:`EdgeList.incidence`, one per edge list."""
-    return edges.incidence
-
-
 def controller_laplacian(inc: IncidenceMatrix, x) -> np.ndarray:
     """Weighted Laplacian ``sum_l x_l xi_l xi_l^T`` of the controller graph.
 
@@ -358,6 +352,13 @@ def _check_gamma(gamma) -> None:
         raise InvalidInputError("gamma must be finite and non-negative")
 
 
+def _symmetric(A: np.ndarray) -> bool:
+    """``max|A - A^T| <= 1e-12 max(1, max|A|)``, an absolute bound as in
+    :attr:`Problem.scalar_r`; NaN or infinite entries fail."""
+    scale = float(np.max(np.abs(A), initial=1.0))
+    return bool(np.max(np.abs(A - A.T), initial=0.0) <= 1e-12 * scale)
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
@@ -383,13 +384,13 @@ class Problem:
         Q, R = self.Q, self.R
         if self.candidates.n != n or Q.shape != (n, n) or R.shape != (n, n):
             raise InvalidInputError("dimension mismatch in problem data")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        if not _symmetric(Q):
             raise InvalidInputError("Q must be symmetric")
         if not np.allclose(Q @ np.ones(n), 0.0, atol=1e-10):
             raise InvalidInputError("Q must annihilate the all-ones vector")
         if try_cholesky(strengthened(Q)) is None:
             raise InvalidInputError("Q + (1/n) 11^T must be positive definite")
-        if not np.allclose(R, R.T, atol=1e-12):
+        if not _symmetric(R):
             raise InvalidInputError("R must be symmetric")
         if try_cholesky(R) is None:
             raise InvalidInputError("R must be positive definite")
@@ -456,7 +457,7 @@ def default_problem(
         candidates = complement_candidates(plant_edges)
     Q = q_scale * (np.eye(n) - np.full((n, n), 1.0 / n))
     R = r_scale * np.eye(n)
-    return Problem(plant, incidence_from_edges(candidates), Q, R, gamma, resistive)
+    return Problem(plant, candidates.incidence, Q, R, gamma, resistive)
 
 
 # --- edge-list file format -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Performance objective: value, gradient, Hessian and a Lyapunov oracle.
+"""Performance objective: value, gradient, state and Hessian blocks.
 
 The objective of the design problem is
 
@@ -35,9 +35,11 @@ operations in the same order as indexing ``A`` by the end-node pairs, so
 the result is byte-equal to that.  The triangular and Cholesky solves call
 BLAS and LAPACK directly (see :mod:`gsp.graphs`).
 
-Only this module solves with the closed-loop factor; the one deliberate
-independent path is :func:`lyapunov_h2_oracle`, a reference that does not
-use :class:`Objective`.
+Second-order information is built only in pieces, as the Newton solver
+reads it: :func:`hessian_rows` gives the entries over given row and column
+edges and :func:`hessian_product` a block times a vector; the dense m-by-m
+Hessian is never formed.  Only this module solves with the closed-loop
+factor.
 """
 
 from __future__ import annotations
@@ -45,26 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InfeasiblePointError, InvalidInputError, SizeCapError
-from .graphs import (
-    ClosedLoop,
-    Problem,
-    closed_loop,
-    controller_laplacian,
-    strengthened,
-    try_cholesky,
-)
+from .errors import InfeasiblePointError, InvalidInputError
+from .graphs import ClosedLoop, Problem, closed_loop, strengthened, try_cholesky
 
 #: Curvature scale of the elementwise Hessian product.  Differentiating the
 #: trace term twice gives 2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l); the value is
 #: pinned by the finite-difference check on the single-edge instance, where
 #: the second derivative is 1/x^3.
 HESSIAN_SCALE = 2.0
-
-#: Largest edge count for which the dense m-by-m Hessian may be formed.
-DENSE_HESSIAN_CAP = 2000
 
 
 def edge_quad_diag(A: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -166,7 +157,6 @@ class Objective:
     def __init__(self, problem: Problem):
         self.problem = problem
         self.qp = build_qp(problem)
-        self.pairs = problem.candidates.pairs
         self.positions = problem.candidates.positions
         # linear coefficient diag(E^T R E) and the x-independent offset
         self.lin = edge_quad_diag(problem.R, self.positions)
@@ -216,61 +206,9 @@ class Objective:
         h2 = self._h2(Vt)
         return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.state(x).grad
-
     # -- second-order information ------------------------------------------
 
     def closed_loop_inverse(self, state: ObjectiveState) -> np.ndarray:
         """Symmetrized dense ``G^-1`` of a state, for random entry access."""
         Ginv = state.cl.solve(np.eye(self.problem.n))
         return 0.5 * (Ginv + Ginv.T)
-
-    def hessian_diag(self, x) -> np.ndarray:
-        st = self.state(x)
-        Ginv = self.closed_loop_inverse(st)
-        return HESSIAN_SCALE * edge_quad_diag(st.Y, self.positions) * edge_quad_diag(
-            Ginv, self.positions
-        )
-
-    def hessian_column(self, x, l: int) -> np.ndarray:
-        st = self.state(x)
-        return hessian_rows(st.Y, self.closed_loop_inverse(st), self.pairs[l],
-                            self.pairs.T)
-
-    def hessian(self, x) -> np.ndarray:
-        """Dense Hessian, permitted only below the configured edge-count cap."""
-        m = self.problem.m
-        if m > DENSE_HESSIAN_CAP:
-            raise SizeCapError(
-                f"m = {m} exceeds the dense-Hessian cap {DENSE_HESSIAN_CAP}; "
-                "use hessian_diag/hessian_column"
-            )
-        st = self.state(x)
-        ends = self.pairs.T
-        return hessian_rows(st.Y, self.closed_loop_inverse(st), ends, ends)
-
-
-def lyapunov_h2_oracle(problem: Problem, x) -> float:
-    """Independent H2 evaluation through the algebraic Lyapunov equation.
-
-    Solves ``L P + P L = I - (1/n) 11^T`` on the subspace orthogonal to the
-    all-ones vector via an eigendecomposition of the closed-loop Laplacian,
-    then returns ``<P, Q + L_x R L_x>``.  Equals ``Objective.value(x) / 2``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    Lx = controller_laplacian(problem.candidates, x)
-    if try_cholesky(problem.plant.G + Lx) is None:
-        raise InfeasiblePointError("closed-loop matrix is not positive definite")
-    L = problem.plant.L + Lx
-    n = problem.n
-    lam, V = scipy.linalg.eigh(L)
-    Pi = np.eye(n) - np.full((n, n), 1.0 / n)
-    Pi_t = V.T @ Pi @ V
-    denom = lam[:, None] + lam[None, :]
-    # the all-ones mode carries no output weight; its rows/cols of Pi_t vanish
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P_t = np.where(np.abs(denom) > 1e-9, Pi_t / denom, 0.0)
-    P = V @ P_t @ V.T
-    W = problem.Q + Lx @ problem.R @ Lx
-    return float(np.sum(P * W))

@@ -1,0 +1,51 @@
+"""Reference evaluations the tests compare the package against; gsp never uses them."""
+
+import numpy as np
+import scipy.linalg
+
+from gsp.errors import InfeasiblePointError
+from gsp.graphs import controller_laplacian, try_cholesky
+from gsp.objective import hessian_rows
+
+
+def dense_hessian(obj, x):
+    """Dense m-by-m Hessian of ``obj`` at ``x``: :func:`hessian_rows` over
+    all candidate pairs."""
+    st = obj.state(x)
+    ends = obj.problem.candidates.pairs.T
+    return hessian_rows(st.Y, obj.closed_loop_inverse(st), ends, ends)
+
+
+def lyapunov_h2_oracle(problem, x) -> float:
+    """Independent H2 evaluation through the algebraic Lyapunov equation.
+
+    Solves ``L P + P L = I - (1/n) 11^T`` on the subspace orthogonal to the
+    all-ones vector via an eigendecomposition of the closed-loop Laplacian,
+    then returns ``<P, Q + L_x R L_x>``.  Equals ``Objective.value(x) / 2``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    Lx = controller_laplacian(problem.candidates, x)
+    if try_cholesky(problem.plant.G + Lx) is None:
+        raise InfeasiblePointError("closed-loop matrix is not positive definite")
+    L = problem.plant.L + Lx
+    n = problem.n
+    lam, V = scipy.linalg.eigh(L)
+    Pi = np.eye(n) - np.full((n, n), 1.0 / n)
+    Pi_t = V.T @ Pi @ V
+    denom = lam[:, None] + lam[None, :]
+    # the all-ones mode carries no output weight; its rows/cols of Pi_t vanish
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P_t = np.where(np.abs(denom) > 1e-9, Pi_t / denom, 0.0)
+    P = V @ P_t @ V.T
+    W = problem.Q + Lx @ problem.R @ Lx
+    return float(np.sum(P * W))
+
+
+def duality_gap(x, y_plus, y_minus=None) -> float:
+    """Gap ``y_+^T x_+ + y_-^T x_-`` (signed) or ``y^T x`` (resistive)."""
+    x = np.asarray(x, dtype=float)
+    if y_minus is None:
+        return float(y_plus @ x)
+    x_plus = np.clip(x, 0.0, None)
+    x_minus = np.clip(-x, 0.0, None)
+    return float(y_plus @ x_plus + y_minus @ x_minus)

@@ -55,7 +55,7 @@ def test_component_count():
 
 def test_incidence_dense_matches_pairs():
     e = graphs.generate("ring", 4)
-    inc = graphs.incidence_from_edges(e)
+    inc = e.incidence
     E = inc.dense()
     x = np.array([1.0, 2.0, 3.0, 4.0])
     L = E @ np.diag(x) @ E.T
@@ -65,7 +65,7 @@ def test_incidence_dense_matches_pairs():
 
 def test_closed_loop_solve_matches_inverse():
     plant = graphs.PlantGraph.from_edges(graphs.generate("path", 5))
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant.edges))
+    inc = graphs.complement_candidates(plant.edges).incidence
     x = np.full(inc.m, 0.3)
     cl = graphs.closed_loop(plant.G, inc, x)
     assert cl.positive_definite
@@ -117,7 +117,7 @@ def test_problem_validation():
         # Q must annihilate the all-ones vector
         graphs.Problem(
             graphs.PlantGraph.from_edges(plant),
-            graphs.incidence_from_edges(graphs.complement_candidates(plant)),
+            graphs.complement_candidates(plant).incidence,
             np.eye(3), np.eye(3),
         )
     for gamma in (-1.0, float("nan"), float("inf")):
@@ -132,6 +132,23 @@ def test_problem_validation():
         graphs.default_problem(
             graphs.EdgeList.from_tuples(4, [(0, 1)]), resistive=True
         )
+
+
+def test_symmetry_checks_are_absolute():
+    # parts-in-a-million asymmetry is rejected (the objective would depend on
+    # which triangle LAPACK reads); rounding-level asymmetry is accepted
+    base = graphs.default_problem(graphs.generate("path", 4))
+    R = 3.0 * np.eye(4)
+    R[0, 1], R[1, 0] = 1.0, 1.0 + 5e-6
+    Q = base.Q.copy()
+    Q[0, [0, 1]] += [-5e-6, 5e-6]  # the row sums stay zero
+    for name, QR in (("Q", (Q, base.R)), ("R", (base.Q, R))):
+        with pytest.raises(InvalidInputError, match=f"{name} must be symmetric"):
+            graphs.Problem(base.plant, base.candidates, *QR)
+    R[1, 0] = np.nextafter(1.0, 2.0)
+    Q = base.Q.copy()
+    Q[1, 0] = np.nextafter(Q[1, 0], 0.0)
+    graphs.Problem(base.plant, base.candidates, Q, R)
 
 
 def test_restrict_problem():
@@ -165,7 +182,7 @@ def test_incidence_rejects_bad_columns(pairs):
 
 @pytest.mark.parametrize("x", [[1.0, np.nan, 1.0, 1.0], [1.0, 2.0, 3.0]])
 def test_controller_laplacian_rejects_bad_weights(x):
-    inc = graphs.incidence_from_edges(graphs.generate("ring", 4))
+    inc = graphs.generate("ring", 4).incidence
     with pytest.raises(InvalidInputError):
         graphs.controller_laplacian(inc, x)
 
@@ -173,7 +190,7 @@ def test_controller_laplacian_rejects_bad_weights(x):
 def test_controller_laplacian_rejects_any_non_finite_weight():
     # only the support's weights are checked, and NaN and +-inf are always
     # in it: at every position, among zeros and -0.0 or among nonzeros
-    inc = graphs.incidence_from_edges(graphs.generate("ring", 6))
+    inc = graphs.generate("ring", 6).incidence
     for base in (np.zeros(6), np.full(6, -0.0), np.linspace(-1.0, 1.5, 6)):
         graphs.controller_laplacian(inc, base)
         for l in range(6):
@@ -207,7 +224,7 @@ def _weights_with_zeros(m, seed, kind, signed):
 def test_controller_laplacian_equals_all_edge_assembly(n, seed, p, kind, signed):
     # assembling only the support is byte-equal to assembling every candidate
     plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    inc = graphs.complement_candidates(plant).incidence
     x = _weights_with_zeros(inc.m, seed, kind, signed)
     L = graphs.controller_laplacian(inc, x)
     ref = graphs._laplacian(n, inc.positions, x)
@@ -225,7 +242,7 @@ def test_controller_laplacian_assembles_only_the_support(monkeypatch):
 
     monkeypatch.setattr(graphs, "_laplacian", recording)
     plant = graphs.generate("erdos_renyi", 15, p=0.3, seed=2)
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    inc = graphs.complement_candidates(plant).incidence
     x = _weights_with_zeros(inc.m, 7, "mixed", signed=True)
     graphs.controller_laplacian(inc, x)
     [(pos, w)] = seen
@@ -255,7 +272,7 @@ def test_problems_on_one_candidate_list_share_its_incidence():
     cand = graphs.complement_candidates(plant)
     resistive = graphs.default_problem(plant, cand, resistive=True)
     signed = graphs.default_problem(plant, cand)
-    inc = graphs.incidence_from_edges(cand)
+    inc = cand.incidence
     assert resistive.candidates is inc and signed.candidates is inc
     assert signed.candidates.positions is resistive.candidates.positions
     assert np.shares_memory(inc.pairs, cand.pairs)
@@ -306,7 +323,7 @@ def test_laplacian_equals_add_at_assembly(n, seed, p, kind, signed):
     # scatter-adds, from +0.0, so the two are byte-equal, on every edge,
     # on the support only and for an edge list's weights
     plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    inc = graphs.complement_candidates(plant).incidence
     x = _weights_with_zeros(inc.m, seed, kind, signed)
     nz = np.flatnonzero(x)
     edges = graphs.EdgeList(n, inc.pairs, x)
@@ -322,7 +339,7 @@ def test_laplacian_equals_add_at_assembly(n, seed, p, kind, signed):
 def spd_closed_loop(n, seed, p):
     """A positive definite closed loop on a seeded ER plant, or None."""
     plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    inc = graphs.complement_candidates(plant).incidence
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.uniform(0.0, 2.0, inc.m) * (rng.random(inc.m) < 0.5)
     cl = graphs.closed_loop(graphs.PlantGraph.from_edges(plant).G, inc, x)

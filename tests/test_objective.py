@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp import duality, graphs, objective, pipeline, proxgrad, proxnewton
-from gsp.errors import InfeasiblePointError, SizeCapError
+from gsp.errors import InfeasiblePointError
 from gsp.objective import HESSIAN_SCALE, Objective
+from reference import dense_hessian, lyapunov_h2_oracle
 
 
 def p3_problem(gamma=0.0):
@@ -77,7 +78,7 @@ def test_gradient_matches_finite_differences():
         prob = seeded_problem(seed=seed)
         obj = Objective(prob)
         x = feasible_point(prob, seed=100 + seed)
-        g = obj.gradient(x)
+        g = obj.state(x).grad
         rng = np.random.Generator(np.random.PCG64(200 + seed))
         h = 1e-5
         for i in rng.choice(prob.m, size=6, replace=False):
@@ -94,13 +95,14 @@ def test_hessian_columns_match_finite_differences():
         prob = seeded_problem(seed=seed)
         obj = Objective(prob)
         x = feasible_point(prob, seed=300 + seed)
+        H = dense_hessian(obj, x)
         rng = np.random.Generator(np.random.PCG64(400 + seed))
         h = 1e-5
         for i in rng.choice(prob.m, size=4, replace=False):
             e = np.zeros(prob.m)
             e[i] = h
-            fd = (obj.gradient(x + e) - obj.gradient(x - e)) / (2 * h)
-            col = obj.hessian_column(x, int(i))
+            fd = (obj.state(x + e).grad - obj.state(x - e).grad) / (2 * h)
+            col = H[:, i]
             worst = max(worst, np.max(np.abs(col - fd)) / max(1.0, np.max(np.abs(fd))))
     assert worst < 1e-4
 
@@ -112,7 +114,8 @@ def test_hessian_scale_pinned_by_two_node_instance():
     obj = Objective(prob)
     for x in (0.3, 0.5, 1.2):
         xv = np.array([x])
-        assert obj.hessian_diag(xv)[0] == pytest.approx(1.0 / x**3, rel=1e-10)
+        H = dense_hessian(obj, xv)
+        assert np.diag(H)[0] == pytest.approx(1.0 / x**3, rel=1e-10)
         st = obj.state(xv)
         Ginv = st.cl.solve(np.eye(2))
         raw = objective.edge_quad_diag(st.Y, obj.positions) * objective.edge_quad_diag(
@@ -122,29 +125,16 @@ def test_hessian_scale_pinned_by_two_node_instance():
     assert HESSIAN_SCALE == 2.0
 
 
-def test_dense_hessian_consistency():
-    prob = seeded_problem(n=12, seed=2)
-    obj = Objective(prob)
-    x = feasible_point(prob, seed=11)
-    H = obj.hessian(x)
-    assert np.allclose(H, H.T, atol=1e-10)
-    assert np.allclose(np.diag(H), obj.hessian_diag(x), atol=1e-12)
-    for l in (0, prob.m // 2, prob.m - 1):
-        assert np.allclose(H[:, l], obj.hessian_column(x, l), atol=1e-12)
-    lam = np.linalg.eigvalsh(0.5 * (H + H.T))
-    assert lam.min() >= -1e-8  # convexity on the feasible region
-
-
 def test_hessian_product_matches_dense_block():
     # the matrix-free product over any row and column subsets is the dense
     # Hessian block times the vector
     prob = seeded_problem(n=12, seed=2)
     obj = Objective(prob)
     x = feasible_point(prob, seed=11)
-    H = obj.hessian(x)
+    H = dense_hessian(obj, x)
     state = obj.state(x)
     Ginv = obj.closed_loop_inverse(state)
-    ends = obj.pairs.T
+    ends = prob.candidates.pairs.T
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(5):
         rows = rng.choice(prob.m, size=int(rng.integers(1, prob.m)), replace=False)
@@ -153,13 +143,6 @@ def test_hessian_product_matches_dense_block():
         hv = objective.hessian_product(state.Y, Ginv, ends[:, cols], v, ends[:, rows])
         ref = H[np.ix_(rows, cols)] @ v
         assert np.max(np.abs(hv - ref)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
-
-
-def test_hessian_size_cap(monkeypatch):
-    prob = seeded_problem(n=12, seed=2)
-    monkeypatch.setattr(objective, "DENSE_HESSIAN_CAP", 3)
-    with pytest.raises(SizeCapError):
-        Objective(prob).hessian(feasible_point(prob, seed=1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,7 +154,7 @@ def test_edge_quad_diag_equals_pair_indexing(n, seed, p, fortran, subset):
     # candidates or a column subset of the positions; A is not symmetric,
     # so a transposed read would show
     plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
-    inc = graphs.incidence_from_edges(graphs.complement_candidates(plant))
+    inc = graphs.complement_candidates(plant).incidence
     rng = np.random.Generator(np.random.PCG64(seed))
     A = rng.standard_normal((n, n))
     A[rng.random((n, n)) < 0.2] = 0.0
@@ -215,7 +198,7 @@ def test_lyapunov_oracle_equals_half_objective():
         for _ in range(7):
             x = 0.1 + rng.random(prob.m)
             J = obj.value(x)
-            h2 = objective.lyapunov_h2_oracle(prob, x)
+            h2 = lyapunov_h2_oracle(prob, x)
             assert abs(h2 - J / 2.0) <= 1e-8 * max(1.0, abs(J))
             count += 1
     assert count >= 20

@@ -51,7 +51,7 @@ def test_gamma_max_matches_gradient_bound():
         graphs.generate("erdos_renyi", 12, p=0.4, seed=5), resistive=True
     )
     obj = Objective(prob)
-    g0 = obj.gradient(np.zeros(prob.m))
+    g0 = obj.state(np.zeros(prob.m)).grad
     assert pipeline.gamma_max(prob) == np.max(-g0)
 
 
