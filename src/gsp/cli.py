@@ -232,18 +232,28 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _candidate_indices(problem, pairs) -> np.ndarray:
+    """Positions of canonical node pairs in the problem's candidate list,
+    looked up among the sorted candidate keys ``i n + j``.  The first pair,
+    in the given order, that is not a candidate raises."""
+    n, m = problem.n, problem.m
+    cand = problem.candidates.pairs
+    order = np.argsort(cand[:, 0] * n + cand[:, 1])
+    # the key n n lies past every candidate's; pairs off the n nodes get it
+    keys = np.append(cand[order, 0] * n + cand[order, 1], n * n)
+    want = np.where(pairs[:, 1] < n, pairs[:, 0] * n + pairs[:, 1], n * n)
+    at = np.searchsorted(keys, want)
+    missing = (at == m) | (keys[at] != want)
+    if missing.any():
+        i, j = pairs[np.argmax(missing)].tolist()
+        raise InvalidInputError(f"edge {(i, j)} is not a candidate edge")
+    return order[at]
+
+
 def _cmd_polish(args) -> int:
     problem = _load_problem(args)
     chosen = read_edge_list(args.edges)
-    index = {(int(i), int(j)): l
-             for l, (i, j) in enumerate(problem.candidates.pairs)}
-    support = []
-    for i, j in chosen.pairs:
-        key = (int(i), int(j))
-        if key not in index:
-            raise InvalidInputError(f"edge {key} is not a candidate edge")
-        support.append(index[key])
-    x, J = polish(problem, support)
+    x, J = polish(problem, _candidate_indices(problem, chosen.pairs))
     payload = {
         "config": _config_echo(args),
         "problem": _problem_summary(problem),

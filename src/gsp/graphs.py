@@ -9,7 +9,15 @@ Outside data is checked once, in the constructor that takes it; checked
 objects are read-only and trusted by what derives from them:
 ``EdgeList.incidence`` checks nothing again, and ``Problem.with_gamma``,
 ``Problem.restrict`` and ``controller_laplacian`` check only what they add
-(penalty, support, edge weights).
+(penalty, support indices, edge weights).
+
+Building and checking take whole-array numpy operations, with no Python
+loop over the edges: ``EdgeList.from_tuples`` transposes its tuples once,
+duplicate pairs are found by one sort of their keys ``i n + j``, a resistive
+problem's plant and candidates are checked disjoint with one ``np.isin``,
+and :func:`component_count` hooks and jumps pointers in numpy, without
+``scipy.sparse``.  The edge-list file format writes a non-unit weight as the
+``repr`` of a Python float, which reads back to the same bits.
 
 The closed-loop kernels are called once or more per solver iteration on
 small matrices, so they are written for low per-call overhead:
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 import scipy.linalg
@@ -57,6 +66,12 @@ from .errors import InvalidInputError
 PRNG_ID = "numpy-pcg64"
 
 
+def _has_repeats(a: np.ndarray) -> bool:
+    """Whether the integer array ``a`` holds a value twice: one sort."""
+    a = np.sort(a)
+    return bool(np.any(a[1:] == a[:-1]))
+
+
 def _check_pairs(n: int, pairs, what: str) -> np.ndarray:
     """(m, 2) index array over ``n`` nodes: in range, ``i < j``, no duplicates."""
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
@@ -64,7 +79,7 @@ def _check_pairs(n: int, pairs, what: str) -> np.ndarray:
         raise InvalidInputError("node index out of range")
     if np.any(p[:, 0] >= p[:, 1]):
         raise InvalidInputError(f"{what}s must satisfy i < j (no self-loops)")
-    if np.unique(p[:, 0] * n + p[:, 1]).size != p.shape[0]:
+    if _has_repeats(p[:, 0] * n + p[:, 1]):
         raise InvalidInputError(f"duplicate {what}")
     return p
 
@@ -110,27 +125,33 @@ class EdgeList:
 
     @classmethod
     def from_tuples(cls, n, edges):
-        """Build from ``(i, j)`` or ``(i, j, w)`` tuples, normalizing orientation."""
-        pairs, weights = [], []
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
-            w = float(e[2]) if len(e) > 2 else 1.0
-            if i == j:
-                raise InvalidInputError(f"self-loop at node {i}")
-            if i > j:
-                i, j = j, i
-            pairs.append((i, j))
-            weights.append(w)
-        if not pairs:
-            return cls(n, np.empty((0, 2), dtype=np.intp), np.empty(0))
-        return cls(n, np.array(pairs, dtype=np.intp), np.array(weights))
+        """Build from ``(i, j)`` or ``(i, j, w)`` tuples, normalizing orientation.
+
+        One transpose of the tuples gives the node and weight columns; a
+        tuple without a weight gets weight 1, and items after the weight are
+        ignored.  Nodes convert as ``int`` does and weights as ``float``.
+        """
+        edges = list(edges)
+        if edges and min(map(len, edges)) < 2:
+            raise InvalidInputError("an edge needs two end nodes")
+        i, j, *rest = list(zip_longest(*edges, fillvalue=1.0)) or [(), ()]
+        return cls._from_columns(n, i, j, rest[0] if rest else np.ones(len(edges)))
+
+    @classmethod
+    def _from_columns(cls, n, i, j, w) -> "EdgeList":
+        """Edge list from node columns ``i``, ``j`` in either orientation and
+        weights ``w``; the first self-loop in edge order is reported."""
+        i = np.asarray(i, dtype=np.intp).reshape(-1)
+        j = np.asarray(j, dtype=np.intp).reshape(-1)
+        loops = np.flatnonzero(i == j)
+        if loops.size:
+            raise InvalidInputError(f"self-loop at node {i[loops[0]]}")
+        pairs = np.column_stack((np.minimum(i, j), np.maximum(i, j)))
+        return cls(n, pairs, np.asarray(w, dtype=float))
 
     @property
     def m(self) -> int:
         return self.pairs.shape[0]
-
-    def edge_set(self):
-        return {(int(i), int(j)) for i, j in self.pairs}
 
     def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (dense, symmetric, zero row sums)."""
@@ -141,9 +162,7 @@ class EdgeList:
         """Incidence structure of the edges (weights are ignored), built once
         per edge list, so problems on one candidate list share it and its
         cached ``positions``.  It shares the read-only, checked ``pairs``."""
-        inc = object.__new__(IncidenceMatrix)  # skips __post_init__: no re-check
-        inc.__dict__.update(n=self.n, pairs=self.pairs)
-        return inc
+        return IncidenceMatrix._trusted(self.n, self.pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +180,13 @@ class IncidenceMatrix:
         object.__setattr__(self, "pairs", _check_pairs(self.n, self.pairs, "column"))
         self.pairs.setflags(write=False)
 
+    @classmethod
+    def _trusted(cls, n: int, pairs: np.ndarray) -> "IncidenceMatrix":
+        """Structure over pairs that were checked already: no re-check."""
+        inc = object.__new__(cls)  # skips __post_init__
+        inc.__dict__.update(n=n, pairs=pairs)
+        return inc
+
     @property
     def m(self) -> int:
         return self.pairs.shape[0]
@@ -171,19 +197,17 @@ class IncidenceMatrix:
         n-by-n matrix: ``i n + i``, ``j n + j``, ``i n + j``, ``j n + i``."""
         return _positions(self.n, self.pairs)
 
-    def dense(self) -> np.ndarray:
-        """Materialize the n-by-m incidence matrix (tests and small problems)."""
-        E = np.zeros((self.n, self.m))
-        E[self.pairs[:, 0], np.arange(self.m)] = 1.0
-        E[self.pairs[:, 1], np.arange(self.m)] = -1.0
-        return E
-
     def restrict(self, support) -> "IncidenceMatrix":
-        """Incidence structure over a subset of distinct columns."""
+        """Incidence structure over a subset of distinct columns.  Only the
+        indices are checked: distinct columns of checked pairs are checked."""
         idx = np.asarray(support, dtype=np.intp).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.m):
             raise InvalidInputError("support index out of range")
-        return IncidenceMatrix(self.n, self.pairs[idx])
+        if _has_repeats(idx):
+            raise InvalidInputError("duplicate support index")
+        pairs = self.pairs[idx]
+        pairs.setflags(write=False)
+        return IncidenceMatrix._trusted(self.n, pairs)
 
 
 def controller_laplacian(inc: IncidenceMatrix, x) -> np.ndarray:
@@ -313,11 +337,12 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> EdgeLi
     """
     if n < 2:
         raise InvalidInputError("need at least two nodes")
-    if kind == "path":
-        return EdgeList.from_tuples(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "ring":
-        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-        return EdgeList.from_tuples(n, edges)
+    if kind in ("path", "ring"):
+        i = np.arange(n - 1)
+        pairs = np.column_stack((i, i + 1))
+        if kind == "ring":
+            pairs = np.vstack((pairs, [0, n - 1]))
+        return EdgeList(n, pairs, np.ones(len(pairs)))
     if kind == "erdos_renyi":
         if p is None or not 0.0 <= p <= 1.0:
             raise InvalidInputError("erdos_renyi requires 0 <= p <= 1")
@@ -335,16 +360,44 @@ def random_geometric(n: int, radius: float, box: float = 10.0, seed: int = 0) ->
 
 
 def component_count(edges: EdgeList) -> int:
-    """Number of connected components of an edge list."""
-    import scipy.sparse
-    import scipy.sparse.csgraph
+    """Number of connected components of an edge list, counted exactly.
 
-    i, j = edges.pairs[:, 0], edges.pairs[:, 1]
-    A = scipy.sparse.coo_matrix(
-        (np.ones(edges.m), (i, j)), shape=(edges.n, edges.n)
-    )
-    ncomp, _ = scipy.sparse.csgraph.connected_components(A, directed=False)
-    return ncomp
+    Shiloach-Vishkin style hooking on a forest of stars (every node points
+    at its tree's root).  The edges are kept as the roots of their ends,
+    smaller first, and only while those differ.  Each round
+
+    - hooks every root with a smaller neighbouring root onto the smallest
+      one (pointers only go down, so no cycle forms);
+    - hooks every root that neither hooked nor was hooked onto (all its
+      neighbours are larger, and they all hooked) onto one neighbour;
+      nothing points at such a root, so no cycle forms either;
+    - jumps pointers until every tree is a star again.
+
+    Every tree with an edge to another tree merges with one, so each
+    component's tree count at least halves per round: at most
+    ``ceil(log2 n)`` rounds.  Each pointer jump halves the longest path to
+    a root, so a round jumps at most ``ceil(log2 n) + 1`` times.
+    """
+    n = edges.n
+    root = np.arange(n)
+    lo, hi = np.ascontiguousarray(edges.pairs.T)
+    while lo.size:
+        np.minimum.at(root, hi, lo)
+        hooked_onto = np.zeros(n, dtype=bool)
+        hooked_onto[root[hi]] = True
+        stuck = (root[lo] == lo) & ~hooked_onto[lo]
+        root[lo[stuck]] = hi[stuck]
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        # lo and hi are nodes of the ends' trees: root[] gives the new roots
+        ra, rb = root[lo], root[hi]
+        between = np.flatnonzero(ra != rb)
+        ra, rb = ra[between], rb[between]
+        lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    return int(np.count_nonzero(root == np.arange(n)))
 
 
 def _check_gamma(gamma) -> None:
@@ -398,9 +451,12 @@ class Problem:
         if self.resistive:
             if not self.plant.connected:
                 raise InvalidInputError("resistive problems require a connected plant")
-            keys = [p[:, 0] * n + p[:, 1]
-                    for p in (self.plant.edges.pairs, self.candidates.pairs)]
-            joint = [divmod(int(k), n) for k in np.intersect1d(*keys)[:3]]
+            plant_keys, cand_keys = (p[:, 0] * n + p[:, 1] for p in (
+                self.plant.edges.pairs, self.candidates.pairs))
+            # both key lists are duplicate-free: the plant keys found among
+            # the candidates are the joint edges
+            both = np.sort(plant_keys[np.isin(plant_keys, cand_keys)])
+            joint = [divmod(int(k), n) for k in both[:3]]
             if joint:
                 raise InvalidInputError(f"joint plant/candidate edges: {joint}")
 
@@ -469,13 +525,13 @@ def default_problem(
 
 def parse_edge_list(text: str) -> EdgeList:
     declared_n = None
-    edges = []
+    i, j, w = [], [], []  # the columns, passed whole to the constructor
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tok = line.split()
-        if declared_n is None and not edges and tok[0] == "n":
+        if declared_n is None and not i and tok[0] == "n":
             try:
                 (declared_n,) = map(int, tok[1:])  # exactly one integer
             except ValueError as exc:
@@ -485,16 +541,18 @@ def parse_edge_list(text: str) -> EdgeList:
         if len(tok) not in (2, 3):
             raise InvalidInputError(f"line {lineno}: expected 'i j [w]'")
         try:
-            i, j = int(tok[0]), int(tok[1])
-            w = float(tok[2]) if len(tok) == 3 else 1.0
+            a, b = int(tok[0]), int(tok[1])
+            c = float(tok[2]) if len(tok) == 3 else 1.0
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: {exc}") from exc
-        edges.append((i, j, w))
+        i.append(a)
+        j.append(b)
+        w.append(c)
     if declared_n is None:
-        if not edges:
+        if not i:
             raise InvalidInputError("empty edge list with no node count")
-        declared_n = 1 + max(max(i, j) for i, j, _ in edges)
-    return EdgeList.from_tuples(declared_n, edges)
+        declared_n = 1 + max(max(i), max(j))
+    return EdgeList._from_columns(declared_n, i, j, w)
 
 
 def read_edge_list(path) -> EdgeList:
@@ -506,11 +564,9 @@ def format_edge_list(edges: EdgeList) -> str:
     # the node-count line is only needed when trailing nodes are isolated
     implied_n = 1 + int(edges.pairs.max()) if edges.m else 0
     lines = [] if implied_n == edges.n else [f"n {edges.n}"]
-    for (i, j), w in zip(edges.pairs, edges.weights):
-        if w == 1.0:
-            lines.append(f"{i} {j}")
-        else:
-            lines.append(f"{i} {j} {w!r}")
+    # Python ints and floats: a float's repr reads back to the same bits
+    lines += [f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}"
+              for (i, j), w in zip(edges.pairs.tolist(), edges.weights.tolist())]
     return "\n".join(lines) + "\n"
 
 

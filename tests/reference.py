@@ -8,6 +8,30 @@ from gsp.graphs import controller_laplacian, try_cholesky
 from gsp.objective import hessian_rows
 
 
+def incidence_dense(inc):
+    """The n-by-m incidence matrix: +1 at ``pairs[l, 0]`` and -1 at
+    ``pairs[l, 1]`` in column ``l``."""
+    E = np.zeros((inc.n, inc.m))
+    E[inc.pairs[:, 0], np.arange(inc.m)] = 1.0
+    E[inc.pairs[:, 1], np.arange(inc.m)] = -1.0
+    return E
+
+
+def edge_set(edges):
+    """The edges' pairs as a set of ``(i, j)`` Python int tuples."""
+    return {(int(i), int(j)) for i, j in edges.pairs}
+
+
+def csgraph_component_count(edges) -> int:
+    """Connected components counted by ``scipy.sparse.csgraph``."""
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    i, j = edges.pairs[:, 0], edges.pairs[:, 1]
+    A = scipy.sparse.coo_matrix((np.ones(edges.m), (i, j)), shape=(edges.n, edges.n))
+    return int(scipy.sparse.csgraph.connected_components(A, directed=False)[0])
+
+
 def dense_hessian(obj, x):
     """Dense m-by-m Hessian of ``obj`` at ``x``: :func:`hessian_rows` over
     all candidate pairs."""

@@ -235,6 +235,42 @@ def test_polish_rejects_non_candidate_edge(p3_file, tmp_path):
     assert code == EXIT_INVALID
 
 
+def test_polish_names_the_first_non_candidate_edge(tmp_path, capsys):
+    plant = tmp_path / "path.edges"
+    graphs.write_edge_list(graphs.generate("path", 5), plant)
+    sup = tmp_path / "sup.edges"
+    # (4, 3) is the plant edge (3, 4); (0, 9) is off the plant's nodes
+    for text, first in (("0 2\n4 3\n1 3\n0 1\n", "(3, 4)"),
+                        ("n 10\n1 4\n0 9\n2 1\n", "(0, 9)")):
+        sup.write_text(text)
+        assert run(["polish", "--plant", str(plant), "--resistive", "--edges",
+                    str(sup)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"edge {first} is not a candidate edge" in err
+
+
+def test_polish_finds_support_edges_in_any_order(tmp_path):
+    # a shuffled candidate file and a support written as "j i": the support
+    # is looked up by its pairs, in the support file's order
+    plant_edges = graphs.generate("path", 6)
+    cand = graphs.complement_candidates(plant_edges)
+    order = np.random.Generator(np.random.PCG64(3)).permutation(cand.m)
+    cand = graphs.EdgeList(6, cand.pairs[order], cand.weights[order])
+    plant, cands, sup = (tmp_path / name for name in ("p.edges", "c.edges", "s.edges"))
+    graphs.write_edge_list(plant_edges, plant)
+    graphs.write_edge_list(cand, cands)
+    sup.write_text("5 0\n2 0\n1 4\n")
+    report = tmp_path / "r.json"
+    assert run(["polish", "--plant", str(plant), "--candidates", str(cands),
+                "--resistive", "--edges", str(sup), "--out", str(report)]) == EXIT_OK
+    doc = json.loads(report.read_text())
+    prob = graphs.default_problem(plant_edges, cand, resistive=True)
+    index = {(int(i), int(j)): l for l, (i, j) in enumerate(cand.pairs)}
+    x, J = pipeline.polish(prob, [index[(0, 5)], index[(0, 2)], index[(1, 4)]])
+    assert doc["objective"]["J_polished"] == J
+    assert sorted((i, j) for i, j, _ in doc["solution"]) == [(0, 2), (0, 5), (1, 4)]
+
+
 def test_exit_codes(tmp_path, p3_file):
     # missing file -> invalid input
     assert run(["solve", "--plant", str(tmp_path / "no.edges"), "--gamma",

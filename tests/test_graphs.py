@@ -1,6 +1,12 @@
 """Graph containers, generators and the edge-list file format."""
 
 import collections
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from gsp.errors import InvalidInputError
 from gsp.pipeline import ZERO_TOL, gamma_max, polish
 from gsp.proxgrad import solve_projected
 from gsp.proxnewton import solve_newton
+from reference import csgraph_component_count, edge_set, incidence_dense
 
 
 def test_edge_list_canonical_order():
@@ -53,10 +60,80 @@ def test_component_count():
     assert graphs.component_count(graphs.generate("ring", 5)) == 1
 
 
+@st.composite
+def labelled_graphs(draw):
+    """Edge lists on shuffled labels, in shuffled order: random edges, a
+    path through some of the nodes (the rest isolated), or many small
+    components; ``n`` may be 0 or 1."""
+    n = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["random", "path", "blocks"]))
+    if kind == "random":
+        ends = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    elif kind == "path":
+        length = draw(st.integers(0, n))
+        pairs = [(k, k + 1) for k in range(length - 1)]
+    else:  # consecutive blocks of 1 to 4 nodes, each joined as a path
+        pairs, start = [], 0
+        while start < n:
+            size = draw(st.integers(1, 4))
+            pairs += [(k, k + 1) for k in range(start, min(start + size, n) - 1)]
+            start += size
+    label = draw(st.permutations(range(n)))
+    edges = sorted({tuple(sorted((label[i], label[j]))) for i, j in pairs if i != j})
+    return graphs.EdgeList.from_tuples(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs())
+def test_component_count_matches_csgraph(edges):
+    assert graphs.component_count(edges) == csgraph_component_count(edges)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 5000])
+def test_component_count_long_shuffled_paths(n):
+    # the longest hook chains: one path over shuffled labels, and the same
+    # path split into two halves
+    label = np.random.Generator(np.random.PCG64(n)).permutation(n)
+    pairs = np.sort(np.column_stack((label[:-1], label[1:])), axis=1)
+    path = graphs.EdgeList(n, pairs, np.ones(n - 1))
+    assert graphs.component_count(path) == csgraph_component_count(path) == 1
+    split = graphs.EdgeList(n, np.delete(pairs, n // 2 - 1, axis=0), np.ones(n - 2))
+    assert graphs.component_count(split) == csgraph_component_count(split) == 2
+
+
+def test_package_never_imports_scipy_sparse(tmp_path):
+    # building connected and disconnected problems, a solve and a CLI sweep
+    # leave scipy.sparse unloaded: components are counted in numpy
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from gsp import cli, graphs, proxnewton
+        work = Path(sys.argv[1])
+        plant = graphs.generate("erdos_renyi", 12, p=0.3, seed=1)
+        connected = graphs.default_problem(plant, resistive=True)
+        split = graphs.default_problem(graphs.EdgeList.from_tuples(6, [(0, 1), (2, 3)]))
+        assert connected.plant.connected and not split.plant.connected
+        x, report = proxnewton.solve_newton(connected.with_gamma(0.5))
+        assert report.status == "converged", report.status
+        graphs.write_edge_list(plant, work / "plant.edges")
+        assert cli.run(["sweep", "--plant", str(work / "plant.edges"), "--resistive",
+                        "--method", "proxbb", "--gammas", "log:0.3gmax:gmax:2",
+                        "--csv", str(work / "s.csv"), "--out", str(work / "s.json")]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+        assert not loaded, loaded
+    """)
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_incidence_dense_matches_pairs():
     e = graphs.generate("ring", 4)
     inc = e.incidence
-    E = inc.dense()
+    E = incidence_dense(inc)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     L = E @ np.diag(x) @ E.T
     assert np.allclose(L, graphs.controller_laplacian(inc, x))
@@ -79,7 +156,7 @@ def test_generate_path_ring():
     assert p.m == 9
     r = graphs.generate("ring", 10)
     assert r.m == 10
-    assert (0, 9) in r.edge_set()
+    assert (0, 9) in edge_set(r)
 
 
 def test_generate_erdos_renyi_deterministic():
@@ -99,7 +176,7 @@ def test_complement_candidates_partition():
     plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=3)
     comp = graphs.complement_candidates(plant)
     assert plant.m + comp.m == 12 * 11 // 2
-    assert not (plant.edge_set() & comp.edge_set())
+    assert not (edge_set(plant) & edge_set(comp))
 
 
 def test_default_problem_weights():
@@ -157,6 +234,18 @@ def test_restrict_problem():
     sub = prob.restrict([0, 2])
     assert sub.m == 2
     assert np.array_equal(sub.candidates.pairs, prob.candidates.pairs[[0, 2]])
+    assert not sub.candidates.pairs.flags.writeable
+    assert prob.restrict([]).m == 0
+
+
+def test_joint_edges_are_listed_sorted():
+    # up to three plant edges that are also candidates, smallest first,
+    # whatever the candidates' order
+    plant = graphs.generate("path", 6)
+    cand = graphs.EdgeList.from_tuples(6, [(4, 5), (0, 2), (3, 4), (2, 1), (0, 1)])
+    msg = "joint plant/candidate edges: [(0, 1), (1, 2), (3, 4)]"
+    with pytest.raises(InvalidInputError, match=re.escape(msg)):
+        graphs.default_problem(plant, cand, resistive=True)
 
 
 @pytest.mark.parametrize("support", [[-1], [10**6], [0, 2, 0]])
@@ -437,8 +526,7 @@ def test_equality_is_identity():
 
 
 def test_derived_problems_are_not_rechecked(monkeypatch):
-    # checked once at construction; solvers and polish trust the problem, and
-    # only the restricted incidence structure built by polish is checked
+    # checked once at construction; solvers and polish trust the problem
     plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
     base = graphs.default_problem(plant, resistive=True)
     prob = base.with_gamma(0.3 * gamma_max(base))
@@ -454,7 +542,9 @@ def test_derived_problems_are_not_rechecked(monkeypatch):
     support = np.flatnonzero(np.abs(x) > ZERO_TOL)
     assert support.size
     polish(prob, support)
-    assert calls == {"IncidenceMatrix": 1}
+    # restrict checks the support indices only (bad ones raise:
+    # test_restrict_rejects_bad_support), not the checked pairs they pick
+    assert not calls
 
 
 # The pair-loop definitions the vectorized builders replaced; they pin the
@@ -477,10 +567,26 @@ def _loop_random_geometric(n, radius, box, seed):
 
 
 def _loop_complement(plant):
-    present = plant.edge_set()
+    present = edge_set(plant)
     pairs = [(i, j) for i in range(plant.n) for j in range(i + 1, plant.n)
              if (i, j) not in present]
     return graphs.EdgeList.from_tuples(plant.n, pairs)
+
+
+def _loop_from_tuples(n, edges):
+    pairs, weights = [], []
+    for e in edges:
+        i, j = int(e[0]), int(e[1])
+        w = float(e[2]) if len(e) > 2 else 1.0
+        if i == j:
+            raise InvalidInputError(f"self-loop at node {i}")
+        if i > j:
+            i, j = j, i
+        pairs.append((i, j))
+        weights.append(w)
+    if not pairs:
+        return graphs.EdgeList(n, np.empty((0, 2), dtype=np.intp), np.empty(0))
+    return graphs.EdgeList(n, np.array(pairs, dtype=np.intp), np.array(weights))
 
 
 def _assert_identical(a, b):
@@ -488,6 +594,40 @@ def _assert_identical(a, b):
     for u, v in ((a.pairs, b.pairs), (a.weights, b.weights)):
         assert u.dtype == v.dtype and u.shape == v.shape
         assert u.tobytes() == v.tobytes()
+
+
+def _built_or_message(build, n, edges):
+    try:
+        return build(n, edges)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+_node = st.integers(-1, 8)
+_node_like = _node | _node.map(np.int64) | _node.map(float)
+_weight = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3)
+_edge_tuple = (st.tuples(_node_like, _node_like)
+               | st.tuples(_node_like, _node_like, _weight)
+               | st.tuples(_node, _node, _weight, st.just("ignored")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 9), st.lists(_edge_tuple, max_size=12))
+def test_from_tuples_matches_per_edge_loop(n, edges):
+    # mixed (i, j) and (i, j, w) tuples, either orientation, with self-loops,
+    # duplicates, nodes out of range and non-finite weights: the same edge
+    # list or the same first error
+    got = _built_or_message(graphs.EdgeList.from_tuples, n, edges)
+    ref = _built_or_message(_loop_from_tuples, n, edges)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        _assert_identical(got, ref)
+
+
+def test_from_tuples_needs_two_end_nodes():
+    with pytest.raises(InvalidInputError, match="two end nodes"):
+        graphs.EdgeList.from_tuples(3, [(0, 1), (2,)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,6 +639,11 @@ def test_pair_builders_match_pair_loops(n, seed, p):
     radius = 1.0 + 9.0 * p
     _assert_identical(graphs.random_geometric(n, radius, 10.0, seed),
                       _loop_random_geometric(n, radius, 10.0, seed))
+    path = [(i, i + 1) for i in range(n - 1)]
+    _assert_identical(graphs.generate("path", n), _loop_from_tuples(n, path))
+    if n > 2:
+        _assert_identical(graphs.generate("ring", n),
+                          _loop_from_tuples(n, path + [(0, n - 1)]))
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -509,6 +654,19 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n == e.n
     assert np.array_equal(back.pairs, e.pairs)
     assert np.allclose(back.weights, e.weights)
+
+
+def test_weighted_edge_list_round_trip_is_bit_exact(tmp_path):
+    # non-unit weights are written as the repr of Python floats, which reads
+    # back to the same bits; unit weights are left out
+    w = [0.1, 1 / 3, 2.5, -0.75, 1e-300, 1.0]
+    e = graphs.EdgeList.from_tuples(8, [(k + 1, k, wk) for k, wk in enumerate(w)])
+    text = graphs.format_edge_list(e)
+    assert text == ("n 8\n0 1 0.1\n1 2 0.3333333333333333\n2 3 2.5\n"
+                    "3 4 -0.75\n4 5 1e-300\n5 6\n")
+    path = tmp_path / "w.edges"
+    graphs.write_edge_list(e, path)
+    _assert_identical(graphs.read_edge_list(path), e)
 
 
 def test_edge_list_round_trip_isolated_nodes(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gsp import duality, graphs, objective, pipeline, proxgrad, proxnewton
 from gsp.errors import InfeasiblePointError
 from gsp.objective import HESSIAN_SCALE, Objective
-from reference import dense_hessian, lyapunov_h2_oracle
+from reference import dense_hessian, incidence_dense, lyapunov_h2_oracle
 
 
 def p3_problem(gamma=0.0):
@@ -172,7 +172,7 @@ def test_edge_quad_diag_equals_pair_indexing(n, seed, p, fortran, subset):
 
 def test_edge_quad_forms_match_dense():
     prob = seeded_problem(n=10, seed=4)
-    E = prob.candidates.dense()
+    E = incidence_dense(prob.candidates)
     rng = np.random.Generator(np.random.PCG64(9))
     A = rng.random((10, 10))
     A = A + A.T
