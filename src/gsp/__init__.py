@@ -27,7 +27,6 @@ from .graphs import (
 from .objective import Objective, QpMatrix, build_qp
 from .pipeline import (
     TradeoffPoint,
-    default_gamma_grid,
     gamma_max,
     polish,
     reweighted_path,

@@ -103,11 +103,11 @@ def write_tradeoff_csv(points: list[TradeoffPoint], path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _load_problem(args, gamma: float = 0.0):
+def _load_problem(args):
     plant_edges = read_edge_list(args.plant)
     candidates = read_edge_list(args.candidates) if args.candidates else None
     return default_problem(
-        plant_edges, candidates, gamma=gamma,
+        plant_edges, candidates,
         resistive=args.resistive,
         q_scale=args.q_scale, r_scale=args.r_scale,
     )

@@ -51,13 +51,6 @@ def gamma_max(problem: Problem) -> float:
     return float(np.max(-Objective(problem).state(np.zeros(problem.m)).grad))
 
 
-def default_gamma_grid(problem: Problem, count: int = 50,
-                       lo_frac: float = 1e-3) -> np.ndarray:
-    """Logarithmic grid spanning ``[lo_frac * gamma_max, gamma_max]``."""
-    gmax = gamma_max(problem)
-    return np.geomspace(lo_frac * gmax, gmax, count)
-
-
 #: options class of each solver method
 _OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions}
 
@@ -172,10 +165,9 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
     for g, x, iters, solve_s in _gamma_path(problem, gammas, solver, opts, x_c,
                                             warm_start, use_reweighting):
         t0 = time.perf_counter()
-        prob_g = problem.with_gamma(g)
         support = np.flatnonzero(np.abs(x) > ZERO_TOL)
         J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))
-        x_pol, J_pol = polish(prob_g, support)
+        x_pol, J_pol = polish(problem, support)
         card = int(support.size)
         points.append(TradeoffPoint(
             gamma=g,

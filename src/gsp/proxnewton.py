@@ -28,7 +28,9 @@ holds at every penalty.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
-penalty) and the line search's Armijo constant ``ARMIJO_SIGMA``, step factor
+penalty); the inner stop, no coordinate moved by more than ``cd_tol =
+CD_TOL * max(1, max|grad|)`` in a sweep, or ``CD_SWEEPS_MAX`` sweeps; and
+the line search's Armijo constant ``ARMIJO_SIGMA``, step factor
 ``BACKTRACK_SHRINK`` and budget ``MAX_BACKTRACKS``.
 
 The start, the certificate test and the status rule are those of
@@ -77,6 +79,8 @@ _GROW_MIN = 32
 
 #: The rest of the recipe; see the module docstring.
 ACTIVE_EPS_FACTOR = 1e-4
+CD_TOL = 1e-8
+CD_SWEEPS_MAX = 100
 ARMIJO_SIGMA = 0.01
 BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 60
@@ -87,24 +91,22 @@ class NewtonOptions:
     """Tuning knobs for the proximal Newton solver."""
 
     max_iters: int = 50  # outer iterations
-    cd_sweeps_max: int = 100
-    cd_tol: float | None = None  # None: 1e-8 * max(1, |grad|_inf)
     tol_gap: float = 1e-4
     tol_rd: float = 1e-3
 
     def __post_init__(self):
-        if min(self.max_iters, self.cd_sweeps_max) <= 0:
-            raise InvalidInputError("options must be positive")
         _check_tolerances(self.tol_gap, self.tol_rd)
-        if self.cd_tol is not None and not self.cd_tol > 0.0:
-            raise InvalidInputError("cd_tol must be positive")
+        if self.max_iters < 1:
+            raise InvalidInputError("max_iters must be at least 1")
 
 
-def active_set(x_bar, grad, gamma_vec, eps_vec, resistive: bool) -> np.ndarray:
+def active_set(x_bar, grad, gamma_vec, resistive: bool) -> np.ndarray:
     """Indices allowed to move in the coordinate-descent subproblem.
 
     ``grad`` is the gradient of the smooth part: the plain objective gradient
-    for signed problems, the penalized one for resistive problems.
+    for signed problems, the penalized one for resistive problems.  A signed
+    coordinate at zero stays out while ``|grad|`` is below its penalty by
+    more than ``ACTIVE_EPS_FACTOR`` of it.
     """
     x_bar = np.asarray(x_bar)
     grad = np.asarray(grad)
@@ -112,12 +114,13 @@ def active_set(x_bar, grad, gamma_vec, eps_vec, resistive: bool) -> np.ndarray:
     if resistive:
         inactive = at_zero & (grad >= 0.0)
     else:
-        inactive = at_zero & (np.abs(grad) < gamma_vec - eps_vec)
+        margin = gamma_vec - ACTIVE_EPS_FACTOR * gamma_vec
+        inactive = at_zero & (np.abs(grad) < margin)
     return np.flatnonzero(~inactive)
 
 
 def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
-                 opts: NewtonOptions, resistive: bool):
+                 resistive: bool):
     """Approximate Newton direction by cyclic sweeps over active coordinates.
 
     ``inc`` is the candidate incidence structure; ``grad`` follows the same
@@ -125,15 +128,16 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     indices, and ``Y`` and ``Ginv`` are symmetric.
     Coordinates with positive curvature are visited in their order in
     ``active``; each visit is the closed-form scalar prox step, and the
-    sweeps stop once no coordinate moved by more than ``cd_tol`` or after
-    ``cd_sweeps_max`` sweeps.  The sweeps run on the Hessian block over a
-    working set of those ``k`` coordinates (:func:`_block_sweeps`):
+    sweeps stop once no coordinate moved by more than ``cd_tol = CD_TOL *
+    max(1, max|grad|)`` or after ``CD_SWEEPS_MAX`` sweeps, both module
+    constants read at call time.  The sweeps run on the Hessian block over
+    a working set of those ``k`` coordinates (:func:`_block_sweeps`):
 
     - ``k**2 <= CD_CACHE_ELEMS``: the working set is all ``k`` coordinates;
     - larger blocks: it starts as the coordinates with ``x_bar != 0`` and
       grows by a KKT check of the coordinates outside it until none of them
       would move by more than ``cd_tol`` (:func:`_working_set_sweeps`).
-      Each solve on the working set has its own ``cd_sweeps_max``.
+      Each solve on the working set has its own ``CD_SWEEPS_MAX``.
 
     Coordinates outside the final working set keep a zero direction.  The
     inputs are not modified.
@@ -152,14 +156,11 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     if k == 0:
         raise DegenerateCurvatureError("no positive-curvature coordinate")
 
-    cd_tol = opts.cd_tol
-    if cd_tol is None:
-        cd_tol = 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
-
+    cd_tol = CD_TOL * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
     cols = act[usable]
     sweeps = _block_sweeps if k * k <= CD_CACHE_ELEMS else _working_set_sweeps
     xt[cols] = sweeps(Y, Ginv, sub[usable], a[usable], grad[cols], x_bar[cols],
-                      gamma_vec[cols], opts.cd_sweeps_max, cd_tol, resistive)
+                      gamma_vec[cols], cd_tol, resistive)
     return xt
 
 
@@ -192,8 +193,7 @@ def _branch(v, thresh, resistive):
     return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
 
 
-def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
-                  d0=None):
+def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0=None):
     """Cyclic coordinate descent on the block over the edges ``sub``, one
     sweep at a time from the direction ``d0`` (zero if ``None``).
 
@@ -257,7 +257,7 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
     xb_l, neg_xb_l = xb.tolist(), neg_xb.tolist()
     mul = np.empty(k)
     bad = np.empty(k, dtype=bool)
-    for _ in range(sweeps_max):
+    for _ in range(CD_SWEEPS_MAX):
         w = dtrmv(B, d, lower=1, trans=1)  # U d
         np.subtract(negg, w, out=w)
         w /= a
@@ -320,8 +320,7 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol, resistive,
     return d
 
 
-def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol,
-                        resistive):
+def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive):
     """:func:`_block_sweeps` on a working set ``W`` grown until no
     coordinate outside it would move.
 
@@ -342,7 +341,7 @@ def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol,
         W = np.flatnonzero(inside)
         if W.size:
             d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
-                                 sweeps_max, cd_tol, resistive, d0=d[W])
+                                 cd_tol, resistive, d0=d[W])
         out = np.flatnonzero(~inside)
         moved = W[d[W] != 0.0]
         v = hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, out])
@@ -358,12 +357,13 @@ def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, sweeps_max, cd_tol,
         inside[out[grow]] = True
 
 
-def line_search(objective: Objective, gamma_vec, state, xt, resistive: bool):
+def line_search(objective: Objective, gamma_vec, state, xt):
     """Backtracking with a generalized Armijo rule.
 
     Returns ``(alpha, x_new, cl_new)``; raises LineSearchError when no step
     is accepted within the backtrack budget.
     """
+    resistive = objective.problem.resistive
     x_bar = state.x
     l1_bar = float(gamma_vec @ np.abs(x_bar))  # resistive iterates are non-negative
     f_bar = state.J + l1_bar
@@ -394,7 +394,6 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
     t0 = time.perf_counter()
     obj, gam, st = _start(problem, x0, weights)
     x = st.x
-    eps = ACTIVE_EPS_FACTOR * gam
     resistive = problem.resistive
 
     def composite(state):
@@ -417,15 +416,15 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
 
         Ginv = obj.closed_loop_inverse(st)
         smooth_grad = st.grad + gam if resistive else st.grad
-        act = active_set(x, smooth_grad, gam, eps, resistive)
+        act = active_set(x, smooth_grad, gam, resistive)
         xt = cd_direction(problem.candidates, st.Y, Ginv, smooth_grad, x, gam,
-                          act, opts, resistive)
+                          act, resistive)
         if not np.any(xt):
             # a zero Newton direction means the iterate solves its own model
             report.iterations = k - 1
             return x, _finish(report, t0, cert)
 
-        alpha, x, cl = line_search(obj, gam, st, xt, resistive)
+        alpha, x, cl = line_search(obj, gam, st, xt)
         st = obj.state(x, cl)
         F = composite(st)
         report.iterations = k

@@ -1,5 +1,8 @@
 """Second-order solver: active sets, coordinate descent and line search."""
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +35,10 @@ TIGHT_ER = NewtonOptions(tol_gap=1e-9, tol_rd=1e-6)
 
 
 def test_options_validation():
-    for field in ("max_iters", "cd_sweeps_max", "tol_gap", "tol_rd"):
+    # the inner coordinate-descent stop is a module constant, not an option
+    fields = [f.name for f in dataclasses.fields(NewtonOptions)]
+    assert fields == ["max_iters", "tol_gap", "tol_rd"]
+    for field in fields:
         with pytest.raises(InvalidInputError):
             NewtonOptions(**{field: 0})
     # a NaN tolerance would never certify, an infinite one always would
@@ -40,29 +46,23 @@ def test_options_validation():
         for value in (np.nan, np.inf, -np.inf, -1.0):
             with pytest.raises(InvalidInputError):
                 NewtonOptions(**{field: value})
-    for value in (0.0, -1e-8, np.nan):
-        with pytest.raises(InvalidInputError):
-            NewtonOptions(cd_tol=value)
-    NewtonOptions(cd_tol=None)
-    NewtonOptions(cd_tol=1e-14)
 
 
 def test_active_set_signed_rule():
     gamma = np.full(4, 1.0)
-    eps = 1e-4 * gamma
     x = np.array([0.5, 0.0, 0.0, 0.0])
     grad = np.array([0.2, 0.5, 0.99999, -1.2])
-    act = active_set(x, grad, gamma, eps, resistive=False)
-    # nonzero coordinates always active; zeros active when |grad| >= gamma-eps
+    act = active_set(x, grad, gamma, resistive=False)
+    # nonzero coordinates always active; zeros active when
+    # |grad| >= gamma - ACTIVE_EPS_FACTOR gamma (1e-4 of the penalty)
     assert list(act) == [0, 2, 3]
 
 
 def test_active_set_resistive_rule():
     gamma = np.full(3, 1.0)
-    eps = 1e-4 * gamma
     x = np.array([0.0, 0.0, 0.4])
     grad = np.array([0.3, -0.3, 5.0])
-    act = active_set(x, grad, gamma, eps, resistive=True)
+    act = active_set(x, grad, gamma, resistive=True)
     # zeros stay inactive when the penalized gradient pushes outward
     assert list(act) == [1, 2]
 
@@ -75,11 +75,11 @@ def test_cd_direction_two_node_hand_value():
     Ginv = st.cl.solve(np.eye(2))
     gam = np.zeros(1)
     xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, st.x, gam,
-                      np.array([0]), NewtonOptions(), resistive=False)
+                      np.array([0]), resistive=False)
     assert xt[0] == pytest.approx(-1.5, abs=1e-10)
 
 
-def test_cd_direction_matches_dense_reference():
+def test_cd_direction_matches_dense_reference(monkeypatch):
     # cyclic coordinate descent with the running Hessian-product accumulator
     # must match an independent implementation using the dense Hessian
     prob = graphs.default_problem(
@@ -92,10 +92,10 @@ def test_cd_direction_matches_dense_reference():
     Ginv = st.cl.solve(np.eye(prob.n))
     Ginv = 0.5 * (Ginv + Ginv.T)
     gam = np.full(prob.m, prob.gamma)
-    opts = NewtonOptions(cd_sweeps_max=30, cd_tol=1e-14)
-    act = active_set(x, st.grad, gam, 1e-4 * gam, resistive=False)
+    set_inner_stop(monkeypatch, st.grad, 1e-14, 30)
+    act = active_set(x, st.grad, gam, resistive=False)
     xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, x, gam, act,
-                      opts, resistive=False)
+                      resistive=False)
 
     H = dense_hessian(obj, x)
     # independent dense coordinate descent
@@ -109,9 +109,24 @@ def test_cd_direction_matches_dense_reference():
     assert np.allclose(xt, ref, atol=1e-8)
 
 
-def default_cd_tol(grad):
-    """The stopping tolerance ``cd_direction`` uses when ``cd_tol`` is None."""
-    return 1e-8 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+def grad_scale(grad):
+    """``max(1, max|grad|)``, the scale of ``cd_direction``'s inner stop."""
+    return max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+
+
+def cd_tol(grad):
+    """The stopping tolerance ``cd_direction`` uses at the current
+    ``CD_TOL``."""
+    return proxnewton.CD_TOL * grad_scale(grad)
+
+
+def set_inner_stop(mp, grad, tol, sweeps):
+    """Patch ``cd_direction``'s inner stop at ``grad`` to no step above the
+    absolute ``tol`` (``CD_TOL`` divided by ``grad_scale(grad)``, which
+    ``cd_direction`` multiplies back, within rounding) or ``sweeps``
+    sweeps."""
+    mp.setattr(proxnewton, "CD_TOL", tol / grad_scale(grad))
+    mp.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
 
 
 def axpy_update(hv, delta, colY, colG):
@@ -125,12 +140,14 @@ def ufunc_update(hv, delta, colY, colG):
     return hv
 
 
-def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
-                  resistive, update):
+def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, resistive,
+                  update):
     """Coordinate descent that rebuilds both incidence columns from ``Y`` and
     ``Ginv`` on every nonzero update, soft-thresholds numpy scalars and adds
     the Hessian row to the running product through ``update``: the scalar
-    coordinate-descent loop, kept as the reference."""
+    coordinate-descent loop, kept as the reference.  It stops as
+    ``cd_direction`` does, at the current ``CD_TOL`` and
+    ``CD_SWEEPS_MAX``."""
     xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
     pairs = inc.pairs
@@ -138,11 +155,9 @@ def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
     pos = inc.positions[:, act]
     a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
     usable = a > 0.0
-    cd_tol = opts.cd_tol
-    if cd_tol is None:
-        cd_tol = default_cd_tol(grad)
+    tol = cd_tol(grad)
     hv = np.zeros(act.size)
-    for _ in range(opts.cd_sweeps_max):
+    for _ in range(proxnewton.CD_SWEEPS_MAX):
         max_step = 0.0
         for t in range(act.size):
             if not usable[t]:
@@ -162,7 +177,7 @@ def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
                 uG = Ginv[:, pairs[i, 0]] - Ginv[:, pairs[i, 1]]
                 hv = update(hv, float(delta), uY[ai] - uY[aj], uG[ai] - uG[aj])
                 max_step = max(max_step, abs(delta))
-        if max_step <= cd_tol:
+        if max_step <= tol:
             break
     return xt
 
@@ -173,8 +188,19 @@ def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, opts,
 #: vacuous; every other point of the strategy space stays below 37.
 GRAD_BOUND = 1e3
 
-#: Options that run the coordinate descent to convergence.
-CONVERGED = NewtonOptions(cd_tol=1e-13, cd_sweeps_max=10_000)
+
+#: Inner stop that runs the coordinate descent to convergence: no step
+#: above an absolute 1e-13, or 10,000 sweeps.
+CONVERGED = (1e-13, 10_000)
+
+
+@contextlib.contextmanager
+def converged(grad):
+    """Run the coordinate descent at ``grad`` with the ``CONVERGED`` stop."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_inner_stop(mp, grad, *CONVERGED)
+        yield
+
 
 #: Largest ``max|xt - ref| / max(1, max|ref|)`` between two directions run to
 #: convergence with ``CONVERGED`` that visit the coordinates in different
@@ -208,11 +234,10 @@ def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     if zero_frac:
         gam[rng.random(prob.m) < zero_frac] = 0.0
     grad = state.grad + gam if resistive else state.grad
-    act = active_set(x, grad, gam, 1e-4 * gam, resistive)
+    act = active_set(x, grad, gam, resistive)
     if act.size <= 3:
         return None
-    return (prob.candidates, state.Y, Ginv, grad, x, gam, act, NewtonOptions(),
-            resistive)
+    return prob.candidates, state.Y, Ginv, grad, x, gam, act, resistive
 
 
 def usable_count(args):
@@ -254,7 +279,7 @@ def capped_cd(args, cache):
 @pytest.mark.parametrize("cache", ["full", "working_set", "boundary"])
 def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
     # the block sweeps visit the coordinates in the reference loops' order
-    # and, at the default options, stay within rounding of both; a working
+    # and, at the default inner stop, stay within rounding of both; a working
     # set visits them in another order, so it is compared with the
     # reference run to convergence, within CONVERGED_BOUND.  "boundary" runs
     # both sides of the whole-block budget, at k**2 and one entry below.
@@ -264,7 +289,7 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
     if cache == "full":
         ref = per_update_cd(*args, update=axpy_update)
         ufunc_ref = per_update_cd(*args, update=ufunc_update)
-        bound = 1e-3 * default_cd_tol(args[3])
+        bound = 1e-3 * cd_tol(args[3])
         xt, path = capped_cd(args, "full")
         assert path == "_block_sweeps"
         assert np.max(np.abs(xt - ref)) <= bound
@@ -275,13 +300,13 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         assert np.array_equal(xt[at_zero], -x_bar[at_zero])
         runs = [xt]
     else:
-        args = args[:7] + (CONVERGED, resistive)
-        ref = per_update_cd(*args, update=axpy_update)
-        bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
         budgets = {"working_set": ["none"], "boundary": ["block", "below"]}[cache]
+        with converged(args[3]):
+            ref = per_update_cd(*args, update=axpy_update)
+            results = [capped_cd(args, budget) for budget in budgets]
+        bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
         runs = []
-        for budget in budgets:
-            xt, path = capped_cd(args, budget)
+        for budget, (xt, path) in zip(budgets, results):
             assert path == ("_block_sweeps" if budget == "block"
                             else "_working_set_sweeps")
             assert np.max(np.abs(xt - ref)) <= bound
@@ -292,7 +317,8 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
 
 
 @pytest.mark.parametrize("sweeps", [1, 100])
-def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
+def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
+                                                              sweeps):
     # resistive from x_bar = 0: every active coordinate's own step from
     # d = 0 is positive, so the block sweeps guess every branch free, but in
     # the first sweep earlier moves push the free steps of coordinates 1, 3,
@@ -305,15 +331,16 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(sweeps):
     state = obj.state(x)
     gam = np.full(prob.m, 0.3 * float(np.max(np.abs(state.grad))))
     grad = state.grad + gam
-    act = active_set(x, grad, gam, 1e-4 * gam, resistive=True)
+    act = active_set(x, grad, gam, resistive=True)
     assert np.all(grad[act] < 0.0)
     args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, NewtonOptions(cd_sweeps_max=sweeps), True)
+            act, True)
+    monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
     xt, path = capped_cd(args, "full")
     assert path == "_block_sweeps"
     ref = per_update_cd(*args, update=axpy_update)
     assert list(np.flatnonzero(ref[act] == 0.0)) == [1, 3, 5, 6]
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(grad)
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(grad)
     assert list(np.flatnonzero(xt[act] == 0.0)) == [1, 3, 5, 6]
 
 
@@ -353,10 +380,26 @@ def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
     xt, path = capped_cd(args, "full")
     assert path == "_block_sweeps"
     assert calls["corrections"] == 0
-    assert 1 < calls["sweeps"] < args[7].cd_sweeps_max
+    assert 1 < calls["sweeps"] < proxnewton.CD_SWEEPS_MAX
     assert calls["dtrsv"] == calls["sweeps"]
     ref = per_update_cd(*args, update=axpy_update)
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(args[3])
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(args[3])
+
+
+def test_sweep_cap_is_read_at_call_time(monkeypatch):
+    # CD_SWEEPS_MAX is read on every call: on a case whose sweeps run past
+    # three before they meet the tolerance, a cap of 1 and then of 3 runs
+    # exactly that many
+    args = random_cd_case(12, 1, 0.0, False)
+    calls = count_block_calls(monkeypatch)
+    xt, path = capped_cd(args, "full")
+    assert path == "_block_sweeps"
+    assert 3 < calls["sweeps"] < proxnewton.CD_SWEEPS_MAX
+    for cap in (1, 3):
+        calls["sweeps"] = 0
+        monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", cap)
+        cd_direction(*args)
+        assert calls["sweeps"] == cap
 
 
 def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
@@ -371,9 +414,9 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     x = 10.0 ** rng.uniform(-2, 0, prob.m) * (rng.random(prob.m) < 0.6)
     state = obj.state(x)
     gam = np.zeros(prob.m)
-    act = active_set(x, state.grad, gam, gam, resistive=True)
+    act = active_set(x, state.grad, gam, resistive=True)
     args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
-            x, gam, act, NewtonOptions(), True)
+            x, gam, act, True)
     calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == "_block_sweeps"
@@ -381,7 +424,7 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     ref = per_update_cd(*args, update=axpy_update)
     ref_zero = x[act] + ref[act] == 0.0
     assert act.size == 12 and np.count_nonzero(ref_zero) == 8
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * default_cd_tol(args[3])
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(args[3])
     assert np.array_equal(x[act] + xt[act] == 0.0, ref_zero)
 
 
@@ -404,15 +447,14 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
     assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
     x_bar = args[4]
     if cache == "full":
-        ref = per_update_cd(*args, update=axpy_update)
-        bound = 1e-3 * default_cd_tol(args[3])
-        budget, expected = "full", "_block_sweeps"
+        budget, expected, stop = "full", "_block_sweeps", contextlib.nullcontext()
     else:
-        args = args[:7] + (CONVERGED, resistive)
+        budget, expected, stop = "none", "_working_set_sweeps", converged(args[3])
+    with stop:
         ref = per_update_cd(*args, update=axpy_update)
-        bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
-        budget, expected = "none", "_working_set_sweeps"
-    xt, path = capped_cd(args, budget)
+        xt, path = capped_cd(args, budget)
+    bound = (1e-3 * cd_tol(args[3]) if cache == "full"
+             else CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref)))))
     assert path == expected
     assert np.max(np.abs(xt - ref)) <= bound
     if resistive:
@@ -455,9 +497,10 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
     state = obj.state(x)
     gam = np.full(prob.m, 0.3 * float(np.max(-state.grad)))
     grad = state.grad + gam
-    act = active_set(x, grad, gam, 1e-4 * gam, resistive=True)
+    act = active_set(x, grad, gam, resistive=True)
     args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, CONVERGED, True)
+            act, True)
+    set_inner_stop(monkeypatch, grad, *CONVERGED)
     k = usable_count(args)
     assert k * k > proxnewton.CD_CACHE_ELEMS
 
@@ -499,9 +542,9 @@ def test_cd_direction_resistive_respects_cone():
     Ginv = st.cl.solve(np.eye(prob.n))
     gam = np.full(prob.m, prob.gamma)
     grad_f = st.grad + gam
-    act = active_set(x, grad_f, gam, 1e-4 * gam, resistive=True)
+    act = active_set(x, grad_f, gam, resistive=True)
     xt = cd_direction(prob.candidates, st.Y, Ginv, grad_f, x, gam, act,
-                      NewtonOptions(), resistive=True)
+                      resistive=True)
     assert np.min(x + xt) >= -1e-12
 
 
@@ -513,7 +556,7 @@ def test_line_search_hand_trace():
     obj = Objective(prob)
     st = obj.state(np.array([1.0]))
     xt = np.array([-1.5])
-    alpha, x_new, cl = line_search(obj, np.zeros(1), st, xt, resistive=False)
+    alpha, x_new, cl = line_search(obj, np.zeros(1), st, xt)
     assert alpha == pytest.approx(0.25)
     assert x_new[0] == pytest.approx(0.625)
     assert obj.value(x_new) == pytest.approx(2.05, abs=1e-12)
