@@ -306,6 +306,8 @@ class PlantGraph:
 
     @classmethod
     def from_edges(cls, edges: EdgeList) -> "PlantGraph":
+        if edges.n < 2:
+            raise InvalidInputError("a plant needs at least two nodes")
         L = edges.laplacian()
         G = strengthened(L)
         # Cholesky of the strengthened Laplacian is numerically unreliable as

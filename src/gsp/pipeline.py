@@ -128,9 +128,8 @@ def _gamma_path(problem: Problem, gammas, solver, opts, x_c,
     """Solve each gamma in turn; yields ``(gamma, x, iterations, seconds)``.
 
     ``x_c`` is the unpenalized solution.  A warm start begins at ``x_c`` and
-    then at the previous solution, and one that is infeasible is retried
-    from the solver's default start; cold starts use that default
-    throughout.  With ``reweight`` the penalty weights are
+    then at the previous solution; cold starts use the solver's default
+    start throughout.  With ``reweight`` the penalty weights are
     :func:`reweight_update` of the same previous solution.
     """
     x_prev = x_c
@@ -138,13 +137,7 @@ def _gamma_path(problem: Problem, gammas, solver, opts, x_c,
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(float(g))
         w = reweight_update(x_prev) if reweight else None
-        x0 = x_prev if warm_start else None
-        try:
-            x, rep = _solve(prob_g, solver, x0, opts, w)
-        except InfeasibleStartError:
-            if x0 is None:
-                raise
-            x, rep = _solve(prob_g, solver, None, opts, w)
+        x, rep = _solve(prob_g, solver, x_prev if warm_start else None, opts, w)
         yield float(g), x, rep.iterations, time.perf_counter() - t0
         x_prev = x
 

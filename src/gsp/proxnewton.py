@@ -4,27 +4,27 @@ Each outer iteration materializes the dense inverse of the closed-loop matrix
 (coordinate updates need random entry access), builds the active set, runs
 cyclic coordinate descent with closed-form scalar prox steps to approximate
 the Newton direction, and backtracks with a generalized Armijo rule.  The
-m-by-m Hessian is never formed.  The descent runs on the block of the
-Hessian over a working set of the ``k`` active coordinates with positive
-curvature; each sweep is a projected Gauss-Seidel step on that block: one
-product with its strict upper triangle, one BLAS forward substitution
-(``trsv``) with its lower triangle, and a vectorized check of the prox
-branches it assumed, re-solved from the first coordinate whose branch was
-guessed wrong.  A signed coordinate with a zero penalty is unpenalized: its
-two free branches solve the same equation, so it is never checked, and the
-sweeps of the signed ``gamma = 0`` centralized solve make one substitution
-each.  A resistive coordinate is always checked, because the cone ``x >= 0``
-holds at every penalty.
+m-by-m Hessian is never formed.  The descent runs in rounds on the block
+of the Hessian over a working set of the ``k`` active coordinates with
+positive curvature; each sweep is a projected Gauss-Seidel step on that
+block: one product with its strict upper triangle, one BLAS forward
+substitution (``trsv``) with its lower triangle, and a vectorized check of
+the prox branches it assumed, re-solved from the first coordinate whose
+branch was guessed wrong.  A signed coordinate with a zero penalty is
+unpenalized: its two free branches solve the same equation, so it is never
+checked, and the sweeps of the signed ``gamma = 0`` centralized solve make
+one substitution each.  A resistive coordinate is always checked, because
+the cone ``x >= 0`` holds at every penalty.
 
-- ``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``): the working set is all ``k``
-  coordinates, and their block is built once per direction.
-- Larger blocks: the working set starts as the coordinates away from zero.
-  After each solve on it, one matrix-free Hessian-direction product gives
-  every coordinate outside it its prox step from the current direction (a
-  KKT check of the zero those coordinates hold); those that would move by
-  more than ``cd_tol`` join, and the solve resumes from the current
-  direction.  The working set, and with it the block that is built, grows
-  with the coordinates that move, with no cap on its size.
+After each round, one matrix-free Hessian-direction product gives every
+coordinate outside the working set its prox step from the current direction
+(a KKT check of the zero those coordinates hold); those that would move by
+more than ``cd_tol`` join, and the next round resumes from the current
+direction.  The first working set is all ``k`` coordinates when ``k**2 <=
+CD_CACHE_ELEMS`` (``k <= 512``), so the first round solves the whole block
+and is the last; otherwise it is the coordinates away from zero, and it
+grows, and with it the block that is built, with the coordinates that move,
+with no cap on its size.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
@@ -62,11 +62,11 @@ from .objective import (
 from .proxgrad import SolveReport, _certified, _check_tolerances, _finish, _start
 
 #: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
-#: builds whole: an active block of ``k`` usable coordinates with ``k**2``
-#: above it is solved on a working set grown by a KKT check instead.  Kept
-#: small on purpose: on the calls with thousands of active coordinates few
-#: of them move, and the whole block would cost time and resident memory for
-#: rows that stay at zero.
+#: takes whole as its first working set; an active block of ``k`` usable
+#: coordinates with ``k**2`` above it starts from the coordinates away from
+#: zero.  Kept small on purpose: on the calls with thousands of active
+#: coordinates few of them move, and the whole block would cost time and
+#: resident memory for rows that stay at zero.
 CD_CACHE_ELEMS = 1 << 18
 
 #: Entries of the Hessian block built at a time by :func:`_scaled_block`
@@ -130,14 +130,18 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     ``active``; each visit is the closed-form scalar prox step, and the
     sweeps stop once no coordinate moved by more than ``cd_tol = CD_TOL *
     max(1, max|grad|)`` or after ``CD_SWEEPS_MAX`` sweeps, both module
-    constants read at call time.  The sweeps run on the Hessian block over
-    a working set of those ``k`` coordinates (:func:`_block_sweeps`):
-
-    - ``k**2 <= CD_CACHE_ELEMS``: the working set is all ``k`` coordinates;
-    - larger blocks: it starts as the coordinates with ``x_bar != 0`` and
-      grows by a KKT check of the coordinates outside it until none of them
-      would move by more than ``cd_tol`` (:func:`_working_set_sweeps`).
-      Each solve on the working set has its own ``CD_SWEEPS_MAX``.
+    constants read at call time.  The sweeps run in rounds, each on the
+    Hessian block over a working set ``W`` of those ``k`` coordinates
+    (:func:`_block_sweeps`) from the current direction, with its own
+    ``CD_SWEEPS_MAX``.  ``W`` starts as all ``k`` coordinates when ``k**2 <=
+    CD_CACHE_ELEMS``, and otherwise as those with ``x_bar != 0``, so every
+    coordinate outside it sits at ``x_bar + direction = 0``.  After a round,
+    one :func:`hessian_product` with the coordinates of ``W`` that moved
+    gives each outside coordinate its prox step from the current direction.
+    Those whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
+    |W|)`` of them per round with the largest steps first, and ``W`` is kept
+    in visit order.  The loop ends once no coordinate is outside ``W`` or
+    none of them would move by more than ``cd_tol``.
 
     Coordinates outside the final working set keep a zero direction.  The
     inputs are not modified.
@@ -148,7 +152,6 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     if act.size == 0:
         return xt
 
-    sub = inc.pairs[act]
     pos = inc.positions[:, act]
     a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
     usable = a > 0.0
@@ -158,9 +161,32 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
 
     cd_tol = CD_TOL * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
     cols = act[usable]
-    sweeps = _block_sweeps if k * k <= CD_CACHE_ELEMS else _working_set_sweeps
-    xt[cols] = sweeps(Y, Ginv, sub[usable], a[usable], grad[cols], x_bar[cols],
-                      gamma_vec[cols], cd_tol, resistive)
+    sub, a = inc.pairs[cols], a[usable]
+    g, xb, gam = grad[cols], x_bar[cols], gamma_vec[cols]
+    ends = sub.T
+    inside = np.full(k, True) if k * k <= CD_CACHE_ELEMS else xb != 0.0
+    d = np.zeros(k)
+    while True:
+        W = np.flatnonzero(inside)
+        if W.size:
+            d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
+                                 cd_tol, resistive, d[W])
+        out = np.flatnonzero(~inside)
+        if out.size == 0:
+            break
+        moved = W[d[W] != 0.0]
+        v = hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, out])
+        v += g[out]
+        v /= -a[out]  # the unthresholded step of each outside coordinate
+        step = np.maximum(v, 0.0) if resistive else np.abs(v) - gam[out] / a[out]
+        grow = np.flatnonzero(step > cd_tol)
+        if grow.size == 0:
+            break
+        cap = max(_GROW_MIN, W.size)
+        if grow.size > cap:
+            grow = grow[np.argsort(-step[grow], kind="stable")[:cap]]
+        inside[out[grow]] = True
+    xt[cols] = d
     return xt
 
 
@@ -193,9 +219,9 @@ def _branch(v, thresh, resistive):
     return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
 
 
-def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0=None):
+def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
     """Cyclic coordinate descent on the block over the edges ``sub``, one
-    sweep at a time from the direction ``d0`` (zero if ``None``).
+    sweep at a time from the direction ``d0``.
 
     With ``H = D + L + U`` (diagonal ``a``, strict lower and upper parts), a
     sweep from ``d`` to ``d_new`` solves, for every coordinate on a free prox
@@ -232,14 +258,10 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0=None):
     negg = -g
     neg_xb = 0.0 - xb  # no negative zeros
     thresh = np.zeros(k) if resistive else gam / a
-    if d0 is None:
-        d = np.zeros(k)
-        own = xb + negg / a
-    else:
-        d = d0.copy()
-        own = negg - dtrmv(B, d, lower=1, trans=1) - dtrmv(B, d, lower=1)
-        own /= a
-        own += xb
+    d = d0.copy()
+    own = negg - dtrmv(B, d, lower=1, trans=1) - dtrmv(B, d, lower=1)
+    own /= a
+    own += xb
     sign = _branch(own, thresh, resistive)
     zero = sign == 0.0
     for t in np.flatnonzero(zero):
@@ -318,43 +340,6 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0=None):
         # a free coordinate accepted at the cone's edge may round just below it
         np.maximum(d, neg_xb, out=d)
     return d
-
-
-def _working_set_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive):
-    """:func:`_block_sweeps` on a working set ``W`` grown until no
-    coordinate outside it would move.
-
-    ``W`` starts as the coordinates with ``xb != 0``, so every coordinate
-    outside it sits at ``xb + d = 0``.  After each solve on ``W``, one
-    :func:`hessian_product` with the coordinates of ``W`` that moved gives
-    each outside coordinate its prox step from the current direction.  Those
-    whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
-    |W|)`` of them per round with the largest steps first; ``W`` is kept in
-    visit order and the next solve starts from the current direction.  When
-    no step exceeds ``cd_tol`` the direction is returned, zero outside
-    ``W``.
-    """
-    ends = sub.T
-    inside = xb != 0.0
-    d = np.zeros(a.size)
-    while True:
-        W = np.flatnonzero(inside)
-        if W.size:
-            d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
-                                 cd_tol, resistive, d0=d[W])
-        out = np.flatnonzero(~inside)
-        moved = W[d[W] != 0.0]
-        v = hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, out])
-        v += g[out]
-        v /= -a[out]  # the unthresholded step of each outside coordinate
-        step = np.maximum(v, 0.0) if resistive else np.abs(v) - gam[out] / a[out]
-        grow = np.flatnonzero(step > cd_tol)
-        if grow.size == 0:
-            return d
-        cap = max(_GROW_MIN, W.size)
-        if grow.size > cap:
-            grow = grow[np.argsort(-step[grow], kind="stable")[:cap]]
-        inside[out[grow]] = True
 
 
 def line_search(objective: Objective, gamma_vec, state, xt):

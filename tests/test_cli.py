@@ -318,6 +318,20 @@ def test_malformed_node_count_is_invalid_input(tmp_path, count):
     assert run(["gammamax", "--plant", str(plant)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("argv", [["gammamax"], ["solve", "--gamma", "0.1"],
+                                  ["sweep", "--gammas", "0.1"]],
+                         ids=["gammamax", "solve", "sweep"])
+def test_plants_of_fewer_than_two_nodes_are_invalid_input(tmp_path, capsys,
+                                                          n, argv):
+    # n = 0 would divide by n in the strengthened Laplacian, and n = 1 by
+    # the centralized objective J_c = 0; both are rejected on loading
+    plant = tmp_path / "small.edges"
+    plant.write_text(f"n {n}\n")
+    assert run(argv[:1] + ["--plant", str(plant)] + argv[1:]) == EXIT_INVALID
+    assert "a plant needs at least two nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["proxn", "proxbb"])
 def test_infinite_gamma_is_invalid_input(p3_file, method):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma", "inf",

@@ -44,6 +44,12 @@ def test_laplacian_path3():
     assert np.allclose(L @ np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_plants_need_two_nodes(n):
+    with pytest.raises(InvalidInputError, match="a plant needs at least two nodes"):
+        graphs.default_problem(graphs.EdgeList.from_tuples(n, []))
+
+
 def test_strengthened_pd_iff_connected():
     connected = graphs.PlantGraph.from_edges(graphs.generate("path", 4))
     assert connected.connected

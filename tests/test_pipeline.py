@@ -217,18 +217,35 @@ def test_sweep_reweighting_records_iterations(monkeypatch):
     assert any(p.iterations > 0 for p in points)
 
 
-def test_cold_reweighted_sweep_starts_every_solve_at_the_default(monkeypatch):
-    starts = []
+def record_starts(monkeypatch, warm_start):
+    """Run a reweighted sweep on the P3 problem with the given start rule;
+    returns the ``(x0, x)`` of every ``_solve``, the centralized one first."""
+    solves = []
     real_solve = pipeline._solve
 
     def recording_solve(problem, method, x0, *args, **kwargs):
-        starts.append(x0)
-        return real_solve(problem, method, x0, *args, **kwargs)
+        x, rep = real_solve(problem, method, x0, *args, **kwargs)
+        solves.append((x0, x))
+        return x, rep
 
     monkeypatch.setattr(pipeline, "_solve", recording_solve)
     pipeline.sweep(p3_problem(), [0.5, 1.0], opts=TIGHT, use_reweighting=True,
-                   warm_start=False)
-    assert starts == [None, None, None]
+                   warm_start=warm_start)
+    return solves
+
+
+def test_cold_reweighted_sweep_starts_every_solve_at_the_default(monkeypatch):
+    solves = record_starts(monkeypatch, warm_start=False)
+    assert [x0 for x0, _ in solves] == [None, None, None]
+
+
+def test_warm_reweighted_sweep_starts_each_solve_at_the_previous_point(monkeypatch):
+    # one solve per gamma after the centralized one, each from the previous
+    # solution itself: a warm start is never retried from the default
+    solves = record_starts(monkeypatch, warm_start=True)
+    assert len(solves) == 3 and solves[0][0] is None
+    for (_, x_prev), (x0, _) in zip(solves, solves[1:]):
+        assert x0 is x_prev
 
 
 def test_solve_centralized_dispatch():

@@ -240,36 +240,52 @@ def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     return prob.candidates, state.Y, Ginv, grad, x, gam, act, resistive
 
 
-def usable_count(args):
-    """Coordinates of ``args`` with positive curvature: the block size ``k``."""
+def usable(args):
+    """Mask of the coordinates of ``args`` with positive curvature."""
     inc, Y, Ginv, act = args[0], args[1], args[2], args[6]
     pos = inc.positions[:, act]
-    return int(np.count_nonzero(edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos) > 0.0))
+    return edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos) > 0.0
+
+
+def usable_count(args):
+    """Coordinates of ``args`` with positive curvature: the block size ``k``."""
+    return int(np.count_nonzero(usable(args)))
+
+
+WHOLE, ROUNDS = "one whole-block round", "working-set rounds"
+
+
+def expected_path(args, cache):
+    """The path ``capped_cd(args, cache)`` takes: ``WHOLE`` under the "full"
+    and "block" budgets, and under a smaller one when every usable
+    coordinate has ``x_bar != 0``, so the first working set is the whole
+    block; ``ROUNDS`` otherwise."""
+    x_bar, act = args[4], args[6]
+    if cache in ("full", "block") or np.all(x_bar[act[usable(args)]] != 0.0):
+        return WHOLE
+    return ROUNDS
 
 
 def capped_cd(args, cache):
     """``cd_direction(*args)`` with the whole-block budget set by ``cache``:
     "full" keeps the default, which holds the whole block at these sizes;
     "block" and "below" put it at ``k**2`` and one entry below; "none" at 0.
-    Returns the direction and the path taken: ``_block_sweeps`` once, or
-    ``_working_set_sweeps``, which calls ``_block_sweeps`` once a round."""
-    paths = []
+    Returns the direction and the path taken, read from the sizes of the
+    ``_block_sweeps`` calls, one a round: ``WHOLE`` for one call on all
+    ``k`` coordinates, ``ROUNDS`` otherwise.  The working set only grows."""
+    sizes = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_block_sweeps", "_working_set_sweeps"):
-            def spy(*a, _name=name, _real=getattr(proxnewton, name), **kw):
-                paths.append(_name)
-                return _real(*a, **kw)
-            mp.setattr(proxnewton, name, spy)
+        def spy(*a, _real=proxnewton._block_sweeps, **kw):
+            sizes.append(a[3].size)
+            return _real(*a, **kw)
+        mp.setattr(proxnewton, "_block_sweeps", spy)
         k = usable_count(args)
         budget = {"full": proxnewton.CD_CACHE_ELEMS, "block": k * k,
                   "below": k * k - 1, "none": 0}[cache]
         mp.setattr(proxnewton, "CD_CACHE_ELEMS", budget)
         xt = cd_direction(*args)
-    if paths[0] == "_block_sweeps":
-        assert len(paths) == 1
-    else:
-        assert set(paths[1:]) <= {"_block_sweeps"}
-    return xt, paths[0]
+    assert sizes == sorted(set(sizes)) and set(sizes) <= set(range(1, k + 1))
+    return xt, WHOLE if sizes == [k] else ROUNDS
 
 
 @settings(max_examples=50, deadline=None)
@@ -291,7 +307,7 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         ufunc_ref = per_update_cd(*args, update=ufunc_update)
         bound = 1e-3 * cd_tol(args[3])
         xt, path = capped_cd(args, "full")
-        assert path == "_block_sweeps"
+        assert path == WHOLE
         assert np.max(np.abs(xt - ref)) <= bound
         assert np.max(np.abs(xt - ufunc_ref)) <= bound
         # where the reference's prox step lands at zero (up to the rounding
@@ -307,8 +323,7 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
         runs = []
         for budget, (xt, path) in zip(budgets, results):
-            assert path == ("_block_sweeps" if budget == "block"
-                            else "_working_set_sweeps")
+            assert path == expected_path(args, budget)
             assert np.max(np.abs(xt - ref)) <= bound
             runs.append(xt)
     if resistive:
@@ -337,7 +352,7 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
             act, True)
     monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
     xt, path = capped_cd(args, "full")
-    assert path == "_block_sweeps"
+    assert path == WHOLE
     ref = per_update_cd(*args, update=axpy_update)
     assert list(np.flatnonzero(ref[act] == 0.0)) == [1, 3, 5, 6]
     assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(grad)
@@ -346,8 +361,9 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
 
 def count_block_calls(monkeypatch):
     """Spy on the kernels of ``_block_sweeps``: ``dtrsv`` substitutions,
-    sweeps (one ``dtrmv`` with the strict upper triangle each) and scalar
-    branch corrections (``_branch`` on one coordinate)."""
+    sweeps (one ``dtrmv`` with the strict upper triangle each, past the one
+    of each call's start) and scalar branch corrections (``_branch`` on one
+    coordinate)."""
     calls = {"dtrsv": 0, "sweeps": 0, "corrections": 0}
 
     def dtrsv(*a, _real=proxnewton.dtrsv, **kw):
@@ -358,6 +374,10 @@ def count_block_calls(monkeypatch):
         calls["sweeps"] += kw.get("trans") == 1  # U d, once per sweep
         return _real(*a, **kw)
 
+    def block_sweeps(*a, _real=proxnewton._block_sweeps, **kw):
+        calls["sweeps"] -= 1  # U d0 of the start, which is not a sweep
+        return _real(*a, **kw)
+
     def branch(v, *a, _real=proxnewton._branch):
         calls["corrections"] += np.ndim(v) == 0  # one coordinate at a time
         return _real(v, *a)
@@ -365,6 +385,7 @@ def count_block_calls(monkeypatch):
     monkeypatch.setattr(proxnewton, "dtrsv", dtrsv)
     monkeypatch.setattr(proxnewton, "dtrmv", dtrmv)
     monkeypatch.setattr(proxnewton, "_branch", branch)
+    monkeypatch.setattr(proxnewton, "_block_sweeps", block_sweeps)
     return calls
 
 
@@ -378,7 +399,7 @@ def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
     assert args is not None and not np.any(args[5])
     calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
-    assert path == "_block_sweeps"
+    assert path == WHOLE
     assert calls["corrections"] == 0
     assert 1 < calls["sweeps"] < proxnewton.CD_SWEEPS_MAX
     assert calls["dtrsv"] == calls["sweeps"]
@@ -393,7 +414,7 @@ def test_sweep_cap_is_read_at_call_time(monkeypatch):
     args = random_cd_case(12, 1, 0.0, False)
     calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
-    assert path == "_block_sweeps"
+    assert path == WHOLE
     assert 3 < calls["sweeps"] < proxnewton.CD_SWEEPS_MAX
     for cap in (1, 3):
         calls["sweeps"] = 0
@@ -419,7 +440,7 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
             x, gam, act, True)
     calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
-    assert path == "_block_sweeps"
+    assert path == WHOLE
     assert calls["corrections"] > 0
     ref = per_update_cd(*args, update=axpy_update)
     ref_zero = x[act] + ref[act] == 0.0
@@ -447,15 +468,15 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
     assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
     x_bar = args[4]
     if cache == "full":
-        budget, expected, stop = "full", "_block_sweeps", contextlib.nullcontext()
+        budget, stop = "full", contextlib.nullcontext()
     else:
-        budget, expected, stop = "none", "_working_set_sweeps", converged(args[3])
+        budget, stop = "none", converged(args[3])
     with stop:
         ref = per_update_cd(*args, update=axpy_update)
         xt, path = capped_cd(args, budget)
     bound = (1e-3 * cd_tol(args[3]) if cache == "full"
              else CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref)))))
-    assert path == expected
+    assert path == expected_path(args, budget)
     assert np.max(np.abs(xt - ref)) <= bound
     if resistive:
         assert np.min(x_bar + xt) >= 0.0
@@ -471,10 +492,9 @@ def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
     inc = args[0]
     assert not (inc.pairs.flags.writeable or inc.positions.flags.writeable)
     before = [np.copy(v) for v in args[1:7]]
-    budget, expected = {"full": ("full", "_block_sweeps"),
-                        "working_set": ("none", "_working_set_sweeps")}[cache]
+    budget = {"full": "full", "working_set": "none"}[cache]
     xt, path = capped_cd(args, budget)
-    assert path == expected
+    assert path == expected_path(args, budget)
     assert np.any(xt)
     for v, b in zip(args[1:7], before):
         assert v.tobytes() == b.tobytes()
@@ -528,6 +548,39 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
     whole = cd_direction(*args)
     bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(whole))))
     assert np.max(np.abs(xt - whole)) <= bound
+
+
+def test_no_kkt_product_once_the_working_set_holds_every_coordinate(monkeypatch):
+    # the first direction of a signed solve from its default start x = 1 on
+    # an ER n=36 plant at 0.3 gamma_max: every one of the k > 512 active
+    # coordinates is away from zero, so with no whole-block budget the
+    # first working set is all of them.  Nothing is left outside it to
+    # check, so no Hessian-direction product is made, and the one round is
+    # the whole block's
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 36, p=0.1, seed=5))
+    obj = Objective(prob)
+    x = np.ones(prob.m)
+    state = obj.state(x)
+    gam = np.full(prob.m, 0.3 * float(np.max(np.abs(state.grad))))
+    act = active_set(x, state.grad, gam, resistive=False)
+    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
+            x, gam, act, False)
+    k = usable_count(args)
+    assert k * k > proxnewton.CD_CACHE_ELEMS
+
+    products = []
+
+    def spy(*a, _real=proxnewton.hessian_product, **kw):
+        products.append(a)
+        return _real(*a, **kw)
+
+    monkeypatch.setattr(proxnewton, "hessian_product", spy)
+    xt, path = capped_cd(args, "none")
+    assert path == WHOLE
+    assert products == []
+    whole, _ = capped_cd(args, "block")
+    assert np.array_equal(xt, whole)
 
 
 def test_cd_direction_resistive_respects_cone():
