@@ -30,8 +30,8 @@ from .graphs import (
     write_edge_list,
 )
 from .objective import Objective
-from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _solve, gamma_max,
-                       polish, solve_centralized, sweep)
+from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _polish, _solve,
+                       gamma_max, polish, solve_centralized, sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -87,7 +87,8 @@ def _point_record(p: TradeoffPoint) -> dict:
         "gamma": p.gamma, "cardinality": p.cardinality,
         "J_sparse": p.J_sparse, "J_polished": p.J_polished,
         "rel_loss": p.rel_performance_loss, "rel_card": p.rel_cardinality,
-        "iterations": p.iterations, "wall_time_s": p.wall_time,
+        "iterations": p.iterations, "polish_gap": p.polish_gap,
+        "wall_time_s": p.wall_time,
     }
 
 
@@ -179,9 +180,9 @@ def _cmd_solve(args) -> int:
     obj = Objective(problem)
     J = obj.value(x)
     support = np.flatnonzero(np.abs(x) > ZERO_TOL)
-    x_pol, J_pol = polish(problem, support)
+    x_pol, J_pol, polish_gap = _polish(problem, support)
 
-    objective_values = {"J": J, "J_polished": J_pol,
+    objective_values = {"J": J, "J_polished": J_pol, "polish_gap": polish_gap,
                         "J_c": None, "rel_loss": None}
     if not args.no_baseline:
         x_c, _ = solve_centralized(problem, args.method, opts)

@@ -38,7 +38,7 @@ def test_version_banner(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "gsp-report-2" in out
+    assert "gsp-report-3" in out
     assert "numpy-pcg64" in out
 
 
@@ -73,7 +73,7 @@ def test_solve_report(p3_file, tmp_path):
                 "proxn", "--gamma", "1.0", "--out", str(report)])
     assert code == EXIT_OK
     doc = json.loads(report.read_text())
-    assert doc["format"] == "gsp-report-2"
+    assert doc["format"] == "gsp-report-3"
     assert doc["problem"] == {"n": 3, "m": 1, "plant_edges": 2,
                               "connected": True, "resistive": True}
     (i, j, w), = doc["solution_unpolished"]
@@ -83,6 +83,24 @@ def test_solve_report(p3_file, tmp_path):
     assert doc["solve"]["status"] == "converged"
     assert doc["config"]["prng"] == "numpy-pcg64"
     assert doc["objective"]["rel_loss"] is not None
+    assert doc["objective"]["polish_gap"] <= 1e-6
+
+
+def test_solve_polishes_from_the_default_start(p3_file, tmp_path, monkeypatch):
+    # `gsp solve` polishes from Newton's default start, as `gsp polish`
+    # does, so the two report the same J_polished for the same support
+    starts = []
+    real_newton = pipeline.solve_newton
+
+    def recording_newton(prob, x0=None, *args, **kwargs):
+        starts.append(x0)
+        return real_newton(prob, x0, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_newton", recording_newton)
+    assert run(["solve", "--plant", p3_file, "--resistive", "--method",
+                "proxbb", "--gamma", "1.0", "--out",
+                str(tmp_path / "r.json")]) == EXIT_OK
+    assert starts == [None]
 
 
 def test_solve_gamma_fraction(p3_file, tmp_path):
@@ -132,7 +150,7 @@ def test_write_tradeoff_csv(tmp_path):
     write_tradeoff_csv(points, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("gamma,cardinality,J_sparse,J_polished,rel_loss,"
-                        "rel_card,iterations,wall_time_s")
+                        "rel_card,iterations,polish_gap,wall_time_s")
     assert len(lines) == 3
     # rows are ordered by gamma
     assert lines[1].startswith("0.5,3,")
@@ -187,8 +205,8 @@ def test_sweep_csv_deterministic(p3_file, tmp_path):
 PINNED_SWEEP = [
     ("23", "5.10595656557"),
     ("16", "5.13485207517"),
-    ("12", "5.23525036176"),
-    ("4", "5.55780971418"),
+    ("12", "5.23525024727"),
+    ("4", "5.55780971038"),
 ]
 
 

@@ -248,6 +248,96 @@ def test_warm_reweighted_sweep_starts_each_solve_at_the_previous_point(monkeypat
         assert x0 is x_prev
 
 
+def er_problem(n, seed):
+    return graphs.default_problem(
+        graphs.generate("erdos_renyi", n, p=0.3, seed=seed), resistive=True)
+
+
+def record_polishes(monkeypatch, problem, gammas):
+    """Run a resistive proxBB sweep; returns its points, the ``x`` of every
+    ``_solve`` (the centralized one first) and the start of every Newton
+    solve, which in a proxBB sweep are the polishes."""
+    xs, starts = [], []
+    real_solve, real_newton = pipeline._solve, pipeline.solve_newton
+
+    def recording_solve(*args, **kwargs):
+        x, rep = real_solve(*args, **kwargs)
+        xs.append(x)
+        return x, rep
+
+    def recording_newton(prob, x0=None, *args, **kwargs):
+        starts.append(x0)
+        return real_newton(prob, x0, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_solve", recording_solve)
+    monkeypatch.setattr(pipeline, "solve_newton", recording_newton)
+    points = pipeline.sweep(problem, gammas, solver="proxbb")
+    return points, xs, starts
+
+
+def test_sweep_polishes_each_support_from_its_points_solve(monkeypatch):
+    # the polish starts at the thresholded design of the point's own solve,
+    # restricted to its support, once per distinct support
+    prob = er_problem(10, 1)
+    gammas = np.geomspace(0.05, 0.8, 4) * pipeline.gamma_max(prob)
+    points, xs, starts = record_polishes(monkeypatch, prob, gammas)
+    supports = [np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL) for x in xs[1:]]
+    assert [p.cardinality for p in points] == [s.size for s in supports]
+    assert len({s.tobytes() for s in supports}) == len(starts) == 4
+    for x, support, x0 in zip(xs[1:], supports, starts):
+        assert x0.tobytes() == x[support].tobytes()
+
+
+def test_sweep_polishes_a_repeated_support_once(monkeypatch):
+    # neighbouring gammas that keep the same support share one polish, so
+    # their J_polished are bit-equal although their solves differ
+    prob = er_problem(10, 1)
+    gammas = np.array([0.3, 0.31]) * pipeline.gamma_max(prob)
+    points, xs, starts = record_polishes(monkeypatch, prob, gammas)
+    supports = [np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL) for x in xs[1:]]
+    assert np.array_equal(*supports) and supports[0].size > 0
+    assert not np.array_equal(xs[1], xs[2])
+    assert len(starts) == 1
+    assert points[0].J_polished == points[1].J_polished
+    assert points[0].polish_gap == points[1].polish_gap <= pipeline.POLISH_TOL_GAP
+
+
+def test_sweep_polish_matches_a_tight_polish(monkeypatch):
+    # every polish certifies to POLISH_TOL_GAP, read at call time; from
+    # each point's own solve it reaches a polish run to 1e-10 from the
+    # default start, and never ends above the design it started from
+    prob = er_problem(15, 2)
+    gammas = np.geomspace(0.01, 1.0, 8) * pipeline.gamma_max(prob)
+    points, xs, _ = record_polishes(monkeypatch, prob, gammas)
+    monkeypatch.setattr(pipeline, "POLISH_TOL_GAP", 1e-10)
+    cards = []
+    for p, x in zip(points, xs[1:]):
+        support = np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL)
+        _, J_ref, gap = pipeline._polish(prob, support)
+        cards.append(support.size)
+        if support.size:
+            assert p.polish_gap <= 1e-6 and gap <= 1e-10
+        else:
+            assert np.isnan(p.polish_gap) and np.isnan(gap)
+        assert abs(p.J_polished - J_ref) <= 1e-9 * J_ref
+        assert p.J_polished <= p.J_sparse * (1 + 1e-9)
+    assert cards[0] > 20 and cards[-1] == 0
+
+
+def test_polish_certifies_from_a_given_start():
+    # a start off the support's optimum is polished to the same objective
+    # as the default start, within the certified gap
+    prob = er_problem(10, 1)
+    support = [0, 3, 5, 8]
+    x0 = np.zeros(prob.m)
+    x0[support] = 0.7
+    x_cold, J_cold = pipeline.polish(prob, support)
+    x_warm, J_warm = pipeline.polish(prob, support, x0)
+    assert set(np.flatnonzero(x_warm)) <= set(support)
+    assert J_warm == pytest.approx(J_cold, rel=1e-6)
+    assert J_warm == pytest.approx(Objective(prob).value(x_warm), abs=1e-12)
+
+
 def test_solve_centralized_dispatch():
     prob = p3_problem(1.0)
     x_n, _ = pipeline.solve_centralized(prob, "proxn", TIGHT)

@@ -252,6 +252,15 @@ def usable_count(args):
     return int(np.count_nonzero(usable(args)))
 
 
+def starts_outside(args):
+    """Candidate indices of the usable coordinates of ``args`` at ``x_bar =
+    0``: below the whole-block budget, those outside the first working
+    set."""
+    x_bar, act = args[4], args[6]
+    cols = act[usable(args)]
+    return cols[x_bar[cols] == 0.0]
+
+
 WHOLE, ROUNDS = "one whole-block round", "working-set rounds"
 
 
@@ -260,10 +269,20 @@ def expected_path(args, cache):
     and "block" budgets, and under a smaller one when every usable
     coordinate has ``x_bar != 0``, so the first working set is the whole
     block; ``ROUNDS`` otherwise."""
-    x_bar, act = args[4], args[6]
-    if cache in ("full", "block") or np.all(x_bar[act[usable(args)]] != 0.0):
+    if cache in ("full", "block") or starts_outside(args).size == 0:
         return WHOLE
     return ROUNDS
+
+
+def assume_growth(args, ref, bound):
+    """Keep only cases whose working set must grow below the whole-block
+    budget: ``ref``, the direction run to convergence, moves a coordinate
+    outside the first working set by more than ``bound``.  A coordinate at
+    ``x_bar = 0`` that the direction leaves there passes its KKT check and
+    never joins.  Returns those coordinates."""
+    outside = starts_outside(args)
+    assume(np.any(np.abs(ref[outside]) > bound))
+    return outside
 
 
 def capped_cd(args, cache):
@@ -299,6 +318,8 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
     # set visits them in another order, so it is compared with the
     # reference run to convergence, within CONVERGED_BOUND.  "boundary" runs
     # both sides of the whole-block budget, at k**2 and one entry below.
+    # "working_set" takes only cases whose working set grows, and checks
+    # that it did: a coordinate outside the first one moved.
     args = random_cd_case(n, seed, frac, resistive)
     assume(args is not None)
     x_bar = args[4]
@@ -319,13 +340,17 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         budgets = {"working_set": ["none"], "boundary": ["block", "below"]}[cache]
         with converged(args[3]):
             ref = per_update_cd(*args, update=axpy_update)
+            bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
+            if cache == "working_set":
+                outside = assume_growth(args, ref, bound)
             results = [capped_cd(args, budget) for budget in budgets]
-        bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
         runs = []
         for budget, (xt, path) in zip(budgets, results):
             assert path == expected_path(args, budget)
             assert np.max(np.abs(xt - ref)) <= bound
             runs.append(xt)
+        if cache == "working_set":
+            assert np.any(runs[0][outside] != 0.0)
     if resistive:
         for xt in runs:
             assert np.min(x_bar + xt) >= 0.0
@@ -461,7 +486,8 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
     # all of them are): signed, those coordinates are unpenalized and never
     # checked; resistive, they are checked like the rest.  Both match the
     # per-update reference within the bounds of
-    # test_cd_direction_matches_per_update_loop
+    # test_cd_direction_matches_per_update_loop, and "working_set" takes and
+    # checks only cases whose working set grows, as there
     args = random_cd_case(n, seed, frac, resistive, zero_frac)
     assume(args is not None)
     gam, act = args[5], args[6]
@@ -473,11 +499,15 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
         budget, stop = "none", converged(args[3])
     with stop:
         ref = per_update_cd(*args, update=axpy_update)
+        bound = (1e-3 * cd_tol(args[3]) if cache == "full"
+                 else CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref)))))
+        if cache == "working_set":
+            outside = assume_growth(args, ref, bound)
         xt, path = capped_cd(args, budget)
-    bound = (1e-3 * cd_tol(args[3]) if cache == "full"
-             else CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref)))))
     assert path == expected_path(args, budget)
     assert np.max(np.abs(xt - ref)) <= bound
+    if cache == "working_set":
+        assert np.any(xt[outside] != 0.0)
     if resistive:
         assert np.min(x_bar + xt) >= 0.0
 
