@@ -30,8 +30,8 @@ from .graphs import (
     write_edge_list,
 )
 from .objective import Objective
-from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _polish, _solve,
-                       gamma_max, polish, solve_centralized, sweep)
+from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _solve, gamma_max,
+                       polish, solve_centralized, sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -80,6 +80,12 @@ def parse_gamma_spec(spec: str, problem) -> list[float]:
         raise InvalidInputError(f"malformed gamma spec {spec!r}: {exc}") from exc
 
 
+def _gap_entry(gap: float) -> float | None:
+    """A polish gap for the reports: None (JSON null, an empty CSV field)
+    where the polish has no certificate."""
+    return None if np.isnan(gap) else gap
+
+
 def _point_record(p: TradeoffPoint) -> dict:
     """One tradeoff point as the CSV's columns, in order, and the JSON
     report's point keys."""
@@ -87,7 +93,7 @@ def _point_record(p: TradeoffPoint) -> dict:
         "gamma": p.gamma, "cardinality": p.cardinality,
         "J_sparse": p.J_sparse, "J_polished": p.J_polished,
         "rel_loss": p.rel_performance_loss, "rel_card": p.rel_cardinality,
-        "iterations": p.iterations, "polish_gap": p.polish_gap,
+        "iterations": p.iterations, "polish_gap": _gap_entry(p.polish_gap),
         "wall_time_s": p.wall_time,
     }
 
@@ -98,7 +104,8 @@ def write_tradeoff_csv(points: list[TradeoffPoint], path) -> None:
         raise InvalidInputError("cannot write an empty tradeoff curve")
     records = [_point_record(p) for p in sorted(points, key=lambda p: p.gamma)]
     rows = [",".join(records[0])] + [
-        ",".join(str(v) if isinstance(v, int) else f"{v:.12g}" for v in r.values())
+        ",".join("" if v is None else str(v) if isinstance(v, int) else f"{v:.12g}"
+                 for v in r.values())
         for r in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -180,9 +187,10 @@ def _cmd_solve(args) -> int:
     obj = Objective(problem)
     J = obj.value(x)
     support = np.flatnonzero(np.abs(x) > ZERO_TOL)
-    x_pol, J_pol, polish_gap = _polish(problem, support)
+    x_pol, J_pol, polish_gap = polish(problem, support, return_gap=True)
 
-    objective_values = {"J": J, "J_polished": J_pol, "polish_gap": polish_gap,
+    objective_values = {"J": J, "J_polished": J_pol,
+                        "polish_gap": _gap_entry(polish_gap),
                         "J_c": None, "rel_loss": None}
     if not args.no_baseline:
         x_c, _ = solve_centralized(problem, args.method, opts)

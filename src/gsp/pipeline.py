@@ -19,8 +19,10 @@ ZERO_TOL = 1e-6
 #: epsilon in the reweighting update 1 / (|x| + eps)
 REWEIGHT_EPS = 1e-3
 
-#: duality gap every polish certifies its gamma = 0 Newton solve to, read at
-#: call time; the tightest the coordinate-descent directions reach reliably
+#: duality gap a polish from a given start certifies its gamma = 0 Newton
+#: solve to, read at call time, so that its J_polished does not depend on
+#: the start; the coordinate-descent directions reach it on supports of
+#: some hundreds of edges, not of thousands
 POLISH_TOL_GAP = 1e-6
 
 
@@ -83,42 +85,44 @@ def solve_centralized(problem: Problem, method: str = "proxn", opts=None):
     return _solve(problem.with_gamma(0.0), method, None, opts)
 
 
-def polish(problem: Problem, support, x0=None) -> tuple[np.ndarray, float]:
+def polish(problem: Problem, support, x0=None, *, return_gap: bool = False):
     """Re-optimize weights on a fixed support with the penalty removed.
 
-    Newton starts from ``x0[support]`` when the full-length ``x0`` is given,
-    and from its default start otherwise, and stops once certified to a gap
-    of :data:`POLISH_TOL_GAP`.  Signed problems have no ``gamma = 0``
-    certificate short of the exact optimum, so their polish stops on a flat
-    objective instead.  Returns the weights embedded back into the full
-    candidate space together with the polished objective value.
+    Without ``x0``, Newton runs from its default start with its default
+    options, so the result depends on the support alone.  Given the
+    full-length ``x0``, it starts from ``x0[support]`` and certifies to
+    :data:`POLISH_TOL_GAP`, tight enough that the start does not show in the
+    polished objective.  Signed problems have no ``gamma = 0`` certificate
+    short of the exact optimum, so their polish stops on a flat objective
+    instead.  Returns the weights embedded back into the full candidate
+    space together with the polished objective value, and with
+    ``return_gap`` also the final gap of the Newton solve (NaN without a
+    certificate, as for the empty support).
     """
-    x, J, _ = _polish(problem, support, x0)
-    return x, J
-
-
-def _polish(problem: Problem, support, x0=None):
-    """:func:`polish`, also returning the final gap of its Newton solve
-    (NaN without a certificate, as for the empty support)."""
     support = np.asarray(support, dtype=np.intp).reshape(-1)
     obj = Objective(problem)
+    gap = float("nan")
     if support.size == 0:
         if not problem.plant.connected:
             raise InfeasibleSupportError("empty support on a disconnected plant")
         x = np.zeros(problem.m)
-        return x, obj.value(x), float("nan")
-    reduced = problem.restrict(support).with_gamma(0.0)
-    start = None if x0 is None else np.asarray(x0, dtype=float)[support]
-    try:
-        x_red, rep = solve_newton(reduced, start,
-                                  NewtonOptions(tol_gap=POLISH_TOL_GAP))
-    except InfeasibleStartError as exc:
-        raise InfeasibleSupportError(
-            "support cannot make the closed loop positive definite"
-        ) from exc
-    x = np.zeros(problem.m)
-    x[support] = x_red
-    return x, obj.value(x), rep.final_gap
+    else:
+        reduced = problem.restrict(support).with_gamma(0.0)
+        start = opts = None
+        if x0 is not None:
+            start = np.asarray(x0, dtype=float)[support]
+            opts = NewtonOptions(tol_gap=POLISH_TOL_GAP)
+        try:
+            x_red, rep = solve_newton(reduced, start, opts)
+        except InfeasibleStartError as exc:
+            raise InfeasibleSupportError(
+                "support cannot make the closed loop positive definite"
+            ) from exc
+        x = np.zeros(problem.m)
+        x[support] = x_red
+        gap = rep.final_gap
+    J = obj.value(x)
+    return (x, J, gap) if return_gap else (x, J)
 
 
 def reweight_update(x) -> np.ndarray:
@@ -167,9 +171,9 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
 
     Each support is polished from its own point's solve, the thresholded
     design whose ``J_sparse`` is recorded, so ``J_polished <= J_sparse``
-    holds by descent; it is certified to :data:`POLISH_TOL_GAP` as in
-    :func:`polish`.  A support met again in the same sweep reuses its first
-    polish, so equal supports get bit-equal ``J_polished``.
+    holds by descent; from that start :func:`polish` certifies to
+    :data:`POLISH_TOL_GAP`.  A support met again in the same sweep reuses
+    its first polish, so equal supports get bit-equal ``J_polished``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if use_reweighting and np.any(np.diff(gammas) < 0):
@@ -188,7 +192,7 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
         J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))
         key = support.tobytes()
         if key not in polished:
-            polished[key] = _polish(problem, support, x)[1:]
+            polished[key] = polish(problem, support, x, return_gap=True)[1:]
         J_pol, gap = polished[key]
         card = int(support.size)
         points.append(TradeoffPoint(

@@ -17,6 +17,7 @@ from gsp.cli import (
 )
 from gsp.errors import InvalidInputError
 from gsp.pipeline import TradeoffPoint
+from gsp.proxnewton import NewtonOptions
 
 
 @pytest.fixture
@@ -83,24 +84,43 @@ def test_solve_report(p3_file, tmp_path):
     assert doc["solve"]["status"] == "converged"
     assert doc["config"]["prng"] == "numpy-pcg64"
     assert doc["objective"]["rel_loss"] is not None
-    assert doc["objective"]["polish_gap"] <= 1e-6
+    assert doc["objective"]["polish_gap"] <= NewtonOptions().tol_gap
+
+
+def test_solve_report_is_strict_json_without_a_polish_certificate(tmp_path):
+    # a signed polish stops on a flat objective, without a certificate: its
+    # gap is written as null, not as the non-standard token NaN
+    plant = tmp_path / "er.edges"
+    report = tmp_path / "r.json"
+    assert run(["gen", "erdos_renyi", "--n", "10", "--p", "0.3", "--seed",
+                "1", "--out", str(plant)]) == EXIT_OK
+    assert run(["solve", "--plant", str(plant), "--gamma", "0.5gmax",
+                "--no-baseline", "--out", str(report)]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert doc["problem"]["resistive"] is False
+    assert doc["objective"]["polish_gap"] is None
 
 
 def test_solve_polishes_from_the_default_start(p3_file, tmp_path, monkeypatch):
-    # `gsp solve` polishes from Newton's default start, as `gsp polish`
-    # does, so the two report the same J_polished for the same support
-    starts = []
+    # `gsp solve` polishes from Newton's default start with its default
+    # options, as `gsp polish` does, so the two report the same J_polished
+    # for the same support
+    calls = []
     real_newton = pipeline.solve_newton
 
-    def recording_newton(prob, x0=None, *args, **kwargs):
-        starts.append(x0)
-        return real_newton(prob, x0, *args, **kwargs)
+    def recording_newton(prob, x0=None, opts=None, *args, **kwargs):
+        calls.append((x0, opts))
+        return real_newton(prob, x0, opts, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "solve_newton", recording_newton)
     assert run(["solve", "--plant", p3_file, "--resistive", "--method",
                 "proxbb", "--gamma", "1.0", "--out",
                 str(tmp_path / "r.json")]) == EXIT_OK
-    assert starts == [None]
+    assert calls == [(None, None)]
 
 
 def test_solve_gamma_fraction(p3_file, tmp_path):
@@ -170,7 +190,9 @@ def test_csv_twelve_significant_digits(tmp_path):
 
 def test_csv_columns_are_the_json_point_keys(p3_file, tmp_path):
     # both views of a sweep are one record per point: the CSV's columns in
-    # the record's order, the JSON's keys (written sorted) the same names
+    # the record's order, the JSON's keys (written sorted) the same names;
+    # a JSON null (the uncertified polish of the empty support at gamma_max)
+    # is an empty CSV field
     csv, report = tmp_path / "c.csv", tmp_path / "c.json"
     assert run(["sweep", "--plant", p3_file, "--resistive", "--gammas",
                 "log:0.1:2:4", "--csv", str(csv), "--out", str(report)]) == EXIT_OK
@@ -182,8 +204,10 @@ def test_csv_columns_are_the_json_point_keys(p3_file, tmp_path):
     assert len(points) == len(rows) == 4
     for point, row in zip(points, rows):
         assert list(point) == sorted(header)
-        assert row == [str(point[k]) if isinstance(point[k], int)
-                       else f"{point[k]:.12g}" for k in header]
+        assert row == ["" if point[k] is None else str(point[k])
+                       if isinstance(point[k], int) else f"{point[k]:.12g}"
+                       for k in header]
+    assert points[-1]["cardinality"] == 0 and points[-1]["polish_gap"] is None
 
 
 def test_sweep_csv_deterministic(p3_file, tmp_path):

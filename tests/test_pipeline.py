@@ -255,9 +255,9 @@ def er_problem(n, seed):
 
 def record_polishes(monkeypatch, problem, gammas):
     """Run a resistive proxBB sweep; returns its points, the ``x`` of every
-    ``_solve`` (the centralized one first) and the start of every Newton
-    solve, which in a proxBB sweep are the polishes."""
-    xs, starts = [], []
+    ``_solve`` (the centralized one first) and the start and options of
+    every Newton solve, which in a proxBB sweep are the polishes."""
+    xs, newtons = [], []
     real_solve, real_newton = pipeline._solve, pipeline.solve_newton
 
     def recording_solve(*args, **kwargs):
@@ -265,60 +265,77 @@ def record_polishes(monkeypatch, problem, gammas):
         xs.append(x)
         return x, rep
 
-    def recording_newton(prob, x0=None, *args, **kwargs):
-        starts.append(x0)
-        return real_newton(prob, x0, *args, **kwargs)
+    def recording_newton(prob, x0=None, opts=None, *args, **kwargs):
+        newtons.append((x0, opts))
+        return real_newton(prob, x0, opts, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_solve", recording_solve)
     monkeypatch.setattr(pipeline, "solve_newton", recording_newton)
     points = pipeline.sweep(problem, gammas, solver="proxbb")
-    return points, xs, starts
+    return points, xs, newtons
 
 
 def test_sweep_polishes_each_support_from_its_points_solve(monkeypatch):
     # the polish starts at the thresholded design of the point's own solve,
-    # restricted to its support, once per distinct support
+    # restricted to its support, once per distinct support, and certifies
+    # to POLISH_TOL_GAP
     prob = er_problem(10, 1)
     gammas = np.geomspace(0.05, 0.8, 4) * pipeline.gamma_max(prob)
-    points, xs, starts = record_polishes(monkeypatch, prob, gammas)
+    points, xs, newtons = record_polishes(monkeypatch, prob, gammas)
     supports = [np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL) for x in xs[1:]]
     assert [p.cardinality for p in points] == [s.size for s in supports]
-    assert len({s.tobytes() for s in supports}) == len(starts) == 4
-    for x, support, x0 in zip(xs[1:], supports, starts):
+    assert len({s.tobytes() for s in supports}) == len(newtons) == 4
+    for x, support, (x0, opts) in zip(xs[1:], supports, newtons):
         assert x0.tobytes() == x[support].tobytes()
+        assert opts.tol_gap == pipeline.POLISH_TOL_GAP
 
 
 def test_sweep_polishes_a_repeated_support_once(monkeypatch):
-    # neighbouring gammas that keep the same support share one polish, so
-    # their J_polished are bit-equal although their solves differ
+    # neighbouring gammas that keep the same support share one call of
+    # polish, one Newton solve, so their J_polished are bit-equal although
+    # their solves differ
     prob = er_problem(10, 1)
     gammas = np.array([0.3, 0.31]) * pipeline.gamma_max(prob)
-    points, xs, starts = record_polishes(monkeypatch, prob, gammas)
+    calls = []
+    real_polish = pipeline.polish
+
+    def recording_polish(*args, **kwargs):
+        calls.append(args[1])
+        return real_polish(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "polish", recording_polish)
+    points, xs, newtons = record_polishes(monkeypatch, prob, gammas)
     supports = [np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL) for x in xs[1:]]
     assert np.array_equal(*supports) and supports[0].size > 0
     assert not np.array_equal(xs[1], xs[2])
-    assert len(starts) == 1
+    assert len(newtons) == len(calls) == 1
     assert points[0].J_polished == points[1].J_polished
     assert points[0].polish_gap == points[1].polish_gap <= pipeline.POLISH_TOL_GAP
 
 
 def test_sweep_polish_matches_a_tight_polish(monkeypatch):
-    # every polish certifies to POLISH_TOL_GAP, read at call time; from
-    # each point's own solve it reaches a polish run to 1e-10 from the
-    # default start, and never ends above the design it started from
+    # from each point's own solve the polish reaches a Newton solve run to
+    # 1e-10 from the default start, and never ends above the design it
+    # started from; POLISH_TOL_GAP is read at call time
     prob = er_problem(15, 2)
     gammas = np.geomspace(0.01, 1.0, 8) * pipeline.gamma_max(prob)
     points, xs, _ = record_polishes(monkeypatch, prob, gammas)
     monkeypatch.setattr(pipeline, "POLISH_TOL_GAP", 1e-10)
-    cards = []
+    obj, cards = Objective(prob), []
     for p, x in zip(points, xs[1:]):
         support = np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL)
-        _, J_ref, gap = pipeline._polish(prob, support)
         cards.append(support.size)
+        x_ref = np.zeros(prob.m)
         if support.size:
-            assert p.polish_gap <= 1e-6 and gap <= 1e-10
+            x_ref[support], rep = solve_newton(
+                prob.restrict(support).with_gamma(0.0), None,
+                NewtonOptions(tol_gap=1e-10))
+            _, _, gap = pipeline.polish(prob, support, x, return_gap=True)
+            assert p.polish_gap <= 1e-6 and rep.final_gap <= 1e-10
+            assert gap <= 1e-10
         else:
-            assert np.isnan(p.polish_gap) and np.isnan(gap)
+            assert np.isnan(p.polish_gap)
+        J_ref = obj.value(x_ref)
         assert abs(p.J_polished - J_ref) <= 1e-9 * J_ref
         assert p.J_polished <= p.J_sparse * (1 + 1e-9)
     assert cards[0] > 20 and cards[-1] == 0
