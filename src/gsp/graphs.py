@@ -9,15 +9,31 @@ Outside data is checked once, in the constructor that takes it; checked
 objects are read-only and trusted by what derives from them:
 ``EdgeList.incidence`` checks nothing again, and ``Problem.with_gamma``,
 ``Problem.restrict`` and ``controller_laplacian`` check only what they add
-(penalty, support indices, edge weights).
+(penalty, support indices, edge weights).  What depends only on the
+plant, ``Q`` and ``R`` is kept in the :class:`ProblemFamily` that a problem
+shares with every problem derived from it, and is built at most once.
 
 Building and checking take whole-array numpy operations, with no Python
-loop over the edges: ``EdgeList.from_tuples`` transposes its tuples once,
-duplicate pairs are found by one sort of their keys ``i n + j``, a resistive
-problem's plant and candidates are checked disjoint with one ``np.isin``,
-and :func:`component_count` hooks and jumps pointers in numpy, without
-``scipy.sparse``.  The edge-list file format writes a non-unit weight as the
-``repr`` of a Python float, which reads back to the same bits.
+loop over the edges: ``EdgeList.from_tuples`` reads each column with one
+``np.fromiter`` over an ``operator.itemgetter``, duplicate pairs are found
+by one sort of their keys ``i n + j``, a resistive problem's plant and
+candidates are checked disjoint with one ``np.isin``, and
+:func:`component_count` hooks and jumps pointers in numpy, without
+``scipy.sparse``.
+
+The edge-list text is written and read whole as well:
+
+- :func:`format_edge_list` formats each node's ``"{k} "`` and ``"{k}\\n"``
+  once and gathers them by the two pair columns; only the line of a
+  non-unit weight is formatted on its own, with the ``repr`` of a Python
+  float, which reads back to the same bits.  One ``"".join`` makes the text.
+- :func:`parse_edge_list` hands a text whose edge lines all have the same 2
+  or 3 tokens to numpy's C ``np.loadtxt``, with exactly that many columns.
+  Whatever it refuses goes to a per-line scan: lines of mixed token counts
+  (the writer's own output when only some weights are 1), odd whitespace
+  and line ends, and every malformed line.  The scan is the only reader
+  that words an error, with the line number, so every text reads to the
+  same edge list, or fails with the same message, as with the scan alone.
 
 The closed-loop kernels are called once or more per solver iteration on
 small matrices, so they are written for low per-call overhead:
@@ -51,9 +67,11 @@ small matrices, so they are written for low per-call overhead:
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import zip_longest
+from operator import itemgetter
 
 import numpy as np
 import scipy.linalg
@@ -102,6 +120,17 @@ def _laplacian(n: int, pos: np.ndarray, w: np.ndarray) -> np.ndarray:
     return L.reshape(n, n)
 
 
+def _oriented(i, j) -> np.ndarray:
+    """(m, 2) pairs ``(min, max)`` of the node columns ``i`` and ``j``; the
+    first self-loop in edge order is reported."""
+    i = np.asarray(i, dtype=np.intp).reshape(-1)
+    j = np.asarray(j, dtype=np.intp).reshape(-1)
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        raise InvalidInputError(f"self-loop at node {i[loops[0]]}")
+    return np.column_stack((np.minimum(i, j), np.maximum(i, j)))
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeList:
     """Undirected edge list over ``n`` nodes, 0-based, canonical ``i < j``."""
@@ -127,27 +156,34 @@ class EdgeList:
     def from_tuples(cls, n, edges):
         """Build from ``(i, j)`` or ``(i, j, w)`` tuples, normalizing orientation.
 
-        One transpose of the tuples gives the node and weight columns; a
-        tuple without a weight gets weight 1, and items after the weight are
-        ignored.  Nodes convert as ``int`` does and weights as ``float``.
+        Each column is read whole by ``np.fromiter`` over an
+        ``operator.itemgetter``; a tuple without a weight gets weight 1, and
+        items after the weight are ignored.  Nodes convert as ``int`` does
+        and weights as ``float``.
         """
         edges = list(edges)
-        if edges and min(map(len, edges)) < 2:
+        m = len(edges)
+        sizes = np.fromiter(map(len, edges), dtype=np.intp, count=m)
+        if m and sizes.min() < 2:
             raise InvalidInputError("an edge needs two end nodes")
-        i, j, *rest = list(zip_longest(*edges, fillvalue=1.0)) or [(), ()]
-        return cls._from_columns(n, i, j, rest[0] if rest else np.ones(len(edges)))
+        i, j = (np.fromiter(map(itemgetter(k), edges), dtype=np.intp, count=m)
+                for k in (0, 1))
+        pairs = _oriented(i, j)
+        weighted = np.flatnonzero(sizes > 2)
+        if weighted.size == m:
+            w = np.fromiter(map(itemgetter(2), edges), dtype=float, count=m)
+        else:
+            w = np.ones(m)
+            w[weighted] = np.fromiter(
+                map(itemgetter(2), map(edges.__getitem__, weighted.tolist())),
+                dtype=float, count=weighted.size)
+        return cls(n, pairs, w)
 
     @classmethod
     def _from_columns(cls, n, i, j, w) -> "EdgeList":
         """Edge list from node columns ``i``, ``j`` in either orientation and
-        weights ``w``; the first self-loop in edge order is reported."""
-        i = np.asarray(i, dtype=np.intp).reshape(-1)
-        j = np.asarray(j, dtype=np.intp).reshape(-1)
-        loops = np.flatnonzero(i == j)
-        if loops.size:
-            raise InvalidInputError(f"self-loop at node {i[loops[0]]}")
-        pairs = np.column_stack((np.minimum(i, j), np.maximum(i, j)))
-        return cls(n, pairs, np.asarray(w, dtype=float))
+        weights ``w``."""
+        return cls(n, _oriented(i, j), np.asarray(w, dtype=float))
 
     @property
     def m(self) -> int:
@@ -414,6 +450,19 @@ def _symmetric(A: np.ndarray) -> bool:
     return bool(np.max(np.abs(A - A.T), initial=0.0) <= 1e-12 * scale)
 
 
+class ProblemFamily:
+    """What a problem shares with every problem derived from it by
+    :meth:`Problem.with_gamma` and :meth:`Problem.restrict`, in any order:
+    data that depends only on the plant, ``Q`` and ``R``, set once on first
+    use.  ``qp`` is the :class:`~gsp.objective.QpMatrix` of
+    :func:`~gsp.objective.build_qp`, None until it is built."""
+
+    __slots__ = ("qp",)
+
+    def __init__(self):
+        self.qp = None
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
@@ -429,8 +478,10 @@ class Problem:
     R: np.ndarray = field(repr=False)
     gamma: float = 0.0
     resistive: bool = False
+    family: ProblemFamily = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "family", ProblemFamily())
         n = self.plant.n
         for name in ("Q", "R"):
             a = np.array(getattr(self, name), dtype=float)
@@ -485,6 +536,8 @@ class Problem:
         return None
 
     def _derive(self, **changes) -> "Problem":
+        """Problem with a new penalty or candidate subset; it keeps the plant,
+        ``Q``, ``R`` and so the same :class:`ProblemFamily`."""
         new = object.__new__(Problem)  # skips __post_init__: the data is checked
         new.__dict__.update(self.__dict__, **changes)
         return new
@@ -521,11 +574,36 @@ def default_problem(
 # --- edge-list file format -------------------------------------------------
 #
 # UTF-8 text, one edge per line, "i j [w]" whitespace-separated, 0-based.
-# '#' starts a comment line.  The first non-comment line may be "n <count>"
-# to declare isolated nodes; otherwise n = 1 + max index.
+# '#' starts a comment that runs to the end of its line.  The first
+# non-comment line may be "n <count>" to declare isolated nodes; otherwise
+# n = 1 + max index.  A list whose trailing nodes are isolated, and every
+# edgeless list, is written with its "n <count>" line.
+
+#: The bytes of a text that ``np.loadtxt`` may read: tab, space and
+#: printable ASCII, with line ends ``\n`` or ``\r\n``.  In such a text its
+#: lines and tokens are those of ``str.splitlines`` and ``str.split``; a lone
+#: ``\r``, ``\v``, ``\f`` and ``\x1c``-``\x1e`` end a line for
+#: ``splitlines``, not for ``np.loadtxt``.
+_PLAIN_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F))
 
 
-def parse_edge_list(text: str) -> EdgeList:
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds only :data:`_PLAIN_BYTES`, with every CR in a
+    CR LF line end."""
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        return False
+    return "\r" not in text or text.count("\r") == text.count("\r\n")
+
+
+#: Row dtype of ``i j`` and of ``i j w`` lines, by token count.
+_ROW = {2: np.dtype([("i", np.intp), ("j", np.intp)]),
+        3: np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])}
+
+
+def _scan_edge_list(text: str) -> EdgeList:
+    """Read an edge list one line at a time: the reader of every text that
+    :func:`_load_edge_list` refuses, and the only code that words an error,
+    with its line number."""
     declared_n = None
     i, j, w = [], [], []  # the columns, passed whole to the constructor
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -557,19 +635,81 @@ def parse_edge_list(text: str) -> EdgeList:
     return EdgeList._from_columns(declared_n, i, j, w)
 
 
+def _load_edge_list(text: str) -> EdgeList | None:
+    """Read a text whose edge lines all have the same 2 or 3 tokens with
+    numpy's C reader, or return None for :func:`_scan_edge_list` to read.
+
+    The lines before the first edge (comments, blank lines, the node-count
+    line) are read as the scan reads them.  From the first edge on,
+    ``np.loadtxt`` reads rows of exactly that edge's token count, with
+    ``int`` nodes and ``float`` weights.  It refuses, and None is returned
+    for, a line of another token count, a node-count line after an edge,
+    and any token that ``int`` or ``float`` would read otherwise (a node
+    ``1.0``, digits with ``_``).  Its float parser is CPython's, so a weight
+    reads to the same bits.
+    """
+    if not _plain(text):
+        return None
+    declared_n, start = None, 0
+    while True:  # to the first edge line
+        end = text.find("\n", start) + 1 or len(text)
+        tok = text[start:end].split("#", 1)[0].split()
+        if tok and tok[0] == "n" and declared_n is None:
+            try:
+                (declared_n,) = map(int, tok[1:])
+            except ValueError:
+                return None
+        elif tok:
+            break
+        if end == len(text):
+            return None  # no edge
+        start = end
+    row = _ROW.get(len(tok))
+    if row is None:
+        return None
+    body = text[start:]
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads a node "1.0" as 1, with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # looking for comments costs a fifth of the read: only if any
+            rows = np.loadtxt(io.StringIO(body), dtype=row, ndmin=1,
+                              comments="#" if "#" in body else None)
+    except (ValueError, DeprecationWarning):
+        return None
+    i, j = rows["i"], rows["j"]
+    w = rows["w"] if "w" in row.names else np.ones(rows.size)
+    if declared_n is None:
+        declared_n = 1 + int(max(i.max(), j.max()))
+    return EdgeList._from_columns(declared_n, i, j, np.ascontiguousarray(w))
+
+
+def parse_edge_list(text: str) -> EdgeList:
+    """Edge list of a text in the edge-list file format: read by
+    ``np.loadtxt`` where it can be, else by the per-line scan (see the
+    module docstring)."""
+    edges = _load_edge_list(text)
+    return _scan_edge_list(text) if edges is None else edges
+
+
 def read_edge_list(path) -> EdgeList:
     with open(path, encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 
 
 def format_edge_list(edges: EdgeList) -> str:
-    # the node-count line is only needed when trailing nodes are isolated
-    implied_n = 1 + int(edges.pairs.max()) if edges.m else 0
-    lines = [] if implied_n == edges.n else [f"n {edges.n}"]
-    # Python ints and floats: a float's repr reads back to the same bits
-    lines += [f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}"
-              for (i, j), w in zip(edges.pairs.tolist(), edges.weights.tolist())]
-    return "\n".join(lines) + "\n"
+    """Text of an edge list: ``i j`` for a unit weight, else ``i j w`` with
+    the ``repr`` of the Python float (see the module docstring)."""
+    i, j = edges.pairs.T
+    implied_n = 1 + int(j.max()) if edges.m else 0  # j > i
+    head = "" if edges.m and implied_n == edges.n else f"n {edges.n}\n"
+    parts = np.empty((edges.m, 2), dtype=object)
+    parts[:, 0] = np.array([f"{k} " for k in range(implied_n)], dtype=object)[i]
+    parts[:, 1] = np.array([f"{k}\n" for k in range(implied_n)], dtype=object)[j]
+    weighted = np.flatnonzero(edges.weights != 1.0)
+    parts[weighted, 1] = [f"{k} {w!r}\n" for k, w in
+                          zip(j[weighted].tolist(), edges.weights[weighted].tolist())]
+    return head + "".join(parts.ravel().tolist())
 
 
 def write_edge_list(edges: EdgeList, path) -> None:

@@ -7,9 +7,10 @@ The objective of the design problem is
     Q_p  = Q + (1/n) 11^T + L_p R L_p,
 
 and everything at a point comes from two lower Cholesky factors,
-``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per
-:class:`Objective`).  Both triangular solves are taken from the row side,
-on the transposes ``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
+``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per problem
+family: a problem and all that ``with_gamma`` and ``restrict`` derive from
+it, see :func:`build_qp`).  Both triangular solves are taken from the row
+side, on the transposes ``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
 
     h2 = <G^-1, Q_p> = ||V^T||_F^2,
     J  = h2 + diag(E^T R E)^T x - <R, L_p> - 1,
@@ -107,7 +108,7 @@ def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarra
 class QpMatrix:
     """Effective state weight ``Q_p`` with its lower Cholesky factor
     ``chol`` (``Q_p = chol @ chol.T``) and the factor's transpose
-    ``chol_t``, Fortran-ordered for the row-side solves, cached."""
+    ``chol_t``, Fortran-ordered for the row-side solves."""
 
     Qp: np.ndarray
     chol: np.ndarray
@@ -115,13 +116,23 @@ class QpMatrix:
 
 
 def build_qp(problem: Problem) -> QpMatrix:
-    """Effective state weight ``Q + (1/n) 11^T + L_p R L_p`` and its factor."""
-    Lp = problem.plant.L
-    Qp = strengthened(problem.Q) + Lp @ problem.R @ Lp
-    chol = try_cholesky(Qp)
-    if chol is None:
-        raise InvalidInputError("effective state weight is not positive definite")
-    return QpMatrix(Qp, chol, np.asfortranarray(chol.T))
+    """Effective state weight ``Q + (1/n) 11^T + L_p R L_p`` and its factor,
+    formed and factored once per problem family.
+
+    ``Q_p`` depends on the plant, ``Q`` and ``R`` only, which every problem
+    derived by ``with_gamma`` or ``restrict`` keeps, so the first call for
+    any problem of a family stores the result in the family's shared
+    :class:`~gsp.graphs.ProblemFamily` and later calls return it.
+    """
+    family = problem.family
+    if family.qp is None:
+        Lp = problem.plant.L
+        Qp = strengthened(problem.Q) + Lp @ problem.R @ Lp
+        chol = try_cholesky(Qp)
+        if chol is None:
+            raise InvalidInputError("effective state weight is not positive definite")
+        family.qp = QpMatrix(Qp, chol, np.asfortranarray(chol.T))
+    return family.qp
 
 
 @dataclass(frozen=True)
@@ -145,13 +156,16 @@ class Objective:
     which OpenBLAS runs in about 0.6 of the time of the column-side
     ``L^-1 C`` (see the module docstring).
 
-    Apart from cached problem data it remembers one entry: the closed loop
-    of the last value or state it evaluated and that loop's half solve
-    ``V^T``.  A line search that accepts a trial point therefore hands
-    ``state(x, cl)`` the ``V^T`` that ``value_at(cl, x)`` just computed,
-    and the state needs only the second triangular solve.  The entry is
-    keyed by the identity of the :class:`ClosedLoop` (which it keeps
-    alive), and ``V^T`` depends on nothing else.
+    ``Q_p`` and its factor are read from the problem's family
+    (:func:`build_qp`), so an objective for a problem that ``with_gamma`` or
+    ``restrict`` derived neither forms nor factors ``Q_p`` again.  Apart
+    from cached problem data it remembers one entry: the closed loop of the
+    last value or state it evaluated and that loop's half solve ``V^T``.
+    A line search that accepts a trial point therefore hands ``state(x,
+    cl)`` the ``V^T`` that ``value_at(cl, x)`` just computed, and the state
+    needs only the second triangular solve.  The entry is keyed by the
+    identity of the :class:`ClosedLoop` (which it keeps alive), and ``V^T``
+    depends on nothing else.
     """
 
     def __init__(self, problem: Problem):

@@ -3,8 +3,8 @@
 import numpy as np
 import scipy.linalg
 
-from gsp.errors import InfeasiblePointError
-from gsp.graphs import controller_laplacian, try_cholesky
+from gsp.errors import InfeasiblePointError, InvalidInputError
+from gsp.graphs import EdgeList, controller_laplacian, try_cholesky
 from gsp.objective import hessian_rows
 
 
@@ -73,3 +73,46 @@ def duality_gap(x, y_plus, y_minus=None) -> float:
     x_plus = np.clip(x, 0.0, None)
     x_minus = np.clip(-x, 0.0, None)
     return float(y_plus @ x_plus + y_minus @ x_minus)
+
+
+def format_edge_list_per_edge(edges) -> str:
+    """The edge-list writer as one f-string per edge, with the node-count
+    line whenever the last node is isolated or there is no edge."""
+    implied_n = 1 + int(edges.pairs.max()) if edges.m else 0
+    lines = [] if edges.m and implied_n == edges.n else [f"n {edges.n}"]
+    lines += [f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}"
+              for (i, j), w in zip(edges.pairs.tolist(), edges.weights.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def scan_edge_list(text: str):
+    """The edge-list reader as one Python step per line."""
+    declared_n = None
+    i, j, w = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        if declared_n is None and not i and tok[0] == "n":
+            try:
+                (declared_n,) = map(int, tok[1:])  # exactly one integer
+            except ValueError as exc:
+                raise InvalidInputError(
+                    f"line {lineno}: malformed node-count line") from exc
+            continue
+        if len(tok) not in (2, 3):
+            raise InvalidInputError(f"line {lineno}: expected 'i j [w]'")
+        try:
+            a, b = int(tok[0]), int(tok[1])
+            c = float(tok[2]) if len(tok) == 3 else 1.0
+        except ValueError as exc:
+            raise InvalidInputError(f"line {lineno}: {exc}") from exc
+        i.append(a)
+        j.append(b)
+        w.append(c)
+    if declared_n is None:
+        if not i:
+            raise InvalidInputError("empty edge list with no node count")
+        declared_n = 1 + max(max(i), max(j))
+    return EdgeList._from_columns(declared_n, i, j, w)

@@ -19,7 +19,13 @@ from gsp.errors import InvalidInputError
 from gsp.pipeline import ZERO_TOL, gamma_max, polish
 from gsp.proxgrad import solve_projected
 from gsp.proxnewton import solve_newton
-from reference import csgraph_component_count, edge_set, incidence_dense
+from reference import (
+    csgraph_component_count,
+    edge_set,
+    format_edge_list_per_edge,
+    incidence_dense,
+    scan_edge_list,
+)
 
 
 def test_edge_list_canonical_order():
@@ -693,10 +699,17 @@ def test_parse_edge_list_comments_and_weights():
 
 
 def test_parse_edge_list_malformed():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^line 1: expected 'i j \[w\]'$"):
         graphs.parse_edge_list("0 1 2 3\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^line 1: expected 'i j \[w\]'$"):
         graphs.parse_edge_list("0\n")
+    # the first bad line is named, after lines the C reader would take
+    with pytest.raises(InvalidInputError, match=r"^line 4: expected 'i j \[w\]'$"):
+        graphs.parse_edge_list("# c\r\n0 1\r\n1 2\r\n2 3 0.5 7\r\n3 4\r\n")
+    for text in ("n 5\n0 1\nn 6\n", "n 5\n\nn 6\n0 1\n"):
+        with pytest.raises(InvalidInputError,
+                           match=r"^line 3: invalid literal for int\(\) with base 10: 'n'$"):
+            graphs.parse_edge_list(text)
 
 
 @pytest.mark.parametrize("count", ["abc", "2.5", "-3", "", "3 4"])
@@ -705,6 +718,124 @@ def test_parse_edge_list_rejects_bad_node_counts(count):
     for text in (f"n {count}\n", f"n {count}\n0 1\n"):
         with pytest.raises(InvalidInputError):
             graphs.parse_edge_list(text)
+
+
+def test_edgeless_edge_list_round_trip():
+    # an edgeless list is written with its node count, also for n = 0
+    for n in (0, 1, 5):
+        e = graphs.EdgeList(n, np.zeros((0, 2), dtype=np.intp), np.zeros(0))
+        text = graphs.format_edge_list(e)
+        assert text == f"n {n}\n"
+        _assert_identical(graphs.parse_edge_list(text), e)
+
+
+def test_uniform_lines_are_read_without_the_scan(monkeypatch):
+    # lines of one token count go to np.loadtxt, comments, blank lines, a
+    # node-count line and CRLF ends included; the scan reads nothing
+    def scan(text):
+        raise AssertionError("per-line scan called")
+
+    monkeypatch.setattr(graphs, "_scan_edge_list", scan)
+    e = graphs.EdgeList.from_tuples(9, [(0, 1), (4, 2), (3, 5)])
+    w = graphs.EdgeList.from_tuples(7, [(0, 1, 0.5), (1, 2, 1e-300), (5, 2, -0.0)])
+    for edges in (e, w):
+        text = "# plant\n\n" + graphs.format_edge_list(edges).replace("\n", " # c\n", 2)
+        for t in (text, text.replace("\n", "\r\n")):
+            _assert_identical(graphs.parse_edge_list(t), edges)
+    with pytest.raises(AssertionError, match="per-line scan"):
+        graphs.parse_edge_list("0 1\n1 2 0.5\n")
+
+
+_io_weight = (st.sampled_from([1.0, 1.0, 5e-324, 1e308, -0.0, 1 / 3, 2.0])
+              | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge lists over 0 to 40 nodes, unit or non-unit weights, often with
+    trailing isolated nodes."""
+    n = draw(st.integers(0, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)
+                  if pairs else st.just([]))
+    weight = draw(st.sampled_from([st.just(1.0), _io_weight]))
+    weights = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    return graphs.EdgeList.from_tuples(n, [(i, j, w) for (i, j), w in zip(chosen, weights)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_format_edge_list_matches_per_edge_formula(e):
+    text = graphs.format_edge_list(e)
+    assert text == format_edge_list_per_edge(e)
+    _assert_identical(graphs.parse_edge_list(text), e)
+
+
+_node_token = (st.integers(-1, 30).map(str)
+               | st.sampled_from(["1.0", "x", "+3", "007", "-0", "1_0", "1e1", "",
+                                  "99999999999999999999", "\u0663"]))
+_weight_token = (st.floats().map(repr)
+                 | st.sampled_from(["-0.0", "5e-324", "1e308", "1e500", "nan", "-inf",
+                                    "Infinity", "1_0.5", "0x1p3", "abc", "1.5.2", ".5",
+                                    "5.", "+1e-3", "1e", "2", "1.0"]))
+
+
+@st.composite
+def _edge_text(draw):
+    """Edge-list texts: mostly lines of one token count, with comments,
+    blank lines, node-count lines (also malformed or after an edge), lines
+    of 1 to 4 tokens, bad node and weight tokens, LF or CRLF ends, and now
+    and then a space or line end that only Python splits at."""
+    width = draw(st.sampled_from([2, 3]))
+    good = st.integers(0, 30).map(str)
+    odd = ["\v", "\f", "\x1c", "\x1f", "\r", "\xa0", "\u2028", "\x00"]
+    sep = st.sampled_from([" "] * 40 + ["\t", "  ", " \t "] + odd)
+    lines = draw(st.lists(st.sampled_from(["n 31", "n 40", "n 3", "n x", "# c", ""]),
+                          max_size=3))  # before the first edge
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 29))
+        if kind < 22:  # an edge of the text's width
+            tok = [draw(good), draw(good)] + [draw(_weight_token)] * (width == 3)
+        elif kind == 22:  # an edge of the other width, or 1 or 4 tokens
+            size = draw(st.sampled_from([1, 4, 5 - width]))
+            tok = [draw(good) for _ in range(size)]
+        elif kind == 23:  # a bad node token
+            tok = [draw(_node_token), draw(_node_token)] + [draw(good)] * (width == 3)
+        elif kind == 24:
+            tok = ["n", draw(st.integers(0, 40).map(str))]
+        elif kind == 25:
+            tok = ["n"] + draw(st.sampled_from([[], ["x"], ["3", "4"], ["2.5"], ["-3"]]))
+        else:
+            tok = []
+        line = draw(sep).join(t for t in tok if t)
+        if draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["#", " # note", "\t#x 1 2"]))
+        lines.append(draw(st.sampled_from(["", " "])) + line)
+    end = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"] * 20 + odd)) if end == "mixed" else end
+            for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + e for line, e in zip(lines, ends))
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_text())
+def test_parse_edge_list_matches_per_line_scan(text):
+    # the same edge list, or the same first error with its line number
+    got = _parsed_or_error(graphs.parse_edge_list, text)
+    ref = _parsed_or_error(scan_edge_list, text)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        _assert_identical(got, ref)
 
 
 def test_edge_list_rejects_negative_node_count():

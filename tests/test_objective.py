@@ -46,6 +46,39 @@ def test_qp_matrix_p3_spectrum():
     assert np.allclose(qp.chol @ qp.chol.T, qp.Qp, atol=1e-10)
 
 
+def test_qp_is_factored_once_per_problem_family(monkeypatch):
+    # Q_p depends on the plant, Q and R only: one factorization serves a
+    # problem and all that with_gamma and restrict derive from it, in any
+    # order, derived before the first objective or after it
+    calls = []
+
+    def counted(A, _factor=objective.try_cholesky):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(objective, "try_cholesky", counted)
+    plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
+    base = graphs.default_problem(plant, resistive=True)
+    early = base.restrict([0, 2, 5]).with_gamma(0.0)
+    low = base.with_gamma(0.1)
+    objs = [Objective(early), Objective(base), Objective(low),
+            Objective(base.restrict([1, 3]).with_gamma(0.0)),
+            Objective(low.restrict([4]).restrict([0]))]
+    assert calls == [(12, 12)]
+    assert all(obj.qp is objs[0].qp for obj in objs)
+    assert objective.build_qp(early) is objs[0].qp
+    # a problem built again is a family of its own
+    Objective(graphs.default_problem(plant, resistive=True))
+    assert len(calls) == 2
+
+    gmax = pipeline.gamma_max(base)
+    for run in (lambda prob, g: pipeline.sweep(prob, g, "proxbb"),
+                lambda prob, g: pipeline.reweighted_path(prob, g)):
+        calls.clear()
+        run(graphs.default_problem(plant, resistive=True), [0.2 * gmax, 0.6 * gmax])
+        assert calls == [(12, 12)]
+
+
 def test_value_two_node_analytic():
     # single edge with weight x on an otherwise empty 2-node plant:
     # J(x) = 1/(2x) + 2x, hence J(1/2) = 2
