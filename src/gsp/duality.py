@@ -2,10 +2,10 @@
 
 The dual of the design problem maximizes
 ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>`` over symmetric ``Y``
-with ``Y 1 = 1`` subject to a bound on ``diag(E^T (Y - R) E)``.  A primal
-iterate yields ``Y = G^-1 Q_p G^-1``; when it violates the dual bound it is
-blended with ``(1/n) 11^T`` by the largest admissible factor ``beta``, which
-keeps ``Y 1 = 1`` and restores feasibility for scalar control weights.
+with ``Y 1 = 1`` subject to a bound on ``diag(E^T (Y - R) E)``, for any
+control weight ``R``.  A primal iterate yields ``Y = G^-1 Q_p G^-1``; when
+it violates the dual bound it is blended with ``(1/n) 11^T`` by the largest
+admissible factor ``beta``, which keeps ``Y 1 = 1``.
 As ``Q 1 = 0`` and ``G_p 1 = 1``, the all-ones vector is an eigenvector of
 ``Q_p``, ``G`` and ``Y`` with eigenvalue 1 and blending scales only the rest:
 ``xi^T Y_hat xi = beta xi^T Y xi`` and the dual value has the closed form of
@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateInvalidError,
-    CertificateUnavailableError,
-    InvalidInputError,
-)
+from .errors import CertificateInvalidError, InvalidInputError
 from .graphs import Problem
 from .objective import Objective, ObjectiveState, edge_quad_diag
 
@@ -99,21 +95,19 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
             weights=None) -> DualCertificate:
     """Certificate at a feasible iterate, built in one pass from ``state.Y``.
 
-    Raises CertificateUnavailableError for non-scalar control weights and
+    The bound's edge forms ``xi^T R xi`` are ``objective.lin``.  Raises
     CertificateInvalidError when the blended point gives a negative
     multiplier (callers then fall back to objective-change stopping).
     """
-    r = problem.scalar_r
-    if r is None:
-        raise CertificateUnavailableError("dual certificates require R = r I")
     gam = _gamma_vector(problem, weights)
+    c = objective.lin
     q = edge_quad_diag(state.Y, problem.candidates.positions)
-    d = q - 2.0 * r
-    denom = (d if problem.resistive else np.abs(d)) + 2.0 * r
+    d = q - c
+    denom = (d if problem.resistive else np.abs(d)) + c
     with np.errstate(divide="ignore"):
-        bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
+        bounds = np.where(denom > 0, (gam + c) / denom, np.inf)
     beta = float(min(1.0, bounds.min(initial=np.inf)))
-    d_hat = beta * q - 2.0 * r  # the blend center has zero edge forms
+    d_hat = beta * q - c  # the blend center has zero edge forms
     # multipliers before clipping; resistive problems have y_plus only
     y_plus = gam - d_hat
     y_minus = None if problem.resistive else gam + d_hat
@@ -141,8 +135,8 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
 
 def certify_or_none(problem: Problem, objective: Objective,
                     state: ObjectiveState, weights=None) -> DualCertificate | None:
-    """:func:`certify`, or None when no certificate is available or valid."""
+    """:func:`certify`, or None when the certificate is not valid."""
     try:
         return certify(problem, objective, state, weights)
-    except (CertificateUnavailableError, CertificateInvalidError):
+    except CertificateInvalidError:
         return None

@@ -22,7 +22,7 @@ class InfeasibleSupportError(GspError):
 
 
 class CertificateUnavailableError(GspError):
-    """No dual-feasibility recipe exists for this problem (non-scalar control weight)."""
+    """Nothing in ``gsp`` raises it: certificates exist for every control weight."""
 
 
 class CertificateInvalidError(GspError):

@@ -68,6 +68,7 @@ small matrices, so they are written for low per-call overhead:
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,9 +91,23 @@ def _has_repeats(a: np.ndarray) -> bool:
     return bool(np.any(a[1:] == a[:-1]))
 
 
+#: Largest node count whose pair keys ``i n + j`` fit in ``intp``.
+_MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
+
+
+def _nodes(a) -> np.ndarray:
+    """``a`` as an ``intp`` array; an entry beyond its range is out of range."""
+    try:
+        return np.asarray(a, dtype=np.intp)
+    except OverflowError as exc:
+        raise InvalidInputError("node index out of range") from exc
+
+
 def _check_pairs(n: int, pairs, what: str) -> np.ndarray:
     """(m, 2) index array over ``n`` nodes: in range, ``i < j``, no duplicates."""
-    p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if n > _MAX_NODES:
+        raise InvalidInputError("node count out of range")
+    p = _nodes(pairs).reshape(-1, 2)
     if p.size and (p.min() < 0 or p.max() >= n):
         raise InvalidInputError("node index out of range")
     if np.any(p[:, 0] >= p[:, 1]):
@@ -123,8 +138,7 @@ def _laplacian(n: int, pos: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _oriented(i, j) -> np.ndarray:
     """(m, 2) pairs ``(min, max)`` of the node columns ``i`` and ``j``; the
     first self-loop in edge order is reported."""
-    i = np.asarray(i, dtype=np.intp).reshape(-1)
-    j = np.asarray(j, dtype=np.intp).reshape(-1)
+    i, j = _nodes(i).reshape(-1), _nodes(j).reshape(-1)
     loops = np.flatnonzero(i == j)
     if loops.size:
         raise InvalidInputError(f"self-loop at node {i[loops[0]]}")
@@ -166,8 +180,11 @@ class EdgeList:
         sizes = np.fromiter(map(len, edges), dtype=np.intp, count=m)
         if m and sizes.min() < 2:
             raise InvalidInputError("an edge needs two end nodes")
-        i, j = (np.fromiter(map(itemgetter(k), edges), dtype=np.intp, count=m)
-                for k in (0, 1))
+        try:
+            i, j = (np.fromiter(map(itemgetter(k), edges), dtype=np.intp,
+                                count=m) for k in (0, 1))
+        except OverflowError as exc:
+            raise InvalidInputError("node index out of range") from exc
         pairs = _oriented(i, j)
         weighted = np.flatnonzero(sizes > 2)
         if weighted.size == m:
@@ -444,8 +461,9 @@ def _check_gamma(gamma) -> None:
 
 
 def _symmetric(A: np.ndarray) -> bool:
-    """``max|A - A^T| <= 1e-12 max(1, max|A|)``, an absolute bound as in
-    :attr:`Problem.scalar_r`; NaN or infinite entries fail."""
+    """``max|A - A^T| <= 1e-12 max(1, max|A|)``, an absolute bound (a
+    relative one passes parts-in-a-million asymmetry); NaN or infinite
+    entries fail."""
     scale = float(np.max(np.abs(A), initial=1.0))
     return bool(np.max(np.abs(A - A.T), initial=0.0) <= 1e-12 * scale)
 
@@ -467,9 +485,8 @@ class ProblemFamily:
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
 
-    ``Q`` and ``R`` are node-space (n-by-n) weights; ``R`` is commonly a
-    scalar multiple of the identity, which is the only case for which dual
-    certificates are available.
+    ``Q`` and ``R`` are node-space (n-by-n) weights; dual certificates exist
+    for every symmetric positive definite ``R``.
     """
 
     plant: PlantGraph
@@ -520,20 +537,6 @@ class Problem:
     @property
     def m(self) -> int:
         return self.candidates.m
-
-    @cached_property
-    def scalar_r(self) -> float | None:
-        """Return ``r = R[0, 0]`` if every entry of ``R - r I`` is within
-        ``1e-12 max(1, |r|)`` of zero, else None.  The bound is absolute: a
-        relative tolerance would pass a diagonal that differs from ``r`` by
-        parts in a million, and certificates built on such an ``r`` are not
-        valid bounds.  Derived problems share ``R`` and copy the cached
-        value."""
-        r = float(self.R[0, 0])
-        if np.allclose(self.R, r * np.eye(self.n), rtol=0.0,
-                       atol=1e-12 * max(1.0, abs(r))):
-            return r
-        return None
 
     def _derive(self, **changes) -> "Problem":
         """Problem with a new penalty or candidate subset; it keeps the plant,

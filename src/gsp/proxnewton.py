@@ -418,8 +418,8 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
 
         if abs(F - prev_F) <= 1e-12 * max(1.0, abs(F)):
             flat_count += 1
-            # no usable certificate (non-scalar R, or gamma = 0 where the
-            # blended point fails its sign checks): stop on a flat objective
+            # no usable certificate (the blended point fails its sign
+            # checks, as at gamma = 0): stop on a flat objective
             if flat_count >= 3 and cert is None:
                 cert = certify_or_none(problem, obj, st, weights)
                 return x, _finish(report, t0, cert)

@@ -17,6 +17,19 @@ def incidence_dense(inc):
     return E
 
 
+def edge_forms(inc, A):
+    """``xi_l^T A xi_l`` for every column ``xi_l`` of ``incidence_dense(inc)``."""
+    E = incidence_dense(inc)
+    return np.einsum("il,il->l", E, A @ E)
+
+
+def spd_weight(rng, n):
+    """The non-scalar control weight ``B B^T / n + 0.5 I`` of an n-by-n
+    standard normal ``B`` drawn from ``rng``."""
+    B = rng.standard_normal((n, n))
+    return B @ B.T / n + 0.5 * np.eye(n)
+
+
 def edge_set(edges):
     """The edges' pairs as a set of ``(i, j)`` Python int tuples."""
     return {(int(i), int(j)) for i, j in edges.pairs}

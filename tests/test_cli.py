@@ -317,6 +317,10 @@ def test_exit_codes(tmp_path, p3_file):
     # missing file -> invalid input
     assert run(["solve", "--plant", str(tmp_path / "no.edges"), "--gamma",
                 "1"]) == EXIT_INVALID
+    # a node index beyond the C long range -> invalid input
+    huge = tmp_path / "huge.edges"
+    huge.write_text("0 1\n1 99999999999999999999\n")
+    assert run(["gammamax", "--plant", str(huge)]) == EXIT_INVALID
     # gmax fraction on a disconnected plant -> invalid input
     disc = tmp_path / "disc.edges"
     disc.write_text("n 4\n0 1\n")
@@ -353,7 +357,7 @@ def test_bad_solver_flags_are_invalid_input(p3_file, method, flag):
                 "--method", method, "--no-baseline"] + flag) == EXIT_INVALID
 
 
-@pytest.mark.parametrize("count", ["abc", "2.5", "-3"])
+@pytest.mark.parametrize("count", ["abc", "2.5", "-3", str(2**70)])
 def test_malformed_node_count_is_invalid_input(tmp_path, count):
     plant = tmp_path / "bad.edges"
     plant.write_text(f"n {count}\n")

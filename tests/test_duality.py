@@ -7,13 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp import duality, graphs, pipeline, proxgrad, proxnewton
-from gsp.errors import (
-    CertificateInvalidError,
-    CertificateUnavailableError,
-    InvalidInputError,
-)
+from gsp.errors import CertificateInvalidError, InvalidInputError
 from gsp.objective import Objective, edge_quad_diag
-from reference import duality_gap
+from reference import duality_gap, edge_forms, spd_weight
 
 
 def p3_problem(gamma=0.0):
@@ -49,32 +45,31 @@ def blend(Y, beta):
 
 
 # The certificate as a chain of three steps (blend, multipliers, residuals),
-# each re-reading r and the penalty vector, with the blended point formed
+# each re-reading the edge forms xi^T R xi (from the dense incidence matrix,
+# not Objective.lin) and the penalty vector, with the blended point formed
 # and its dual value taken by eigh_dual_objective: an independent reference
 # for the one-pass duality.certify.
 
 def ref_make_dual_feasible(Y, problem, weights=None):
     """Blend ``Y`` toward ``(1/n) 11^T`` until the dual bound holds."""
-    r = problem.scalar_r
-    if r is None:
-        raise CertificateUnavailableError("dual certificates require R = r I")
-    d = edge_quad_diag(Y, problem.candidates.positions) - 2.0 * r
+    c = edge_forms(problem.candidates, problem.R)
+    d = edge_quad_diag(Y, problem.candidates.positions) - c
     gam = duality._gamma_vector(problem, weights)
     if problem.m == 0:
         beta = 1.0
     else:
         mag = d if problem.resistive else np.abs(d)
-        denom = mag + 2.0 * r
+        denom = mag + c
         with np.errstate(divide="ignore"):
-            bounds = np.where(denom > 0, (gam + 2.0 * r) / denom, np.inf)
+            bounds = np.where(denom > 0, (gam + c) / denom, np.inf)
         beta = float(min(1.0, bounds.min()))
     return blend(Y, beta), beta
 
 
 def ref_multipliers(Y_hat, problem, weights=None):
     """Clipped multipliers after the sign check."""
-    r = problem.scalar_r
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - 2.0 * r
+    c = edge_forms(problem.candidates, problem.R)
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - c
     gam = duality._gamma_vector(problem, weights)
     if problem.resistive:
         y = gam - d_hat
@@ -91,13 +86,13 @@ def ref_multipliers(Y_hat, problem, weights=None):
 
 def ref_residuals(Y, Y_hat, y, problem, weights=None):
     """Dual residuals: against ``Y`` (resistive) or ``Y_hat`` (signed)."""
-    r = problem.scalar_r
+    c = edge_forms(problem.candidates, problem.R)
     gam = duality._gamma_vector(problem, weights)
     if problem.resistive:
-        d = edge_quad_diag(Y, problem.candidates.positions) - 2.0 * r
+        d = edge_quad_diag(Y, problem.candidates.positions) - c
         return gam - d - y, None
     y_plus, y_minus = y
-    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - 2.0 * r
+    d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - c
     return gam - d_hat - y_plus, gam + d_hat - y_minus
 
 
@@ -106,7 +101,8 @@ def ref_certify(problem, objective, state, weights=None):
     Y_hat, beta = ref_make_dual_feasible(state.Y, problem, weights)
     gam = duality._gamma_vector(problem, weights)
     x = state.x
-    primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
+    c = edge_forms(problem.candidates, problem.R)
+    primal = float(state.h2 + c @ x + gam @ np.abs(x))
     dual = eigh_dual_objective(Y_hat, objective.qp, problem.plant.G)
     y = ref_multipliers(Y_hat, problem, weights)
     y_plus, y_minus = (y, None) if problem.resistive else y
@@ -200,24 +196,20 @@ def sqrt_dual_objective(Y, Qp, G_p):
 def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r):
     # the closed form against the spectrum of Q_p^1/2 Y_hat Q_p^1/2, taken
     # through the symmetric square root and through the Cholesky factor of
-    # Q_p; at Y(x) (beta = 1) and, for R = I, at the blended point
+    # Q_p; at Y(x) (beta = 1) and at the blended point
     plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
     assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
     prob = graphs.default_problem(plant, resistive=resistive, gamma=0.1)
     rng = np.random.Generator(np.random.PCG64(seed))
     if not scalar_r:
-        B = rng.standard_normal((n, n))
         prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
-                              B @ B.T / n + 0.5 * np.eye(n), 0.1, resistive)
+                              spd_weight(rng, n), 0.1, resistive)
     x = rng.uniform(0.0 if resistive else -0.1, 1.0, prob.m)
     obj = Objective(prob)
     cl = obj.closed_loop(x)
     assume(cl.positive_definite)
     state = obj.state(x, cl)
-    betas = [1.0]
-    if scalar_r:
-        betas.append(ref_make_dual_feasible(state.Y, prob)[1])
-    for beta in betas:
+    for beta in (1.0, ref_make_dual_feasible(state.Y, prob)[1]):
         Y_hat = blend(state.Y, beta)
         got = duality.dual_objective(state, beta, prob.plant.G)
         for ref in (sqrt_dual_objective(Y_hat, obj.qp.Qp, prob.plant.G),
@@ -227,14 +219,19 @@ def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(3, 18), st.integers(0, 40), st.booleans(), st.booleans(),
-       st.sampled_from([0.1, 1.0]), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+       st.sampled_from([0.1, 1.0]), st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       st.booleans())
 def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
-                                                       weighted, gamma, scale):
+                                                       weighted, gamma, scale,
+                                                       scalar_r):
     # certify agrees with the reference chain, or raises where it raises:
-    # beta and the primal value byte for byte, the dual value to 1e-12
+    # beta and the primal value byte for byte for R = I, whose edge forms
+    # are 2 in both, and to 1e-12 relative for a non-scalar R, whose edge
+    # forms the two sum in different orders; the dual value to 1e-12
     # relative, the multipliers and residuals to 1e-12 of the largest
     # penalty or edge form; every certificate it returns keeps
-    # Y_hat 1 = 1, non-negative multipliers and weak duality
+    # Y_hat 1 = 1, non-negative multipliers and weak duality, against its
+    # own dual value and against the eigh reference's
     plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
     assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
     prob = graphs.default_problem(plant, resistive=resistive, gamma=gamma)
@@ -244,6 +241,9 @@ def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
     if weighted:
         w = rng.uniform(0.0, 3.0, prob.m)
         w[rng.random(prob.m) < 0.2] = 0.0
+    if not scalar_r:
+        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
+                              spd_weight(rng, n), gamma, resistive)
     obj = Objective(prob)
     cl = obj.closed_loop(x)
     assume(cl.positive_definite)
@@ -256,8 +256,12 @@ def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
         return
     cert = duality.certify(prob, obj, state, w)
     beta, y_plus, y_minus, gap, r_d_plus, r_d_minus, primal, dual = ref
-    assert np.float64(cert.beta).tobytes() == np.float64(beta).tobytes()
-    assert np.float64(cert.primal).tobytes() == np.float64(primal).tobytes()
+    if scalar_r:
+        assert np.float64(cert.beta).tobytes() == np.float64(beta).tobytes()
+        assert np.float64(cert.primal).tobytes() == np.float64(primal).tobytes()
+    else:
+        assert abs(cert.beta - beta) <= 1e-12 * beta
+        assert abs(cert.primal - primal) <= 1e-12 * abs(primal)
     assert abs(cert.dual - dual) <= 1e-12 * abs(dual)
     assert abs(cert.gap - gap) <= 1e-12 * abs(dual)
     q = edge_quad_diag(state.Y, prob.candidates.positions)
@@ -275,24 +279,12 @@ def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
     # rounding tolerance of weak duality: 1e-12 relative; over this whole
     # strategy space dual - primal is at most 1.1e-15 relative
     assert cert.primal >= cert.dual - 1e-12 * max(1.0, abs(cert.primal))
+    assert cert.primal >= dual - 1e-12 * max(1.0, abs(cert.primal))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(4, 14), st.integers(0, 10_000),
-       st.sampled_from([2.5, 4.0, 6.0]), st.booleans(),
-       st.sampled_from([0.02, 0.2, 1.0]))
-def test_certificates_on_geometric_plants(n, seed, radius, weighted, gamma):
-    # every certificate of a Newton solve and of the first 30 soft-
-    # thresholding iterations on a seeded random geometric plant, connected
-    # or not (the complement candidates connect it at the all-ones start),
-    # keeps weak duality, Y_hat 1 = 1 (Y_hat rebuilt from beta) and
-    # non-negative multipliers, and its dual is the eigh reference's
-    plant = graphs.random_geometric(n, radius, seed=seed)
-    assume(2 * plant.m < n * (n - 1))
-    prob = graphs.default_problem(plant, gamma=gamma)
-    w = None
-    if weighted:
-        w = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 3.0, prob.m)
+def recorded_certificates(run):
+    """What ``run()`` returns, and the ``(objective, state, certificate)``
+    of every certificate that :func:`duality.certify` issues meanwhile."""
     seen = []
 
     def recording(problem, objective, state, weights=None,
@@ -303,17 +295,83 @@ def test_certificates_on_geometric_plants(n, seed, radius, weighted, gamma):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(duality, "certify", recording)
-        proxnewton.solve_newton(prob, weights=w)
-        proxgrad.solve_ista(prob, opts=proxgrad.ProxGradOptions(
-            max_iters=30, report_every=1), weights=w)
+        return run(), seen
+
+
+def check_certificates(seen, prob):
+    """Weak duality against the certificate's own dual value and against
+    the eigh reference's, ``Y_hat 1 = 1`` (``Y_hat`` rebuilt from beta),
+    non-negative multipliers, and the closed-form dual equal to the eigh
+    reference's."""
     for obj, state, cert in seen:
         assert cert.primal >= cert.dual - 1e-12 * max(1.0, abs(cert.primal))
         Y_hat = blend(state.Y, cert.beta)
-        assert np.allclose(Y_hat @ np.ones(n), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(Y_hat @ np.ones(prob.n), 1.0, rtol=0.0, atol=1e-12)
         for y in (cert.y_plus, cert.y_minus):
             assert y is None or y.min(initial=0.0) >= 0.0
         ref = eigh_dual_objective(Y_hat, obj.qp, prob.plant.G)
+        assert cert.primal >= ref - 1e-12 * max(1.0, abs(cert.primal))
         assert abs(cert.dual - ref) <= 1e-12 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 14), st.integers(0, 10_000),
+       st.sampled_from([2.5, 4.0, 6.0]), st.booleans(),
+       st.sampled_from([0.02, 0.2, 1.0]), st.booleans())
+def test_certificates_on_geometric_plants(n, seed, radius, weighted, gamma,
+                                          scalar_r):
+    # every certificate of a Newton solve and of the first 30 soft-
+    # thresholding iterations on a seeded random geometric plant, connected
+    # or not (the complement candidates connect it at the all-ones start),
+    # with R = I or a non-scalar R, passes check_certificates
+    plant = graphs.random_geometric(n, radius, seed=seed)
+    assume(2 * plant.m < n * (n - 1))
+    prob = graphs.default_problem(plant, gamma=gamma)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = rng.uniform(0.0, 3.0, prob.m) if weighted else None
+    if not scalar_r:
+        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
+                              spd_weight(rng, n), gamma)
+
+    def solves():
+        proxnewton.solve_newton(prob, weights=w)
+        proxgrad.solve_ista(prob, opts=proxgrad.ProxGradOptions(
+            max_iters=30, report_every=1), weights=w)
+
+    check_certificates(recorded_certificates(solves)[1], prob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 14), st.integers(0, 10_000), st.booleans(),
+       st.booleans(), st.booleans(), st.sampled_from([0.3, 0.7]))
+def test_certified_solves_agree(n, seed, geometric, resistive, scalar_r, frac):
+    # proximal Newton and the first-order solver at 0.3 or 0.7 gamma_max on
+    # a connected ER or geometric plant, with R = I or a non-scalar R: every
+    # certificate passes check_certificates, and where both solves end
+    # converged on a certificate their objectives agree within the larger
+    # gap (each gap bounds its own distance to the optimum), so within
+    # tol_gap
+    plant = (graphs.random_geometric(n, 5.0, seed=seed) if geometric
+             else graphs.generate("erdos_renyi", n, p=0.5, seed=seed))
+    assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
+    prob = graphs.default_problem(plant, resistive=resistive)
+    if not scalar_r:
+        R = spd_weight(np.random.Generator(np.random.PCG64(seed)), n)
+        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q, R, 0.0,
+                              resistive)
+    prob = prob.with_gamma(frac * pipeline.gamma_max(prob))
+    first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
+    certs = []
+    for solve in (proxnewton.solve_newton, first_order):
+        (_, rep), seen = recorded_certificates(lambda: solve(prob))
+        check_certificates(seen, prob)
+        certs.append(rep.certificate if rep.status == "converged" else None)
+    if None not in certs:
+        newton, first = certs
+        tol_gap = max(proxnewton.NewtonOptions().tol_gap,
+                      proxgrad.ProxGradOptions().tol_gap)
+        agree = max(newton.gap, first.gap) + 1e-12 * max(1.0, abs(newton.primal))
+        assert abs(newton.primal - first.primal) <= min(agree, tol_gap)
 
 
 @pytest.mark.parametrize("resistive", [False, True])
@@ -392,8 +450,8 @@ def test_blended_point_properties():
         assert 0 < beta <= 1
         assert np.allclose(Y_hat @ np.ones(2), np.ones(2), atol=1e-12)
         # dual inequality |diag(E^T (Y_hat - R) E)| <= gamma holds exactly
-        r = prob.scalar_r
-        d_hat = (Y_hat[0, 0] - 2 * Y_hat[0, 1] + Y_hat[1, 1]) - 2 * r
+        xi = np.array([1.0, -1.0])
+        d_hat = xi @ (Y_hat - prob.R) @ xi
         assert abs(d_hat) <= prob.gamma + 1e-12
         lam = np.linalg.eigvalsh(Y_hat)
         assert lam.min() > 0
@@ -421,42 +479,76 @@ def test_blended_point_at_optimum_keeps_Y():
     assert np.allclose(blend(st.Y, cert.beta), st.Y, atol=1e-12)
 
 
-def test_certificate_requires_scalar_R():
+def test_certificate_for_diagonal_R():
+    # R = diag(1, 2, 3) on the path-3 plant with candidate (0, 2): its edge
+    # form is 1 + 3; at x = 0.1 the blended point certifies, at x = 0.4 it
+    # fails the sign check, and at 0.3 gamma_max both solvers end converged
+    # on a certificate that is a valid bound
     plant = graphs.generate("path", 3)
     cand = graphs.EdgeList.from_tuples(3, [(0, 2)]).incidence
     R = np.diag([1.0, 2.0, 3.0])
     Q = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
     prob = graphs.Problem(graphs.PlantGraph.from_edges(plant), cand, Q, R)
     obj = Objective(prob)
+    assert obj.lin.tolist() == [4.0]
+    st = obj.state(np.array([0.1]))
+    check_certificates([(obj, st, duality.certify(prob, obj, st))], prob)
     st = obj.state(np.array([0.4]))
-    with pytest.raises(CertificateUnavailableError):
+    with pytest.raises(CertificateInvalidError):
         duality.certify(prob, obj, st)
     assert duality.certify_or_none(prob, obj, st) is None
+    prob = prob.with_gamma(0.3 * pipeline.gamma_max(prob))
+    for solve, opts in ((proxnewton.solve_newton, proxnewton.NewtonOptions()),
+                        (proxgrad.solve_ista, proxgrad.ProxGradOptions())):
+        (_, rep), seen = recorded_certificates(lambda: solve(prob))
+        check_certificates(seen, prob)
+        assert rep.status == "converged"
+        assert 0.0 <= rep.certificate.gap <= opts.tol_gap
 
 
-def test_scalar_r_tolerance_is_absolute():
+def test_nearly_scalar_R_certificate_is_a_valid_bound():
     # R = 50 diag(1 + 9e-6, 1, ..., 1) is within np.allclose's default
-    # relative tolerance of 50 I but is not scalar: a certificate built on
-    # r = R[0, 0] would put the dual above the primal (gap -2.5e-7 at
-    # 0.3 gamma_max); entries off by rounding still count as scalar
+    # relative tolerance of 50 I; a certificate built on r = R[0, 0] put
+    # the dual above the primal (gap -2.5e-7 at 0.3 gamma_max).  With the
+    # edge forms of R itself, both solvers certify with a gap >= 0.
     plant = graphs.generate("erdos_renyi", 12, p=0.3, seed=1)
     base = graphs.default_problem(plant, resistive=True)
     scale = np.ones(12)
     scale[0] += 9e-6
-    prob = graphs.Problem(base.plant, base.candidates, base.Q, 50.0 * np.diag(scale),
-                          0.0, True)
-    assert prob.scalar_r is None
+    prob = graphs.Problem(base.plant, base.candidates, base.Q,
+                          50.0 * np.diag(scale), 0.0, True)
     prob = prob.with_gamma(0.3 * pipeline.gamma_max(prob))
-    obj = Objective(prob)
-    st = obj.state(np.zeros(prob.m))
-    with pytest.raises(CertificateUnavailableError):
-        duality.certify(prob, obj, st)
-    _, rep = proxnewton.solve_newton(prob)
-    assert rep.certificate is None
-    R = 50.0 * np.eye(12)
-    R[0, 0] += 2e-14
-    near = graphs.Problem(base.plant, base.candidates, base.Q, R, 0.0, True)
-    assert near.scalar_r == R[0, 0]
+    for solve, opts in ((proxnewton.solve_newton, proxnewton.NewtonOptions()),
+                        (proxgrad.solve_projected, proxgrad.ProxGradOptions())):
+        (_, rep), seen = recorded_certificates(lambda: solve(prob))
+        check_certificates(seen, prob)
+        assert rep.status == "converged"
+        assert 0.0 <= rep.certificate.gap <= opts.tol_gap
+
+
+@pytest.mark.parametrize("resistive", [False, True])
+def test_non_scalar_R_solves_end_on_certificates(resistive):
+    # ER n = 12 plants (seeds 0-11) with R = B B^T / n + 0.5 I: every
+    # Newton and first-order solve at 0.3 and 0.7 gamma_max, and every
+    # resistive one at 0.05 gamma_max, ends converged on a certificate
+    # within tol_gap that is a valid bound up to rounding
+    first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
+    fracs = (0.05, 0.3, 0.7) if resistive else (0.3, 0.7)
+    for seed in range(12):
+        plant = graphs.generate("erdos_renyi", 12, p=0.5, seed=seed)
+        base = graphs.default_problem(plant, resistive=resistive)
+        R = spd_weight(np.random.Generator(np.random.PCG64(seed)), 12)
+        base = graphs.Problem(base.plant, base.candidates, base.Q, R, 0.0,
+                              resistive)
+        gmax = pipeline.gamma_max(base)
+        for frac in fracs:
+            prob = base.with_gamma(frac * gmax)
+            for solve, opts in ((proxnewton.solve_newton, proxnewton.NewtonOptions()),
+                                (first_order, proxgrad.ProxGradOptions())):
+                _, rep = solve(prob)
+                cert = rep.certificate
+                assert rep.status == "converged" and cert is not None
+                assert -1e-9 * abs(cert.primal) <= cert.gap <= opts.tol_gap
 
 
 def test_weak_duality_random_points():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gsp import graphs
 from gsp.errors import InvalidInputError
+from gsp.objective import Objective
 from gsp.pipeline import ZERO_TOL, gamma_max, polish
 from gsp.proxgrad import solve_projected
 from gsp.proxnewton import solve_newton
@@ -40,6 +41,16 @@ def test_edge_list_rejects_self_loops_and_duplicates():
         graphs.EdgeList.from_tuples(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidInputError):
         graphs.EdgeList.from_tuples(2, [(0, 3)])
+    # node indices beyond the C long range, in either constructor
+    for node in (2**70, -2**70):
+        with pytest.raises(InvalidInputError, match="^node index out of range$"):
+            graphs.EdgeList.from_tuples(3, [(0, 1), (1, node)])
+        with pytest.raises(InvalidInputError, match="^node index out of range$"):
+            graphs.EdgeList(3, [(0, 1), (1, node)], [1.0, 1.0])
+    # a node count whose pair keys i n + j would wrap around in intp, where
+    # (4, 5) would read as a duplicate of (0, 5)
+    with pytest.raises(InvalidInputError, match="^node count out of range$"):
+        graphs.EdgeList(2**62, [(0, 5), (4, 5)], [1.0, 1.0])
 
 
 def test_laplacian_path3():
@@ -197,7 +208,8 @@ def test_default_problem_weights():
     n = 4
     assert np.allclose(prob.Q, 2.0 * (np.eye(n) - np.full((n, n), 1.0 / n)))
     assert np.allclose(prob.R, 3.0 * np.eye(n))
-    assert prob.scalar_r == 3.0
+    # the edge forms of R = r I that certificates read are 2 r bit for bit
+    assert np.array_equal(Objective(prob).lin, np.full(prob.m, 6.0))
 
 
 def test_problem_validation():
@@ -275,6 +287,8 @@ def test_restrict_rejects_bad_support(support):
     [(-1, 1)],
     [(1, 0)],  # i > j
     [(1, 1)],  # self-loop
+    [(0, 2**70)],  # beyond the C long range
+    [(-2**70, 1)],
 ])
 def test_incidence_rejects_bad_columns(pairs):
     with pytest.raises(InvalidInputError):
@@ -710,9 +724,13 @@ def test_parse_edge_list_malformed():
         with pytest.raises(InvalidInputError,
                            match=r"^line 3: invalid literal for int\(\) with base 10: 'n'$"):
             graphs.parse_edge_list(text)
+    # node indices beyond the C long range
+    for node in (2**70, -2**70):
+        with pytest.raises(InvalidInputError, match="^node index out of range$"):
+            graphs.parse_edge_list(f"0 1\n1 {node}\n")
 
 
-@pytest.mark.parametrize("count", ["abc", "2.5", "-3", "", "3 4"])
+@pytest.mark.parametrize("count", ["abc", "2.5", "-3", "", "3 4", str(2**70)])
 def test_parse_edge_list_rejects_bad_node_counts(count):
     # the node count must be one non-negative integer
     for text in (f"n {count}\n", f"n {count}\n0 1\n"):

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from gsp import duality, graphs, objective, pipeline, proxgrad, proxnewton
 from gsp.errors import InfeasiblePointError
 from gsp.objective import HESSIAN_SCALE, Objective
-from reference import dense_hessian, incidence_dense, lyapunov_h2_oracle
+from reference import (
+    dense_hessian,
+    incidence_dense,
+    lyapunov_h2_oracle,
+    spd_weight,
+)
 
 
 def p3_problem(gamma=0.0):
@@ -261,9 +266,7 @@ def er_problem(n, seed, resistive, scalar_r):
     prob = graphs.default_problem(plant, resistive=resistive)
     if scalar_r:
         return prob
-    rng = np.random.Generator(np.random.PCG64(seed))
-    B = rng.standard_normal((n, n))
-    R = B @ B.T / n + 0.5 * np.eye(n)
+    R = spd_weight(np.random.Generator(np.random.PCG64(seed)), n)
     return graphs.Problem(prob.plant, prob.candidates, prob.Q, R, 0.0, resistive)
 
 
@@ -350,7 +353,8 @@ def test_state_after_value_at_reuses_the_half_solve(monkeypatch, resistive):
 @pytest.mark.parametrize("scalar_r", [False, True])
 def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r):
     # neither the objective nor a certificate nor a full solve with either
-    # solver family takes an eigendecomposition
+    # solver family takes an eigendecomposition, and both solves end on a
+    # certificate, for R = I and for a non-scalar R
     prob = er_problem(12, 3, resistive, scalar_r)
 
     def forbidden(*args, **kwargs):
@@ -368,4 +372,4 @@ def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r)
     for solve in (proxnewton.solve_newton, first_order):
         _, rep = solve(prob)
         assert rep.status == "converged"
-        assert (rep.certificate is None) == (not scalar_r)
+        assert rep.certificate is not None
