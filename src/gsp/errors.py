@@ -30,7 +30,9 @@ class CertificateInvalidError(GspError):
 
 
 class DegenerateCurvatureError(GspError):
-    """Every coordinate in a descent sweep had non-positive curvature."""
+    """The Newton model has no usable curvature: no active coordinate has
+    positive curvature, or a free block of the resistive model is not
+    positive definite."""
 
 
 class LineSearchError(GspError):

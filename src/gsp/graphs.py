@@ -24,16 +24,20 @@ candidates are checked disjoint with one ``np.isin``, and
 The edge-list text is written and read whole as well:
 
 - :func:`format_edge_list` formats each node's ``"{k} "`` and ``"{k}\\n"``
-  once and gathers them by the two pair columns; only the line of a
-  non-unit weight is formatted on its own, with the ``repr`` of a Python
-  float, which reads back to the same bits.  One ``"".join`` makes the text.
+  once and gathers them by the two pair columns.  Once any weight differs
+  from 1, every line is ``i j w``: each distinct weight (by its bits, so
+  ``-0.0`` stays apart from ``0.0``) is formatted once, as the ``repr`` of a
+  Python float, which reads back to the same bits, and gathered as a third
+  column.  One ``"".join`` makes the text, whose edge lines all have the
+  same token count.
 - :func:`parse_edge_list` hands a text whose edge lines all have the same 2
-  or 3 tokens to numpy's C ``np.loadtxt``, with exactly that many columns.
-  Whatever it refuses goes to a per-line scan: lines of mixed token counts
-  (the writer's own output when only some weights are 1), odd whitespace
-  and line ends, and every malformed line.  The scan is the only reader
-  that words an error, with the line number, so every text reads to the
-  same edge list, or fails with the same message, as with the scan alone.
+  or 3 tokens, as every text the writer makes, to numpy's C
+  ``np.loadtxt``, with exactly that many columns.  Whatever it refuses goes
+  to a per-line scan: lines of mixed token counts (hand-written files),
+  odd whitespace and line ends, and every malformed line.  The scan is the
+  only reader that words an error, with the line number, so every text
+  reads to the same edge list, or fails with the same message, as with the
+  scan alone.
 
 The closed-loop kernels are called once or more per solver iteration on
 small matrices, so they are written for low per-call overhead:
@@ -701,17 +705,22 @@ def read_edge_list(path) -> EdgeList:
 
 
 def format_edge_list(edges: EdgeList) -> str:
-    """Text of an edge list: ``i j`` for a unit weight, else ``i j w`` with
-    the ``repr`` of the Python float (see the module docstring)."""
+    """Text of an edge list: ``i j`` lines when every weight is 1, else
+    ``i j w`` lines with the ``repr`` of the Python float (see the module
+    docstring)."""
     i, j = edges.pairs.T
     implied_n = 1 + int(j.max()) if edges.m else 0  # j > i
     head = "" if edges.m and implied_n == edges.n else f"n {edges.n}\n"
-    parts = np.empty((edges.m, 2), dtype=object)
-    parts[:, 0] = np.array([f"{k} " for k in range(implied_n)], dtype=object)[i]
-    parts[:, 1] = np.array([f"{k}\n" for k in range(implied_n)], dtype=object)[j]
-    weighted = np.flatnonzero(edges.weights != 1.0)
-    parts[weighted, 1] = [f"{k} {w!r}\n" for k, w in
-                          zip(j[weighted].tolist(), edges.weights[weighted].tolist())]
+    first = np.array([f"{k} " for k in range(implied_n)], dtype=object)
+    if np.any(edges.weights != 1.0):
+        # each distinct weight, told apart by its bits, is formatted once
+        bits, which = np.unique(np.ascontiguousarray(edges.weights).view(np.int64),
+                                return_inverse=True)
+        text = np.array([f"{w!r}\n" for w in bits.view(float).tolist()], dtype=object)
+        parts = np.stack((first[i], first[j], text[which]), axis=1)
+    else:
+        last = np.array([f"{k}\n" for k in range(implied_n)], dtype=object)
+        parts = np.stack((first[i], last[j]), axis=1)
     return head + "".join(parts.ravel().tolist())
 
 

@@ -21,8 +21,8 @@ REWEIGHT_EPS = 1e-3
 
 #: duality gap a polish from a given start certifies its gamma = 0 Newton
 #: solve to, read at call time, so that its J_polished does not depend on
-#: the start; the coordinate-descent directions reach it on supports of
-#: some hundreds of edges, not of thousands
+#: the start; the exact resistive Newton directions reach it, and 1e-10, on
+#: supports of thousands of edges
 POLISH_TOL_GAP = 1e-6
 
 

@@ -1,20 +1,28 @@
-"""Second-order solver: quadratic model minimized by cyclic coordinate descent.
+"""Second-order solver: a quadratic model minimized over the active block.
 
 Each outer iteration materializes the dense inverse of the closed-loop matrix
-(coordinate updates need random entry access), builds the active set, runs
-cyclic coordinate descent with closed-form scalar prox steps to approximate
-the Newton direction, and backtracks with a generalized Armijo rule.  The
-m-by-m Hessian is never formed.  The descent runs in rounds on the block
-of the Hessian over a working set of the ``k`` active coordinates with
-positive curvature; each sweep is a projected Gauss-Seidel step on that
-block: one product with its strict upper triangle, one BLAS forward
-substitution (``trsv``) with its lower triangle, and a vectorized check of
-the prox branches it assumed, re-solved from the first coordinate whose
-branch was guessed wrong.  A signed coordinate with a zero penalty is
-unpenalized: its two free branches solve the same equation, so it is never
-checked, and the sweeps of the signed ``gamma = 0`` centralized solve make
-one substitution each.  A resistive coordinate is always checked, because
-the cone ``x >= 0`` holds at every penalty.
+(the model's Hessian entries need random entry access), builds the active
+set, minimizes the quadratic model over the active coordinates to get the
+Newton direction, and backtracks with a generalized Armijo rule.  The m-by-m
+Hessian is never formed.  The model is minimized in rounds on the block of
+the Hessian over a working set of the ``k`` active coordinates with positive
+curvature, by one kernel per problem class:
+
+- **Resistive** (``x >= 0``): each round solves its block exactly, by a
+  primal-dual active-set method (Hintermueller, Ito, Kunisch, SIAM J.
+  Optim. 2002; :func:`_pdas_block`).  It guesses which coordinates sit at
+  the cone's edge, solves for the rest with one Cholesky factorization of
+  their block, guesses again from the solution's prox values and stops when
+  the guess repeats.
+- **Signed**: each round runs cyclic coordinate descent with closed-form
+  scalar prox steps, as projected Gauss-Seidel sweeps on the block
+  (:func:`_block_sweeps`): one product with its strict upper triangle, one
+  BLAS forward substitution (``trsv``) with its lower triangle, and a
+  vectorized check of the prox branches it assumed, re-solved from the
+  first coordinate whose branch was guessed wrong.  A coordinate with a
+  zero penalty is unpenalized: its two free branches solve the same
+  equation, so it is never checked, and the sweeps of the ``gamma = 0``
+  centralized solve make one substitution each.
 
 After each round, one matrix-free Hessian-direction product gives every
 coordinate outside the working set its prox step from the current direction
@@ -28,10 +36,12 @@ with no cap on its size.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
-penalty); the inner stop, no coordinate moved by more than ``cd_tol =
-CD_TOL * max(1, max|grad|)`` in a sweep, or ``CD_SWEEPS_MAX`` sweeps; and
-the line search's Armijo constant ``ARMIJO_SIGMA``, step factor
-``BACKTRACK_SHRINK`` and budget ``MAX_BACKTRACKS``.
+penalty); ``cd_tol = CD_TOL * max(1, max|grad|)``, the growth test of both
+classes and the signed sweeps' stop (no coordinate moved by more than it in
+a sweep), with ``CD_SWEEPS_MAX`` sweeps at most; and the line search's
+Armijo constant ``ARMIJO_SIGMA``, step factor ``BACKTRACK_SHRINK`` and
+budget ``MAX_BACKTRACKS``.  The resistive block solves have no tolerance:
+their directions are exact on each working set.
 
 The start, the certificate test and the status rule are those of
 :mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
@@ -48,6 +58,7 @@ from math import copysign
 
 import numpy as np
 from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .duality import certify_or_none
 from .errors import DegenerateCurvatureError, InvalidInputError, LineSearchError
@@ -69,8 +80,8 @@ from .proxgrad import SolveReport, _certified, _check_tolerances, _finish, _star
 #: resident memory for rows that stay at zero.
 CD_CACHE_ELEMS = 1 << 18
 
-#: Entries of the Hessian block built at a time by :func:`_scaled_block`
-#: (32 kB of float64 per temporary).
+#: Entries of the Hessian block built at a time by :func:`_scaled_block` and
+#: :func:`_free_solve` (32 kB of float64 per temporary).
 _BUILD_ELEMS = 1 << 12
 
 #: Fewest coordinates allowed to join the working set in one growth round;
@@ -101,7 +112,7 @@ class NewtonOptions:
 
 
 def active_set(x_bar, grad, gamma_vec, resistive: bool) -> np.ndarray:
-    """Indices allowed to move in the coordinate-descent subproblem.
+    """Indices allowed to move in the Newton subproblem.
 
     ``grad`` is the gradient of the smooth part: the plain objective gradient
     for signed problems, the penalized one for resistive problems.  A signed
@@ -121,27 +132,38 @@ def active_set(x_bar, grad, gamma_vec, resistive: bool) -> np.ndarray:
 
 def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
                  resistive: bool):
-    """Approximate Newton direction by cyclic sweeps over active coordinates.
+    """Newton direction: the quadratic model minimized over the active
+    coordinates, exactly for resistive problems and by cyclic sweeps for
+    signed ones.
 
     ``inc`` is the candidate incidence structure; ``grad`` follows the same
     convention as in :func:`active_set`; ``active`` holds distinct candidate
-    indices, and ``Y`` and ``Ginv`` are symmetric.
-    Coordinates with positive curvature are visited in their order in
-    ``active``; each visit is the closed-form scalar prox step, and the
-    sweeps stop once no coordinate moved by more than ``cd_tol = CD_TOL *
-    max(1, max|grad|)`` or after ``CD_SWEEPS_MAX`` sweeps, both module
-    constants read at call time.  The sweeps run in rounds, each on the
-    Hessian block over a working set ``W`` of those ``k`` coordinates
-    (:func:`_block_sweeps`) from the current direction, with its own
-    ``CD_SWEEPS_MAX``.  ``W`` starts as all ``k`` coordinates when ``k**2 <=
-    CD_CACHE_ELEMS``, and otherwise as those with ``x_bar != 0``, so every
-    coordinate outside it sits at ``x_bar + direction = 0``.  After a round,
-    one :func:`hessian_product` with the coordinates of ``W`` that moved
-    gives each outside coordinate its prox step from the current direction.
-    Those whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
-    |W|)`` of them per round with the largest steps first, and ``W`` is kept
-    in visit order.  The loop ends once no coordinate is outside ``W`` or
-    none of them would move by more than ``cd_tol``.
+    indices, and ``Y`` and ``Ginv`` are symmetric.  The coordinates with
+    positive curvature are solved for in rounds, each on the Hessian block
+    over a working set ``W`` of those ``k`` coordinates, kept in their order
+    in ``active``:
+
+    - resistive, :func:`_pdas_block` solves the model over ``W`` exactly,
+      with every coordinate outside ``W`` held at its current direction.
+      Its first guess of the coordinates at ``x_bar + direction = 0`` is each
+      coordinate's own step from a zero direction; a later round starts from
+      the previous round's final guess, which is the same rule at the
+      current direction;
+    - signed, :func:`_block_sweeps` visits the coordinates of ``W`` in
+      order, each visit the closed-form scalar prox step, from the current
+      direction, and stops once no coordinate moved by more than ``cd_tol =
+      CD_TOL * max(1, max|grad|)`` in a sweep or after ``CD_SWEEPS_MAX``
+      sweeps, both module constants read at call time.
+
+    ``W`` starts as all ``k`` coordinates when ``k**2 <= CD_CACHE_ELEMS``,
+    and otherwise as those with ``x_bar != 0``, so every coordinate outside
+    it sits at ``x_bar + direction = 0``.  After a round, one
+    :func:`hessian_product` with the coordinates of ``W`` that moved gives
+    each outside coordinate its prox step from the current direction.  Those
+    whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
+    |W|)`` of them per round with the largest steps first.  The loop ends
+    once no coordinate is outside ``W`` or none of them would move by more
+    than ``cd_tol``.
 
     Coordinates outside the final working set keep a zero direction.  The
     inputs are not modified.
@@ -166,11 +188,16 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     ends = sub.T
     inside = np.full(k, True) if k * k <= CD_CACHE_ELEMS else xb != 0.0
     d = np.zeros(k)
+    if resistive:
+        zero = _zero_guess(xb - g / a)
     while True:
         W = np.flatnonzero(inside)
-        if W.size:
+        if W.size and resistive:
+            d[W], zero[W] = _pdas_block(Y, Ginv, sub[W], a[W], g[W], xb[W],
+                                        zero[W])
+        elif W.size:
             d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
-                                 cd_tol, resistive, d[W])
+                                 cd_tol, d[W])
         out = np.flatnonzero(~inside)
         if out.size == 0:
             break
@@ -188,6 +215,87 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
         inside[out[grow]] = True
     xt[cols] = d
     return xt
+
+
+def _zero_guess(z):
+    """The primal-dual active-set guess at the prox values ``z = x_bar + d
+    - (H d + g) / a``: the coordinates whose ``z`` lies below the cone, which
+    the next solve holds at ``x_bar + d = 0``."""
+    return z < 0.0
+
+
+def _pdas_block(Y, Ginv, sub, a, g, xb, zero):
+    """Exact minimizer of the resistive model ``g^T d + d^T H d / 2`` subject
+    to ``xb + d >= 0`` over the edges ``sub``, by the primal-dual active-set
+    method (a semismooth Newton method on the prox fixed point), from the
+    guess ``zero`` of the coordinates at the cone's edge.
+
+    Each guess is solved exactly: ``d_Z = -xb_Z`` on the guess ``Z`` and, on
+    the rest ``F``, ``H_FF d_F = -g_F - H_FZ d_Z`` by :func:`_free_solve`,
+    with ``H_FZ d_Z`` one :func:`hessian_product`.  The next guess is
+    :func:`_zero_guess` of the prox values ``z = xb + d - (H d + g) / a``:
+    ``xb + d`` on ``F``, where the solve makes ``H d + g`` zero, and on
+    ``Z`` one more :func:`hessian_product` for its rows.  The loop stops
+    when a guess repeats one already solved: the guess just solved means
+    that ``d`` meets the box-QP KKT conditions, and an earlier one a cycle.
+    It makes at most ``k + 1`` solves.  The last solve, clamped to the cone
+    (a no-op when the guess just solved repeats), is returned with the guess
+    made from it.
+    """
+    k = a.size
+    ends = sub.T
+    neg_xb = 0.0 - xb  # no negative zeros
+    tried = set()
+    for _ in range(k + 1):
+        tried.add(zero.tobytes())
+        free = np.flatnonzero(~zero)
+        held = np.flatnonzero(zero)
+        d = np.where(zero, neg_xb, 0.0)
+        if free.size:
+            rhs = -g[free]
+            moved = held[neg_xb[held] != 0.0]
+            if moved.size:
+                rhs -= hessian_product(Y, Ginv, ends[:, moved], neg_xb[moved],
+                                       ends[:, free])
+            d[free] = _free_solve(Y, Ginv, ends[:, free], rhs)
+        z = xb + d
+        if held.size:
+            moved = np.flatnonzero(d)
+            hd = (hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, held])
+                  if moved.size else 0.0)
+            z[held] = -(hd + g[held]) / a[held]
+        zero = _zero_guess(z)
+        if zero.tobytes() in tried:
+            break
+    np.maximum(d, neg_xb, out=d)
+    return d, zero
+
+
+def _free_solve(Y, Ginv, ends, rhs):
+    """Solution of ``H d = rhs`` for the Hessian block ``H`` over the edges
+    whose end nodes are ``ends``.
+
+    ``H``'s upper triangle is built into one buffer a chunk of rows at a
+    time, as in :func:`_scaled_block`, so no temporary has more than
+    ``_BUILD_ELEMS`` entries; the buffer is freed on return, before the
+    Hessian products of the next guess.  Its transpose, Fortran-ordered
+    with that triangle as its lower one, is factored in place by LAPACK
+    ``dpotrf``, called directly: :func:`gsp.graphs.try_cholesky` stays the
+    closed-loop factorization.  A block that is not positive definite
+    raises DegenerateCurvatureError.
+    """
+    f = rhs.size
+    H = np.empty((f, f))
+    step = max(1, _BUILD_ELEMS // f)
+    for r0 in range(0, f, step):
+        r1 = min(f, r0 + step)
+        hessian_rows(Y, Ginv, ends[:, r0:r1], ends[:, r0:], out=H[r0:r1, r0:])
+    chol, info = dpotrf(H.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise DegenerateCurvatureError(
+            "free block of the Newton model is not positive definite")
+    d, info = dpotrs(chol, rhs, lower=1)
+    return d
 
 
 def _scaled_block(Y, Ginv, sub, a):
@@ -210,18 +318,16 @@ def _scaled_block(Y, Ginv, sub, a):
     return H
 
 
-def _branch(v, thresh, resistive):
-    """Prox branch at the unthresholded value ``v`` of ``x_bar +
+def _branch(v, thresh):
+    """Signed prox branch at the unthresholded value ``v`` of ``x_bar +
     direction``, for arrays or scalars: 1.0 free above the threshold, -1.0
-    free below minus it (signed only), 0.0 at zero."""
-    if resistive:
-        return 1.0 * (v >= 0.0)
+    free below minus it, 0.0 at zero."""
     return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
 
 
-def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
-    """Cyclic coordinate descent on the block over the edges ``sub``, one
-    sweep at a time from the direction ``d0``.
+def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, d0):
+    """Cyclic coordinate descent on the signed block over the edges ``sub``,
+    one sweep at a time from the direction ``d0``.
 
     With ``H = D + L + U`` (diagonal ``a``, strict lower and upper parts), a
     sweep from ``d`` to ``d_new`` solves, for every coordinate on a free prox
@@ -240,39 +346,36 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
     was, changes nothing in the substitution, so it is not solved again and
     the check goes on from the next coordinate.
 
-    A free value is off its side exactly when ``s d_new_t <= s (-xb_t)``
-    (``<`` resistive): a rounded sum ``xb_t + d_new_t`` is at most zero
-    exactly when ``d_new_t <= -xb_t``.  That bound is kept per coordinate,
-    so the check forms no ``xb + d_new``.  A free signed coordinate with a
-    zero threshold (``gam_t = 0``, as in the centralized solve) is
-    *unpenalized*: both of its free branches solve the same equation, so it
-    is never checked or corrected, and a sweep in which every coordinate is
-    unpenalized checks nothing.  A coordinate with ``gam_t = 0`` guessed at
-    zero is checked until its first correction frees it.  The rule is signed
-    only: a resistive coordinate with ``gam_t = 0`` still keeps ``xb_t +
-    d_new_t >= 0``.
+    A free value is off its side exactly when ``s d_new_t <= s (-xb_t)``:
+    a rounded sum ``xb_t + d_new_t`` is at most zero exactly when
+    ``d_new_t <= -xb_t``.  That bound is kept per coordinate, so the check
+    forms no ``xb + d_new``.  A free coordinate with a zero threshold
+    (``gam_t = 0``, as in the centralized solve) is *unpenalized*: both of
+    its free branches solve the same equation, so it is never checked or
+    corrected, and a sweep in which every coordinate is unpenalized checks
+    nothing.  A coordinate with ``gam_t = 0`` guessed at zero is checked
+    until its first correction frees it.
     """
     k = a.size
     H = _scaled_block(Y, Ginv, sub, a)
     B = H.T  # Fortran order for BLAS: lower triangle U^T, upper (D^-1 L)^T
     negg = -g
     neg_xb = 0.0 - xb  # no negative zeros
-    thresh = np.zeros(k) if resistive else gam / a
+    thresh = gam / a
     d = d0.copy()
     own = negg - dtrmv(B, d, lower=1, trans=1) - dtrmv(B, d, lower=1)
     own /= a
     own += xb
-    sign = _branch(own, thresh, resistive)
+    sign = _branch(own, thresh)
     zero = sign == 0.0
     for t in np.flatnonzero(zero):
         H[t, :t] = 0.0
     shift = sign * thresh
-    zero_pen = (thresh == 0.0) & (not resistive)
+    zero_pen = thresh == 0.0
     # a free value is off its side when d_new * sign is past lim; an
     # unpenalized coordinate never is
     lim = sign * neg_xb
     lim[zero_pen & ~zero] = -np.inf
-    off_side = np.less if resistive else np.less_equal
     n_zero = int(np.count_nonzero(zero))
     n_unpenalized = int(np.count_nonzero(zero_pen & ~zero))
     zero_pen, thresh_l = zero_pen.tolist(), thresh.tolist()
@@ -291,14 +394,13 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
         fresh = n_unpenalized < k  # the guesses are checked on each new d_new
         while fresh:
             fresh = False
-            off_side(np.multiply(d_new, sign, out=mul), lim, out=bad)
+            np.less_equal(np.multiply(d_new, sign, out=mul), lim, out=bad)
             if n_zero and zero[start:].any():
                 v = dtrmv(B, d_new, lower=1)  # L d_new, from the upper triangle
                 v /= a
                 np.subtract(w, v, out=v)
                 v += xb
-                np.copyto(bad, v >= 0.0 if resistive else np.abs(v) > thresh,
-                          where=zero)
+                np.copyto(bad, np.abs(v) > thresh, where=zero)
             while start < k:
                 t = start + int(bad[start:].argmax())
                 if not bad[t]:
@@ -306,7 +408,7 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
                 was_zero = bool(zero[t])
                 s_t = _branch(v.item(t) if was_zero
                               else (xb_l[t] + d_new.item(t)) + shift.item(t),
-                              thresh_l[t], resistive)
+                              thresh_l[t])
                 if was_zero:
                     np.divide(H[:t, t], a[t], out=H[t, :t])
                 now_zero = s_t == 0.0
@@ -336,9 +438,6 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, resistive, d0):
         d = d_new
         if step <= cd_tol:
             break
-    if resistive:
-        # a free coordinate accepted at the cone's edge may round just below it
-        np.maximum(d, neg_xb, out=d)
     return d
 
 

@@ -90,10 +90,12 @@ def duality_gap(x, y_plus, y_minus=None) -> float:
 
 def format_edge_list_per_edge(edges) -> str:
     """The edge-list writer as one f-string per edge, with the node-count
-    line whenever the last node is isolated or there is no edge."""
+    line whenever the last node is isolated or there is no edge, and the
+    weight on every line once any weight differs from 1."""
     implied_n = 1 + int(edges.pairs.max()) if edges.m else 0
     lines = [] if edges.m and implied_n == edges.n else [f"n {edges.n}"]
-    lines += [f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}"
+    weighted = any(w != 1.0 for w in edges.weights.tolist())
+    lines += [f"{i} {j} {w!r}" if weighted else f"{i} {j}"
               for (i, j), w in zip(edges.pairs.tolist(), edges.weights.tolist())]
     return "\n".join(lines) + "\n"
 

@@ -683,13 +683,14 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_weighted_edge_list_round_trip_is_bit_exact(tmp_path):
-    # non-unit weights are written as the repr of Python floats, which reads
-    # back to the same bits; unit weights are left out
+    # weights are written as the repr of Python floats, which reads back to
+    # the same bits; once any weight differs from 1, every line has its
+    # weight, 1.0 included, so the text reads by np.loadtxt
     w = [0.1, 1 / 3, 2.5, -0.75, 1e-300, 1.0]
     e = graphs.EdgeList.from_tuples(8, [(k + 1, k, wk) for k, wk in enumerate(w)])
     text = graphs.format_edge_list(e)
     assert text == ("n 8\n0 1 0.1\n1 2 0.3333333333333333\n2 3 2.5\n"
-                    "3 4 -0.75\n4 5 1e-300\n5 6\n")
+                    "3 4 -0.75\n4 5 1e-300\n5 6 1.0\n")
     path = tmp_path / "w.edges"
     graphs.write_edge_list(e, path)
     _assert_identical(graphs.read_edge_list(path), e)
@@ -748,14 +749,16 @@ def test_edgeless_edge_list_round_trip():
 
 
 def test_uniform_lines_are_read_without_the_scan(monkeypatch):
-    # lines of one token count go to np.loadtxt, comments, blank lines, a
+    # lines of one token count, as the writer makes them also when only
+    # some weights are 1, go to np.loadtxt, comments, blank lines, a
     # node-count line and CRLF ends included; the scan reads nothing
     def scan(text):
         raise AssertionError("per-line scan called")
 
     monkeypatch.setattr(graphs, "_scan_edge_list", scan)
     e = graphs.EdgeList.from_tuples(9, [(0, 1), (4, 2), (3, 5)])
-    w = graphs.EdgeList.from_tuples(7, [(0, 1, 0.5), (1, 2, 1e-300), (5, 2, -0.0)])
+    w = graphs.EdgeList.from_tuples(7, [(0, 1, 0.5), (1, 2, 1e-300), (5, 2, -0.0),
+                                        (3, 4, 1.0)])
     for edges in (e, w):
         text = "# plant\n\n" + graphs.format_edge_list(edges).replace("\n", " # c\n", 2)
         for t in (text, text.replace("\n", "\r\n")):

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import daxpy
 
-from gsp import graphs, proxnewton
-from gsp.errors import InfeasiblePointError, InvalidInputError
+from gsp import graphs, pipeline, proxgrad, proxnewton
+from gsp.errors import DegenerateCurvatureError, InfeasiblePointError, InvalidInputError
 from gsp.objective import HESSIAN_SCALE, Objective, edge_quad_diag, hessian_rows
 from gsp.proxgrad import soft_threshold
 from gsp.proxnewton import NewtonOptions, active_set, cd_direction, line_search
@@ -209,6 +211,41 @@ def converged(grad):
 CONVERGED_BOUND = 1e-10
 
 
+def converged_bound(ref):
+    """``CONVERGED_BOUND`` scaled by ``max(1, max|ref|)``."""
+    return CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
+
+
+#: Largest KKT violation of a resistive direction, each row's residual
+#: relative to the size of its terms (see ``model_kkt_violation``): a few
+#: dozen units of rounding.  Over the strategy spaces of
+#: ``test_cd_direction_matches_per_update_loop`` and
+#: ``test_cd_direction_with_some_zero_penalties`` the worst is 2.7e-16.
+KKT_BOUND = 1e-14
+
+
+def model_kkt_violation(args, xt):
+    """Largest violation at ``xt`` of the KKT conditions of the resistive
+    model ``min g^T d + d^T H d / 2`` subject to ``x_bar + d >= 0`` over the
+    usable coordinates of ``args``, with ``H`` built densely by
+    ``hessian_rows``: a free coordinate's ``(H d + g)_t`` must vanish, and
+    one at ``x_bar_t + d_t = 0`` must have it non-negative.  Each residual is
+    taken relative to ``(|H| |d| + |g|)_t``, the size of its terms.  The
+    direction must also be zero off those coordinates and feasible."""
+    inc, Y, Ginv, grad, x_bar = args[:5]
+    cols = args[6][usable(args)]
+    rest = np.ones(x_bar.size, dtype=bool)
+    rest[cols] = False
+    assert not np.any(xt[rest])
+    assert np.min(x_bar + xt) >= 0.0
+    ends = inc.pairs[cols].T
+    H = hessian_rows(Y, Ginv, ends, ends)
+    d, g = xt[cols], grad[cols]
+    r = H @ d + g
+    viol = np.where(x_bar[cols] + d == 0.0, np.maximum(-r, 0.0), np.abs(r))
+    return float(np.max(viol / (np.abs(H) @ np.abs(d) + np.abs(g))))
+
+
 def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     """Weighted penalties at a random point with some zero weights, both as
     solve_newton builds them, and about a share ``zero_frac`` of the
@@ -285,19 +322,28 @@ def assume_growth(args, ref, bound):
     return outside
 
 
+#: The block kernel of each problem class, one call a working-set round:
+#: ``resistive`` indexes it.
+KERNELS = ("_block_sweeps", "_pdas_block")
+
+
 def capped_cd(args, cache):
     """``cd_direction(*args)`` with the whole-block budget set by ``cache``:
     "full" keeps the default, which holds the whole block at these sizes;
     "block" and "below" put it at ``k**2`` and one entry below; "none" at 0.
     Returns the direction and the path taken, read from the sizes of the
-    ``_block_sweeps`` calls, one a round: ``WHOLE`` for one call on all
-    ``k`` coordinates, ``ROUNDS`` otherwise.  The working set only grows."""
+    block-kernel calls (``_block_sweeps`` signed, ``_pdas_block``
+    resistive), one a round: ``WHOLE`` for one call on all ``k``
+    coordinates, ``ROUNDS`` otherwise.  The working set only grows, and the
+    other class's kernel is never called."""
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
-        def spy(*a, _real=proxnewton._block_sweeps, **kw):
-            sizes.append(a[3].size)
-            return _real(*a, **kw)
-        mp.setattr(proxnewton, "_block_sweeps", spy)
+        for name in KERNELS:
+            def spy(*a, _real=getattr(proxnewton, name), _name=name, **kw):
+                assert _name == KERNELS[args[7]]
+                sizes.append(a[3].size)
+                return _real(*a, **kw)
+            mp.setattr(proxnewton, name, spy)
         k = usable_count(args)
         budget = {"full": proxnewton.CD_CACHE_ELEMS, "block": k * k,
                   "below": k * k - 1, "none": 0}[cache]
@@ -313,17 +359,20 @@ def capped_cd(args, cache):
        resistive=st.booleans())
 @pytest.mark.parametrize("cache", ["full", "working_set", "boundary"])
 def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
-    # the block sweeps visit the coordinates in the reference loops' order
-    # and, at the default inner stop, stay within rounding of both; a working
-    # set visits them in another order, so it is compared with the
-    # reference run to convergence, within CONVERGED_BOUND.  "boundary" runs
-    # both sides of the whole-block budget, at k**2 and one entry below.
-    # "working_set" takes only cases whose working set grows, and checks
-    # that it did: a coordinate outside the first one moved.
+    # signed, the block sweeps visit the coordinates in the reference loops'
+    # order and, at the default inner stop, stay within rounding of both.
+    # Every other case is compared with the reference run to convergence,
+    # within CONVERGED_BOUND: a signed working set visits the coordinates in
+    # another order, and a resistive direction is the exact minimizer of the
+    # model, which a whole-block round ("full") also shows by meeting the
+    # KKT conditions within KKT_BOUND.  "boundary" runs both sides of the
+    # whole-block budget, at k**2 and one entry below.  "working_set" takes
+    # only cases whose working set grows, and checks that it did: a
+    # coordinate outside the first one moved.
     args = random_cd_case(n, seed, frac, resistive)
     assume(args is not None)
     x_bar = args[4]
-    if cache == "full":
+    if cache == "full" and not resistive:
         ref = per_update_cd(*args, update=axpy_update)
         ufunc_ref = per_update_cd(*args, update=ufunc_update)
         bound = 1e-3 * cd_tol(args[3])
@@ -335,34 +384,53 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         # of its d + (-(x_bar + d))), the block sweeps land on it
         at_zero = np.abs(x_bar + ref) <= 4 * np.finfo(float).eps * np.abs(x_bar)
         assert np.array_equal(xt[at_zero], -x_bar[at_zero])
-        runs = [xt]
-    else:
-        budgets = {"working_set": ["none"], "boundary": ["block", "below"]}[cache]
-        with converged(args[3]):
-            ref = per_update_cd(*args, update=axpy_update)
-            bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref))))
-            if cache == "working_set":
-                outside = assume_growth(args, ref, bound)
-            results = [capped_cd(args, budget) for budget in budgets]
-        runs = []
-        for budget, (xt, path) in zip(budgets, results):
-            assert path == expected_path(args, budget)
-            assert np.max(np.abs(xt - ref)) <= bound
-            runs.append(xt)
+        return
+    budgets = {"full": ["full"], "working_set": ["none"],
+               "boundary": ["block", "below"]}[cache]
+    with converged(args[3]):
+        ref = per_update_cd(*args, update=axpy_update)
+        bound = converged_bound(ref)
         if cache == "working_set":
-            assert np.any(runs[0][outside] != 0.0)
-    if resistive:
-        for xt in runs:
+            outside = assume_growth(args, ref, bound)
+        if cache != "full":
+            results = [capped_cd(args, budget) for budget in budgets]
+    if cache == "full":  # the whole block, at the default constants
+        results = [capped_cd(args, "full")]
+    for budget, (xt, path) in zip(budgets, results):
+        assert path == expected_path(args, budget)
+        assert np.max(np.abs(xt - ref)) <= bound
+        if resistive and path == WHOLE:
+            assert model_kkt_violation(args, xt) <= KKT_BOUND
+        if resistive:
             assert np.min(x_bar + xt) >= 0.0
+    if cache == "working_set":
+        assert np.any(results[0][0][outside] != 0.0)
+
+
+def spy_guesses(monkeypatch):
+    """Record every active-set guess of the resistive kernel: its first
+    guess in ``cd_direction``, then one after each block solve."""
+    guesses = []
+
+    def spy(z, _real=proxnewton._zero_guess):
+        guesses.append(_real(z))
+        return guesses[-1].copy()
+
+    monkeypatch.setattr(proxnewton, "_zero_guess", spy)
+    return guesses
 
 
 @pytest.mark.parametrize("sweeps", [1, 100])
 def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
                                                               sweeps):
     # resistive from x_bar = 0: every active coordinate's own step from
-    # d = 0 is positive, so the block sweeps guess every branch free, but in
-    # the first sweep earlier moves push the free steps of coordinates 1, 3,
-    # 5 and 6 below zero; each must be corrected and the rest re-solved
+    # d = 0 is positive, so the first active-set guess frees every
+    # coordinate, but the solve with all of them free puts coordinates 1, 3
+    # and 5 below zero; with those held at zero, coordinate 6 goes below
+    # too, and the third guess repeats the second.  The direction is the
+    # exact minimizer: it meets the KKT conditions, matches the reference
+    # run to convergence, and lands on the same zeros.  CD_SWEEPS_MAX binds
+    # only the signed sweeps: at 1 and at 100 the direction is the default's
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", 6, p=0.4, seed=7), resistive=True
     )
@@ -375,12 +443,19 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
     assert np.all(grad[act] < 0.0)
     args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
             act, True)
+    default = cd_direction(*args)
     monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
+    guesses = spy_guesses(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == WHOLE
-    ref = per_update_cd(*args, update=axpy_update)
+    assert np.array_equal(xt, default)
+    assert [list(np.flatnonzero(z)) for z in guesses] == [[], [1, 3, 5], [1, 3, 5, 6],
+                                                        [1, 3, 5, 6]]
+    assert model_kkt_violation(args, xt) <= KKT_BOUND
+    with converged(grad):
+        ref = per_update_cd(*args, update=axpy_update)
     assert list(np.flatnonzero(ref[act] == 0.0)) == [1, 3, 5, 6]
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(grad)
+    assert np.max(np.abs(xt - ref)) <= converged_bound(ref)
     assert list(np.flatnonzero(xt[act] == 0.0)) == [1, 3, 5, 6]
 
 
@@ -451,8 +526,10 @@ def test_sweep_cap_is_read_at_call_time(monkeypatch):
 def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     # the unpenalized rule is signed only: a resistive coordinate with
     # gamma = 0 (the polish) still keeps x >= 0.  At this point 8 of the 12
-    # active coordinates of the reference end at x_bar + d = 0; the block
-    # sweeps reach them by scalar corrections, and land on the same ones
+    # active coordinates of the reference run to convergence end at x_bar +
+    # d = 0; the first active-set guess holds 9 coordinates at zero, the
+    # next one frees one of them, and the direction lands on the reference's
+    # zeros, exactly at -x_bar, and meets the KKT conditions
     plant = graphs.generate("erdos_renyi", 8, p=0.4, seed=1)
     prob = graphs.default_problem(plant, resistive=True)
     obj = Objective(prob)
@@ -463,15 +540,17 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     act = active_set(x, state.grad, gam, resistive=True)
     args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
             x, gam, act, True)
-    calls = count_block_calls(monkeypatch)
+    guesses = spy_guesses(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == WHOLE
-    assert calls["corrections"] > 0
-    ref = per_update_cd(*args, update=axpy_update)
+    assert [np.count_nonzero(z) for z in guesses] == [9, 8, 8]
+    assert model_kkt_violation(args, xt) <= KKT_BOUND
+    with converged(state.grad):
+        ref = per_update_cd(*args, update=axpy_update)
     ref_zero = x[act] + ref[act] == 0.0
     assert act.size == 12 and np.count_nonzero(ref_zero) == 8
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(args[3])
-    assert np.array_equal(x[act] + xt[act] == 0.0, ref_zero)
+    assert np.max(np.abs(xt - ref)) <= converged_bound(ref)
+    assert np.array_equal(xt[act][ref_zero], -x[act][ref_zero])
 
 
 @settings(max_examples=50, deadline=None)
@@ -484,30 +563,36 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
                                                resistive):
     # a random subset of the per-edge penalties is exactly 0 (at gamma = 0
     # all of them are): signed, those coordinates are unpenalized and never
-    # checked; resistive, they are checked like the rest.  Both match the
+    # checked; resistive, they keep the cone like the rest.  Both match the
     # per-update reference within the bounds of
-    # test_cd_direction_matches_per_update_loop, and "working_set" takes and
-    # checks only cases whose working set grows, as there
+    # test_cd_direction_matches_per_update_loop, a resistive whole block
+    # meets the KKT conditions, and "working_set" takes and checks only
+    # cases whose working set grows, as there
     args = random_cd_case(n, seed, frac, resistive, zero_frac)
     assume(args is not None)
     gam, act = args[5], args[6]
     assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
     x_bar = args[4]
-    if cache == "full":
+    if cache == "full" and not resistive:
         budget, stop = "full", contextlib.nullcontext()
     else:
-        budget, stop = "none", converged(args[3])
+        budget = {"full": "full", "working_set": "none"}[cache]
+        stop = converged(args[3])
     with stop:
         ref = per_update_cd(*args, update=axpy_update)
-        bound = (1e-3 * cd_tol(args[3]) if cache == "full"
-                 else CONVERGED_BOUND * max(1.0, float(np.max(np.abs(ref)))))
+        bound = (1e-3 * cd_tol(args[3]) if cache == "full" and not resistive
+                 else converged_bound(ref))
         if cache == "working_set":
             outside = assume_growth(args, ref, bound)
+            xt, path = capped_cd(args, budget)
+    if cache == "full":  # the whole block, at the default constants
         xt, path = capped_cd(args, budget)
     assert path == expected_path(args, budget)
     assert np.max(np.abs(xt - ref)) <= bound
     if cache == "working_set":
         assert np.any(xt[outside] != 0.0)
+    if resistive and path == WHOLE:
+        assert model_kkt_violation(args, xt) <= KKT_BOUND
     if resistive:
         assert np.min(x_bar + xt) >= 0.0
 
@@ -515,8 +600,9 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
 @pytest.mark.parametrize("cache", ["full", "working_set"])
 @pytest.mark.parametrize("resistive", [False, True])
 def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
-    # the sweeps work in place on their own buffers; no input may share
-    # their memory, and the incidence structure's arrays are read-only
+    # the sweeps and the block solves work in place on their own buffers;
+    # no input may share their memory, and the incidence structure's arrays
+    # are read-only
     args = random_cd_case(12, 3, 0.1, resistive)
     assert args is not None
     inc = args[0]
@@ -534,9 +620,10 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
     # the first direction of a resistive solve from x_bar = 0 on an ER n=120
     # plant at 0.3 gamma_max: 1,123 active coordinates, of which 139 move.
     # The working set grows from empty to well below k, the Hessian entries
-    # built (the working set's block in every round) stay under
-    # |W| k + |W|^2, far below the k^2 of the whole block, and the direction
-    # is the whole block's, both run to convergence
+    # built (the free block of every active-set solve in every round) stay
+    # under |W| k + |W|^2, far below the k^2 of the whole block, and the
+    # direction is the whole block's, with the growth test run to
+    # convergence; both meet the KKT conditions
     n = 120
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", n, p=1.05 * np.log(n) / n, seed=3),
@@ -561,13 +648,13 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
         built.append(out.size)
         return out
 
-    def count_block(*a, _real=proxnewton._block_sweeps, **kw):
+    def count_block(*a, _real=proxnewton._pdas_block, **kw):
         sizes.append(a[3].size)
         return _real(*a, **kw)
 
     with monkeypatch.context() as mp:
         mp.setattr(proxnewton, "hessian_rows", count_rows)
-        mp.setattr(proxnewton, "_block_sweeps", count_block)
+        mp.setattr(proxnewton, "_pdas_block", count_block)
         xt = cd_direction(*args)
     W = sizes[-1]
     assert sizes[0] == 32 and sizes == sorted(sizes)
@@ -576,8 +663,9 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
 
     monkeypatch.setattr(proxnewton, "CD_CACHE_ELEMS", k * k)
     whole = cd_direction(*args)
-    bound = CONVERGED_BOUND * max(1.0, float(np.max(np.abs(whole))))
-    assert np.max(np.abs(xt - whole)) <= bound
+    assert np.max(np.abs(xt - whole)) <= converged_bound(whole)
+    for direction in (xt, whole):
+        assert model_kkt_violation(args, direction) <= KKT_BOUND
 
 
 def test_no_kkt_product_once_the_working_set_holds_every_coordinate(monkeypatch):
@@ -629,6 +717,116 @@ def test_cd_direction_resistive_respects_cone():
     xt = cd_direction(prob.candidates, st.Y, Ginv, grad_f, x, gam, act,
                       resistive=True)
     assert np.min(x + xt) >= -1e-12
+
+
+def first_resistive_direction(n, p, seed, frac):
+    """``cd_direction`` arguments of the first direction of a resistive
+    solve from ``x = 0`` on an ER plant, at ``frac`` of the largest
+    ``-grad``."""
+    prob = graphs.default_problem(graphs.generate("erdos_renyi", n, p=p, seed=seed),
+                                  resistive=True)
+    obj = Objective(prob)
+    x = np.zeros(prob.m)
+    state = obj.state(x)
+    gam = np.full(prob.m, frac * float(np.max(-state.grad)))
+    grad = state.grad + gam
+    act = active_set(x, grad, gam, resistive=True)
+    return (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
+            act, True)
+
+
+def test_resistive_direction_holds_one_block_in_memory():
+    # k = 210 active coordinates, 56 of them free in the exact direction:
+    # every active-set solve builds its free block in one k-by-k buffer, a
+    # chunk of rows at a time, so the traced peak stays below two blocks:
+    # one block plus the fixed chunk temporaries and the n-by-k gathers of
+    # the Hessian products.  A build through k-by-k temporaries, or a second
+    # k-by-k buffer, would pass it
+    args = first_resistive_direction(30, 0.2, 1, 0.2)
+    k = usable_count(args)
+    assert k == 210 and k * k <= proxnewton.CD_CACHE_ELEMS
+    cd_direction(*args)  # lazy set-up out of the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        xt = cd_direction(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(xt) == 56
+    assert model_kkt_violation(args, xt) <= KKT_BOUND
+    block = k * k * np.dtype(float).itemsize
+    assert block <= peak < 2 * block
+
+
+def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
+    # a guess rule that never repeats (guess t holds at zero the coordinates
+    # of the binary digits of t) runs the bound of k + 1 solves, one
+    # factorization each; the last solve is returned clamped to the cone,
+    # so the direction is feasible
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 6, p=0.4, seed=7), resistive=True
+    )
+    obj = Objective(prob)
+    x = np.zeros(prob.m)
+    x[::2] = 0.1
+    state = obj.state(x)
+    gam = np.full(prob.m, 0.1 * float(np.max(np.abs(state.grad))))
+    grad = state.grad + gam
+    act = active_set(x, grad, gam, resistive=True)
+    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
+            act, True)
+    k = usable_count(args)
+    count = itertools.count(1)
+
+    def never_repeats(z):
+        t = next(count)
+        return (t >> np.arange(z.size)) & 1 == 1
+
+    factorizations = []
+
+    def dpotrf(*a, _real=proxnewton.dpotrf, **kw):
+        factorizations.append(a[0].shape[0])
+        return _real(*a, **kw)
+
+    monkeypatch.setattr(proxnewton, "_zero_guess", never_repeats)
+    monkeypatch.setattr(proxnewton, "dpotrf", dpotrf)
+    xt = cd_direction(*args)
+    assert k > 3 and len(factorizations) == k + 1
+    assert np.min(x + xt) == 0.0
+    assert np.all(np.isfinite(xt))
+
+
+def test_indefinite_free_block_is_a_typed_error():
+    # Y = I and an indefinite symmetric G^-1 on the path 0-1-2: both edges
+    # have curvature 8 and share node 1, where their Hessian entry is 12, so
+    # the free block is indefinite.  Both are guessed free (x_bar = 0, grad
+    # < 0), and the factorization's failure is DegenerateCurvatureError, not
+    # a LinAlgError or a NaN direction
+    inc = graphs.IncidenceMatrix(3, np.array([[0, 1], [1, 2]]))
+    Ginv = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [5.0, 0.0, 1.0]])
+    ends = inc.pairs.T
+    H = hessian_rows(np.eye(3), Ginv, ends, ends)
+    assert np.array_equal(H, [[8.0, 12.0], [12.0, 8.0]])
+    with pytest.raises(DegenerateCurvatureError, match="not positive definite"):
+        cd_direction(inc, np.eye(3), Ginv, np.array([-1.0, -1.0]), np.zeros(2),
+                     np.zeros(2), np.array([0, 1]), resistive=True)
+
+
+def test_tight_polish_of_a_large_resistive_support_converges():
+    # the 719-edge support that proxBB finds at 0.05 gamma_max on the ER
+    # n=60, p=0.1, seed 3 resistive plant: its gamma = 0 polish certifies a
+    # 1e-10 gap within 6 Newton iterations.  Coordinate-descent directions
+    # ran it to max_iters, the gap stalled between 4e-8 and 3e-7
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 60, p=0.1, seed=3), resistive=True)
+    x, rep = proxgrad.solve_projected(prob.with_gamma(0.05 * pipeline.gamma_max(prob)))
+    support = np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL)
+    assert rep.status == "converged" and support.size == 719
+    reduced = prob.restrict(support).with_gamma(0.0)
+    _, pol = proxnewton.solve_newton(reduced, opts=NewtonOptions(tol_gap=1e-10))
+    assert pol.status == "converged" and pol.iterations <= 6
+    assert pol.final_gap <= 1e-10
 
 
 def test_line_search_hand_trace():
