@@ -25,11 +25,11 @@ The edge-list text is written and read whole as well:
 
 - :func:`format_edge_list` formats each node's ``"{k} "`` and ``"{k}\\n"``
   once and gathers them by the two pair columns.  Once any weight differs
-  from 1, every line is ``i j w``: each distinct weight (by its bits, so
-  ``-0.0`` stays apart from ``0.0``) is formatted once, as the ``repr`` of a
-  Python float, which reads back to the same bits, and gathered as a third
-  column.  One ``"".join`` makes the text, whose edge lines all have the
-  same token count.
+  from 1, every line is ``i j w``: a unit weight is the constant ``1.0`` and
+  only a non-unit weight is formatted on its own, as the ``repr`` of a
+  Python float, which reads back to the same bits (``-0.0`` included).  One
+  ``"".join`` makes the text, whose edge lines all have the same token
+  count.
 - :func:`parse_edge_list` hands a text whose edge lines all have the same 2
   or 3 tokens, as every text the writer makes, to numpy's C
   ``np.loadtxt``, with exactly that many columns.  Whatever it refuses goes
@@ -712,12 +712,11 @@ def format_edge_list(edges: EdgeList) -> str:
     implied_n = 1 + int(j.max()) if edges.m else 0  # j > i
     head = "" if edges.m and implied_n == edges.n else f"n {edges.n}\n"
     first = np.array([f"{k} " for k in range(implied_n)], dtype=object)
-    if np.any(edges.weights != 1.0):
-        # each distinct weight, told apart by its bits, is formatted once
-        bits, which = np.unique(np.ascontiguousarray(edges.weights).view(np.int64),
-                                return_inverse=True)
-        text = np.array([f"{w!r}\n" for w in bits.view(float).tolist()], dtype=object)
-        parts = np.stack((first[i], first[j], text[which]), axis=1)
+    weighted = np.flatnonzero(edges.weights != 1.0)
+    if weighted.size:
+        last = np.full(edges.m, "1.0\n", dtype=object)
+        last[weighted] = [f"{w!r}\n" for w in edges.weights[weighted].tolist()]
+        parts = np.stack((first[i], first[j], last), axis=1)
     else:
         last = np.array([f"{k}\n" for k in range(implied_n)], dtype=object)
         parts = np.stack((first[i], last[j]), axis=1)

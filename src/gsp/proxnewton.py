@@ -13,7 +13,8 @@ curvature, by one kernel per problem class:
   Optim. 2002; :func:`_pdas_block`).  It guesses which coordinates sit at
   the cone's edge, solves for the rest with one Cholesky factorization of
   their block, guesses again from the solution's prox values and stops when
-  the guess repeats.
+  the guess repeats.  Guesses that cycle end in a safeguard step
+  (:func:`_descent_safeguard`) that is not exact but still lowers the model.
 - **Signed**: each round runs cyclic coordinate descent with closed-form
   scalar prox steps, as projected Gauss-Seidel sweeps on the block
   (:func:`_block_sweeps`): one product with its strict upper triangle, one
@@ -41,7 +42,8 @@ classes and the signed sweeps' stop (no coordinate moved by more than it in
 a sweep), with ``CD_SWEEPS_MAX`` sweeps at most; and the line search's
 Armijo constant ``ARMIJO_SIGMA``, step factor ``BACKTRACK_SHRINK`` and
 budget ``MAX_BACKTRACKS``.  The resistive block solves have no tolerance:
-their directions are exact on each working set.
+their directions are exact on each working set, unless the active-set
+guesses cycle.
 
 The start, the certificate test and the status rule are those of
 :mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
@@ -144,11 +146,12 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     in ``active``:
 
     - resistive, :func:`_pdas_block` solves the model over ``W`` exactly,
-      with every coordinate outside ``W`` held at its current direction.
-      Its first guess of the coordinates at ``x_bar + direction = 0`` is each
-      coordinate's own step from a zero direction; a later round starts from
-      the previous round's final guess, which is the same rule at the
-      current direction;
+      with every coordinate outside ``W`` held at its current direction (or,
+      if its guesses cycle, returns a feasible direction with a lower model
+      value than the round's start).  Its first guess of the coordinates at
+      ``x_bar + direction = 0`` is each coordinate's own step from a zero
+      direction; a later round starts from the previous round's final
+      guess, which is the same rule at the current direction;
     - signed, :func:`_block_sweeps` visits the coordinates of ``W`` in
       order, each visit the closed-form scalar prox step, from the current
       direction, and stops once no coordinate moved by more than ``cd_tol =
@@ -194,7 +197,7 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
         W = np.flatnonzero(inside)
         if W.size and resistive:
             d[W], zero[W] = _pdas_block(Y, Ginv, sub[W], a[W], g[W], xb[W],
-                                        zero[W])
+                                        zero[W], d[W])
         elif W.size:
             d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
                                  cd_tol, d[W])
@@ -224,23 +227,28 @@ def _zero_guess(z):
     return z < 0.0
 
 
-def _pdas_block(Y, Ginv, sub, a, g, xb, zero):
-    """Exact minimizer of the resistive model ``g^T d + d^T H d / 2`` subject
-    to ``xb + d >= 0`` over the edges ``sub``, by the primal-dual active-set
-    method (a semismooth Newton method on the prox fixed point), from the
-    guess ``zero`` of the coordinates at the cone's edge.
+def _pdas_block(Y, Ginv, sub, a, g, xb, zero, d0):
+    """Exact minimizer of the resistive model ``q(d) = g^T d + d^T H d / 2``
+    subject to ``xb + d >= 0`` over the edges ``sub``, by the primal-dual
+    active-set method (a semismooth Newton method on the prox fixed point),
+    from the guess ``zero`` of the coordinates at the cone's edge.
 
     Each guess is solved exactly: ``d_Z = -xb_Z`` on the guess ``Z`` and, on
     the rest ``F``, ``H_FF d_F = -g_F - H_FZ d_Z`` by :func:`_free_solve`,
     with ``H_FZ d_Z`` one :func:`hessian_product`.  The next guess is
     :func:`_zero_guess` of the prox values ``z = xb + d - (H d + g) / a``:
     ``xb + d`` on ``F``, where the solve makes ``H d + g`` zero, and on
-    ``Z`` one more :func:`hessian_product` for its rows.  The loop stops
-    when a guess repeats one already solved: the guess just solved means
-    that ``d`` meets the box-QP KKT conditions, and an earlier one a cycle.
-    It makes at most ``k + 1`` solves.  The last solve, clamped to the cone
-    (a no-op when the guess just solved repeats), is returned with the guess
-    made from it.
+    ``Z`` one more :func:`hessian_product` for its rows.  When the next
+    guess is the one just solved, ``d`` meets the box-QP KKT conditions and
+    is returned with it.
+
+    The method is not monotone and may cycle: when a guess repeats an
+    earlier one, or ``k + 1`` guesses have been solved, the loop ends
+    without the exact answer and :func:`_descent_safeguard` picks the
+    direction instead, from the last solve clamped to the cone and the
+    feasible start ``d0`` (the previous round's direction), so that the
+    result still lowers the model below ``q(d0)``; its guess for the next
+    round is then the coordinates it holds at the cone's edge.
     """
     k = a.size
     ends = sub.T
@@ -264,11 +272,56 @@ def _pdas_block(Y, Ginv, sub, a, g, xb, zero):
             hd = (hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, held])
                   if moved.size else 0.0)
             z[held] = -(hd + g[held]) / a[held]
-        zero = _zero_guess(z)
+        guess = _zero_guess(z)
+        if np.array_equal(guess, zero):
+            return d, guess
+        zero = guess
         if zero.tobytes() in tried:
             break
     np.maximum(d, neg_xb, out=d)
-    return d, zero
+    d = _descent_safeguard(Y, Ginv, ends, g, neg_xb, (d, d0))
+    return d, d <= neg_xb
+
+
+def _descent_safeguard(Y, Ginv, ends, g, lo, candidates):
+    """A feasible direction with a model value ``q(d) = g^T d + d^T H d / 2``
+    below that of every one of the feasible ``candidates`` (``d >= lo``),
+    unless the best of them already minimizes ``q`` on ``d >= lo``.
+
+    From the candidate with the lowest ``q`` it takes one projected-gradient
+    step: along ``p = -(H d + g)``, with the components that would leave the
+    cone from a coordinate at ``lo`` set to zero, to the minimum of ``q`` on
+    the segment that stays feasible.  ``p = 0`` is the KKT condition, and
+    otherwise the step lowers ``q`` strictly.  It costs one
+    :func:`hessian_product` per candidate and one for ``p``.
+    """
+    def model(d):
+        nz = np.flatnonzero(d)
+        r = g.copy()
+        if nz.size:
+            r += hessian_product(Y, Ginv, ends[:, nz], d[nz], ends)
+        return 0.5 * float(d @ (r + g)), r
+
+    best = None
+    for c in candidates:
+        q, r = model(c)
+        if best is None or q < best[0]:
+            best = q, c, r
+    _, d, r = best
+    p = -r
+    room = d - lo
+    p[(room <= 0.0) & (p < 0.0)] = 0.0
+    nz = np.flatnonzero(p)
+    if nz.size == 0:
+        return d
+    slope = float(p @ p)
+    curv = float(p[nz] @ hessian_product(Y, Ginv, ends[:, nz], p[nz], ends[:, nz]))
+    down = p < 0.0
+    alpha = slope / curv if curv > 0.0 else np.inf
+    alpha = min(alpha, float(np.min(room[down] / -p[down], initial=np.inf)))
+    if alpha == np.inf:
+        raise DegenerateCurvatureError("Newton model is unbounded below on the cone")
+    return np.maximum(d + alpha * p, lo)
 
 
 def _free_solve(Y, Ginv, ends, rhs):

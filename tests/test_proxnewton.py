@@ -550,6 +550,7 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     ref_zero = x[act] + ref[act] == 0.0
     assert act.size == 12 and np.count_nonzero(ref_zero) == 8
     assert np.max(np.abs(xt - ref)) <= converged_bound(ref)
+    assert np.array_equal(x[act] + xt[act] == 0.0, ref_zero)
     assert np.array_equal(xt[act][ref_zero], -x[act][ref_zero])
 
 
@@ -759,11 +760,35 @@ def test_resistive_direction_holds_one_block_in_memory():
     assert block <= peak < 2 * block
 
 
+def model_value(args, xt):
+    """Value of the model ``g^T d + d^T H d / 2`` at ``xt`` over the usable
+    coordinates of ``args``, with ``H`` built densely by ``hessian_rows``."""
+    inc, Y, Ginv, grad = args[:4]
+    cols = args[6][usable(args)]
+    ends = inc.pairs[cols].T
+    d = xt[cols]
+    return float(grad[cols] @ d + 0.5 * d @ hessian_rows(Y, Ginv, ends, ends) @ d)
+
+
+def spy_safeguard(monkeypatch):
+    """Record the candidates of each ``_descent_safeguard`` call."""
+    calls = []
+
+    def spy(*a, _real=proxnewton._descent_safeguard):
+        calls.append([c.copy() for c in a[-1]])
+        return _real(*a)
+
+    monkeypatch.setattr(proxnewton, "_descent_safeguard", spy)
+    return calls
+
+
 def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
     # a guess rule that never repeats (guess t holds at zero the coordinates
     # of the binary digits of t) runs the bound of k + 1 solves, one
-    # factorization each; the last solve is returned clamped to the cone,
-    # so the direction is feasible
+    # factorization each, and ends without the exact answer.  The safeguard
+    # step gives a feasible direction whose model value lies below that of
+    # the last solve clamped to the cone and of zero, the round's start, and
+    # the line search accepts a step along it that lowers the objective
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", 6, p=0.4, seed=7), resistive=True
     )
@@ -791,10 +816,45 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
 
     monkeypatch.setattr(proxnewton, "_zero_guess", never_repeats)
     monkeypatch.setattr(proxnewton, "dpotrf", dpotrf)
+    calls = spy_safeguard(monkeypatch)
     xt = cd_direction(*args)
-    assert k > 3 and len(factorizations) == k + 1
-    assert np.min(x + xt) == 0.0
-    assert np.all(np.isfinite(xt))
+    assert k > 3 and len(factorizations) == k + 1 and len(calls) == 1
+    assert np.all(np.isfinite(xt)) and np.min(x + xt) >= 0.0
+    last = np.zeros_like(xt)
+    last[args[6][usable(args)]] = calls[0][0]
+    assert model_value(args, xt) < min(model_value(args, last), 0.0)
+    _, x_new, cl = line_search(obj, gam, state, xt)
+    assert obj.value_at(cl, x_new) + gam @ x_new < state.J + gam @ x
+
+
+def test_cycling_active_set_guesses_end_in_a_descent_direction(monkeypatch):
+    # the path 0-1-2 with Y = G^-1 = [[1, 0, .9], [0, 1, 0], [.9, 0, 1]]
+    # gives the Hessian [[8, 7.22], [7.22, 8]].  From x_bar = (1, 1) with
+    # grad = (-1, -1), two guesses that alternate, both coordinates held at
+    # zero and then only the second, cycle after two solves.  The last one,
+    # d = (8.22 / 8, -1), is feasible but raises the model to about 0.78,
+    # and one projected-gradient step from it stays above zero; the
+    # safeguard steps from zero, the round's start, instead, and its
+    # direction is feasible and lowers the model
+    inc = graphs.IncidenceMatrix(3, np.array([[0, 1], [1, 2]]))
+    G = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, 1.0]])
+    ends = inc.pairs.T
+    assert np.allclose(hessian_rows(G, G, ends, ends), [[8.0, 7.22], [7.22, 8.0]])
+    args = (inc, G, G, np.array([-1.0, -1.0]), np.ones(2), np.zeros(2),
+            np.array([0, 1]), True)
+    count = itertools.count()
+
+    def alternate(z):
+        return np.array([next(count) % 2 == 0, True])
+
+    monkeypatch.setattr(proxnewton, "_zero_guess", alternate)
+    calls = spy_safeguard(monkeypatch)
+    xt = cd_direction(*args)
+    assert next(count) == 3 and len(calls) == 1  # the first guess and one per solve
+    assert np.allclose(calls[0][0], [8.22 / 8, -1.0])
+    assert model_value(args, calls[0][0]) > 0.7
+    assert np.min(args[4] + xt) >= 0.0
+    assert model_value(args, xt) < 0.0 and float(args[3] @ xt) < 0.0
 
 
 def test_indefinite_free_block_is_a_typed_error():
