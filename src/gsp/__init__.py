@@ -46,4 +46,4 @@ from .proxnewton import NewtonOptions, active_set, cd_direction, line_search, so
 __version__ = "0.1.0"
 
 #: version string of the report/CSV serialization format
-REPORT_FORMAT = "gsp-report-3"
+REPORT_FORMAT = "gsp-report-4"

@@ -80,10 +80,10 @@ def parse_gamma_spec(spec: str, problem) -> list[float]:
         raise InvalidInputError(f"malformed gamma spec {spec!r}: {exc}") from exc
 
 
-def _gap_entry(gap: float) -> float | None:
-    """A polish gap for the reports: None (JSON null, an empty CSV field)
-    where the polish has no certificate."""
-    return None if np.isnan(gap) else gap
+def _nan_entry(value: float) -> float | None:
+    """A float for the reports: None (JSON null, an empty CSV field) for NaN,
+    which strict JSON cannot hold."""
+    return None if np.isnan(value) else value
 
 
 def _point_record(p: TradeoffPoint) -> dict:
@@ -92,8 +92,9 @@ def _point_record(p: TradeoffPoint) -> dict:
     return {
         "gamma": p.gamma, "cardinality": p.cardinality,
         "J_sparse": p.J_sparse, "J_polished": p.J_polished,
-        "rel_loss": p.rel_performance_loss, "rel_card": p.rel_cardinality,
-        "iterations": p.iterations, "polish_gap": _gap_entry(p.polish_gap),
+        "rel_loss": p.rel_performance_loss,
+        "rel_card": _nan_entry(p.rel_cardinality),
+        "iterations": p.iterations, "polish_gap": _nan_entry(p.polish_gap),
         "wall_time_s": p.wall_time,
     }
 
@@ -187,10 +188,10 @@ def _cmd_solve(args) -> int:
     obj = Objective(problem)
     J = obj.value(x)
     support = np.flatnonzero(np.abs(x) > ZERO_TOL)
-    x_pol, J_pol, polish_gap = polish(problem, support, return_gap=True)
+    x_pol, J_pol, polish_gap = polish(problem, support)
 
     objective_values = {"J": J, "J_polished": J_pol,
-                        "polish_gap": _gap_entry(polish_gap),
+                        "polish_gap": _nan_entry(polish_gap),
                         "J_c": None, "rel_loss": None}
     if not args.no_baseline:
         x_c, _ = solve_centralized(problem, args.method, opts)
@@ -213,8 +214,8 @@ def _cmd_solve(args) -> int:
             "status": report.status,
             "iterations": report.iterations,
             "wall_time_s": report.wall_time,
-            "final_gap": report.final_gap,
-            "final_rd_norm": report.final_rd_norm,
+            "final_gap": _nan_entry(report.final_gap),
+            "final_rd_norm": _nan_entry(report.final_rd_norm),
         },
     }
     _write_report(args.out, payload)
@@ -262,12 +263,12 @@ def _candidate_indices(problem, pairs) -> np.ndarray:
 def _cmd_polish(args) -> int:
     problem = _load_problem(args)
     chosen = read_edge_list(args.edges)
-    x, J = polish(problem, _candidate_indices(problem, chosen.pairs))
+    x, J, gap = polish(problem, _candidate_indices(problem, chosen.pairs))
     payload = {
         "config": _config_echo(args),
         "problem": _problem_summary(problem),
         "solution": _solution_entry(problem, x),
-        "objective": {"J_polished": J},
+        "objective": {"J_polished": J, "polish_gap": _nan_entry(gap)},
     }
     _write_report(args.out, payload)
     return EXIT_OK

@@ -19,10 +19,10 @@ ZERO_TOL = 1e-6
 #: epsilon in the reweighting update 1 / (|x| + eps)
 REWEIGHT_EPS = 1e-3
 
-#: duality gap a polish from a given start certifies its gamma = 0 Newton
-#: solve to, read at call time, so that its J_polished does not depend on
-#: the start; the exact resistive Newton directions reach it, and 1e-10, on
-#: supports of thousands of edges
+#: duality gap every polish certifies its gamma = 0 Newton solve to, read at
+#: call time, so that its J_polished does not depend on the start; the exact
+#: resistive Newton directions reach it, and 1e-10, on supports of thousands
+#: of edges
 POLISH_TOL_GAP = 1e-6
 
 
@@ -38,7 +38,7 @@ class TradeoffPoint:
     rel_cardinality: float
     iterations: int
     wall_time: float  # seconds to solve, threshold and polish this gamma
-    polish_gap: float = float("nan")  # final gap of the polish; NaN without one
+    polish_gap: float  # final gap of the polish; NaN without a certificate
 
 
 def gamma_max(problem: Problem) -> float:
@@ -85,19 +85,18 @@ def solve_centralized(problem: Problem, method: str = "proxn", opts=None):
     return _solve(problem.with_gamma(0.0), method, None, opts)
 
 
-def polish(problem: Problem, support, x0=None, *, return_gap: bool = False):
+def polish(problem: Problem, support, x0=None):
     """Re-optimize weights on a fixed support with the penalty removed.
 
-    Without ``x0``, Newton runs from its default start with its default
-    options, so the result depends on the support alone.  Given the
-    full-length ``x0``, it starts from ``x0[support]`` and certifies to
-    :data:`POLISH_TOL_GAP`, tight enough that the start does not show in the
-    polished objective.  Signed problems have no ``gamma = 0`` certificate
-    short of the exact optimum, so their polish stops on a flat objective
-    instead.  Returns the weights embedded back into the full candidate
-    space together with the polished objective value, and with
-    ``return_gap`` also the final gap of the Newton solve (NaN without a
-    certificate, as for the empty support).
+    Newton certifies the ``gamma = 0`` solve on the support to
+    :data:`POLISH_TOL_GAP`, tight enough that its start does not show in the
+    polished objective.  The start is ``x0[support]`` of the full-length
+    ``x0`` when given, and Newton's default start otherwise.  Signed
+    problems have no ``gamma = 0`` certificate short of the exact optimum,
+    so their polish stops on a flat objective instead.  Returns the weights
+    embedded back into the full candidate space, the polished objective
+    value and the final gap of the Newton solve (NaN without a certificate,
+    as for the empty support).
     """
     support = np.asarray(support, dtype=np.intp).reshape(-1)
     obj = Objective(problem)
@@ -108,12 +107,10 @@ def polish(problem: Problem, support, x0=None, *, return_gap: bool = False):
         x = np.zeros(problem.m)
     else:
         reduced = problem.restrict(support).with_gamma(0.0)
-        start = opts = None
-        if x0 is not None:
-            start = np.asarray(x0, dtype=float)[support]
-            opts = NewtonOptions(tol_gap=POLISH_TOL_GAP)
+        start = None if x0 is None else np.asarray(x0, dtype=float)[support]
         try:
-            x_red, rep = solve_newton(reduced, start, opts)
+            x_red, rep = solve_newton(reduced, start,
+                                      NewtonOptions(tol_gap=POLISH_TOL_GAP))
         except InfeasibleStartError as exc:
             raise InfeasibleSupportError(
                 "support cannot make the closed loop positive definite"
@@ -121,8 +118,7 @@ def polish(problem: Problem, support, x0=None, *, return_gap: bool = False):
         x = np.zeros(problem.m)
         x[support] = x_red
         gap = rep.final_gap
-    J = obj.value(x)
-    return (x, J, gap) if return_gap else (x, J)
+    return x, obj.value(x), gap
 
 
 def reweight_update(x) -> np.ndarray:
@@ -171,8 +167,7 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
 
     Each support is polished from its own point's solve, the thresholded
     design whose ``J_sparse`` is recorded, so ``J_polished <= J_sparse``
-    holds by descent; from that start :func:`polish` certifies to
-    :data:`POLISH_TOL_GAP`.  A support met again in the same sweep reuses
+    holds by descent.  A support met again in the same sweep reuses
     its first polish, so equal supports get bit-equal ``J_polished``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
@@ -192,7 +187,7 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
         J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))
         key = support.tobytes()
         if key not in polished:
-            polished[key] = polish(problem, support, x, return_gap=True)[1:]
+            polished[key] = polish(problem, support, x)[1:]
         J_pol, gap = polished[key]
         card = int(support.size)
         points.append(TradeoffPoint(

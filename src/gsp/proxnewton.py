@@ -27,23 +27,24 @@ curvature, by one kernel per problem class:
 
 After each round, one matrix-free Hessian-direction product gives every
 coordinate outside the working set its prox step from the current direction
-(a KKT check of the zero those coordinates hold); those that would move by
-more than ``cd_tol`` join, and the next round resumes from the current
-direction.  The first working set is all ``k`` coordinates when ``k**2 <=
-CD_CACHE_ELEMS`` (``k <= 512``), so the first round solves the whole block
-and is the last; otherwise it is the coordinates away from zero, and it
-grows, and with it the block that is built, with the coordinates that move,
-with no cap on its size.
+(a KKT check of the zero those coordinates hold); those that would move
+join (signed: by more than ``cd_tol``), and the next round resumes from the
+current direction.  The first working set is all ``k`` coordinates when
+``k**2 <= CD_CACHE_ELEMS`` (``k <= 512``), so the first round solves the
+whole block and is the last; otherwise it is the coordinates away from
+zero, and it grows, and with it the block that is built, with the
+coordinates that move, with no cap on its size.
 
 The rest of the recipe is fixed by module constants, read at call time: the
 signed active-set margin ``ACTIVE_EPS_FACTOR`` (a fraction of each edge's
-penalty); ``cd_tol = CD_TOL * max(1, max|grad|)``, the growth test of both
-classes and the signed sweeps' stop (no coordinate moved by more than it in
-a sweep), with ``CD_SWEEPS_MAX`` sweeps at most; and the line search's
+penalty); for signed problems only, ``cd_tol = CD_TOL * max(1, max|grad|)``,
+the sweeps' stop (no coordinate moved by more than it in a sweep) and their
+growth test, with ``CD_SWEEPS_MAX`` sweeps at most; and the line search's
 Armijo constant ``ARMIJO_SIGMA``, step factor ``BACKTRACK_SHRINK`` and
-budget ``MAX_BACKTRACKS``.  The resistive block solves have no tolerance:
-their directions are exact on each working set, unless the active-set
-guesses cycle.
+budget ``MAX_BACKTRACKS``.  The resistive kernel has no tolerance: each
+block solve is exact on its working set, unless the active-set guesses
+cycle, and a coordinate outside it joins on any positive step, so the
+direction meets the model's KKT conditions on the whole active block.
 
 The start, the certificate test and the status rule are those of
 :mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
@@ -163,10 +164,11 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     it sits at ``x_bar + direction = 0``.  After a round, one
     :func:`hessian_product` with the coordinates of ``W`` that moved gives
     each outside coordinate its prox step from the current direction.  Those
-    whose step exceeds ``cd_tol`` join ``W``, at most ``max(_GROW_MIN,
-    |W|)`` of them per round with the largest steps first.  The loop ends
-    once no coordinate is outside ``W`` or none of them would move by more
-    than ``cd_tol``.
+    whose step exceeds ``cd_tol`` (0 for resistive problems, whose block
+    solves are exact) join ``W``, at most ``max(_GROW_MIN, |W|)`` of them
+    per round with the largest steps first.  The loop ends once no
+    coordinate is outside ``W`` or none of them would move by more than
+    ``cd_tol``.
 
     Coordinates outside the final working set keep a zero direction.  The
     inputs are not modified.
@@ -184,7 +186,8 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     if k == 0:
         raise DegenerateCurvatureError("no positive-curvature coordinate")
 
-    cd_tol = CD_TOL * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+    cd_tol = 0.0 if resistive else CD_TOL * max(
+        1.0, float(np.max(np.abs(grad), initial=0.0)))
     cols = act[usable]
     sub, a = inc.pairs[cols], a[usable]
     g, xb, gam = grad[cols], x_bar[cols], gamma_vec[cols]

@@ -17,7 +17,6 @@ from gsp.cli import (
 )
 from gsp.errors import InvalidInputError
 from gsp.pipeline import TradeoffPoint
-from gsp.proxnewton import NewtonOptions
 
 
 @pytest.fixture
@@ -39,7 +38,7 @@ def test_version_banner(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "gsp-report-3" in out
+    assert "gsp-report-4" in out
     assert "numpy-pcg64" in out
 
 
@@ -74,7 +73,7 @@ def test_solve_report(p3_file, tmp_path):
                 "proxn", "--gamma", "1.0", "--out", str(report)])
     assert code == EXIT_OK
     doc = json.loads(report.read_text())
-    assert doc["format"] == "gsp-report-3"
+    assert doc["format"] == "gsp-report-4"
     assert doc["problem"] == {"n": 3, "m": 1, "plant_edges": 2,
                               "connected": True, "resistive": True}
     (i, j, w), = doc["solution_unpolished"]
@@ -84,7 +83,16 @@ def test_solve_report(p3_file, tmp_path):
     assert doc["solve"]["status"] == "converged"
     assert doc["config"]["prng"] == "numpy-pcg64"
     assert doc["objective"]["rel_loss"] is not None
-    assert doc["objective"]["polish_gap"] <= NewtonOptions().tol_gap
+    assert doc["objective"]["polish_gap"] <= pipeline.POLISH_TOL_GAP
+
+
+def reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(path):
+    """The JSON document at ``path``, read with NaN and infinities rejected."""
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_solve_report_is_strict_json_without_a_polish_certificate(tmp_path):
@@ -96,19 +104,45 @@ def test_solve_report_is_strict_json_without_a_polish_certificate(tmp_path):
                 "1", "--out", str(plant)]) == EXIT_OK
     assert run(["solve", "--plant", str(plant), "--gamma", "0.5gmax",
                 "--no-baseline", "--out", str(report)]) == EXIT_OK
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    doc = json.loads(report.read_text(), parse_constant=reject)
+    doc = strict_json(report)
     assert doc["problem"]["resistive"] is False
     assert doc["objective"]["polish_gap"] is None
 
 
+def test_solve_report_is_strict_json_without_any_certificate(tmp_path):
+    # on a disconnected plant the solve ends with no certificate at all:
+    # its final gap and dual residual are null, not NaN
+    plant = tmp_path / "two.edges"
+    report = tmp_path / "r.json"
+    plant.write_text("0 1\n2 3\n")
+    assert run(["solve", "--plant", str(plant), "--gamma", "0",
+                "--out", str(report)]) == EXIT_OK
+    doc = strict_json(report)
+    assert doc["certificate"] is None
+    assert doc["solve"]["final_gap"] is None
+    assert doc["solve"]["final_rd_norm"] is None
+
+
+def test_sweep_reports_are_strict_without_candidate_edges(tmp_path):
+    # a complete plant has no candidate edges, so its baseline has none and
+    # the relative cardinality is undefined: JSON null and an empty CSV
+    # field, not NaN and "nan"
+    plant, csv, report = (tmp_path / name for name in ("k3.edges", "k3.csv",
+                                                       "k3.json"))
+    plant.write_text("0 1\n1 2\n0 2\n")
+    assert run(["sweep", "--plant", str(plant), "--gammas", "log:0.1:1:2",
+                "--csv", str(csv), "--out", str(report)]) == EXIT_OK
+    points = strict_json(report)["points"]
+    assert len(points) == 2
+    assert all(p["rel_card"] is None for p in points)
+    header, *rows = [r.split(",") for r in csv.read_text().splitlines()]
+    assert [r[header.index("rel_card")] for r in rows] == ["", ""]
+
+
 def test_solve_polishes_from_the_default_start(p3_file, tmp_path, monkeypatch):
-    # `gsp solve` polishes from Newton's default start with its default
-    # options, as `gsp polish` does, so the two report the same J_polished
-    # for the same support
+    # `gsp solve` polishes from Newton's default start, as `gsp polish` does,
+    # so the two report the same J_polished for the same support; like every
+    # polish it certifies to POLISH_TOL_GAP
     calls = []
     real_newton = pipeline.solve_newton
 
@@ -120,7 +154,9 @@ def test_solve_polishes_from_the_default_start(p3_file, tmp_path, monkeypatch):
     assert run(["solve", "--plant", p3_file, "--resistive", "--method",
                 "proxbb", "--gamma", "1.0", "--out",
                 str(tmp_path / "r.json")]) == EXIT_OK
-    assert calls == [(None, None)]
+    (x0, opts), = calls
+    assert x0 is None
+    assert opts.tol_gap == pipeline.POLISH_TOL_GAP
 
 
 def test_solve_gamma_fraction(p3_file, tmp_path):
@@ -163,8 +199,8 @@ def test_parse_gamma_spec_errors():
 
 def test_write_tradeoff_csv(tmp_path):
     points = [
-        TradeoffPoint(1.0, 2, 1.5, 1.4, 0.1, 0.5, 7, 0.01),
-        TradeoffPoint(0.5, 3, 1.2, 1.1, 0.0, 0.75, 5, 0.02),
+        TradeoffPoint(1.0, 2, 1.5, 1.4, 0.1, 0.5, 7, 0.01, 1e-7),
+        TradeoffPoint(0.5, 3, 1.2, 1.1, 0.0, 0.75, 5, 0.02, 2e-7),
     ]
     path = tmp_path / "curve.csv"
     write_tradeoff_csv(points, path)
@@ -180,7 +216,7 @@ def test_write_tradeoff_csv(tmp_path):
 
 
 def test_csv_twelve_significant_digits(tmp_path):
-    pt = TradeoffPoint(1.0 / 3.0, 1, 2.0 / 3.0, 0.1, 0.0, 1.0, 1, 0.0)
+    pt = TradeoffPoint(1.0 / 3.0, 1, 2.0 / 3.0, 0.1, 0.0, 1.0, 1, 0.0, 0.0)
     path = tmp_path / "digits.csv"
     write_tradeoff_csv([pt], path)
     row = path.read_text().strip().splitlines()[1].split(",")
@@ -198,7 +234,7 @@ def test_csv_columns_are_the_json_point_keys(p3_file, tmp_path):
                 "log:0.1:2:4", "--csv", str(csv), "--out", str(report)]) == EXIT_OK
     header, *rows = [r.split(",") for r in csv.read_text().splitlines()]
     assert header == list(_point_record(TradeoffPoint(0.0, 0, 0.0, 0.0, 0.0,
-                                                      0.0, 0, 0.0)))
+                                                      0.0, 0, 0.0, 0.0)))
     points = sorted(json.loads(report.read_text())["points"],
                     key=lambda p: p["gamma"])
     assert len(points) == len(rows) == 4
@@ -267,6 +303,7 @@ def test_polish_flow(p3_file, tmp_path):
     assert doc["objective"]["J_polished"] == pytest.approx(
         2 * np.sqrt(2) - 5.0 / 3.0, abs=1e-6
     )
+    assert doc["objective"]["polish_gap"] <= pipeline.POLISH_TOL_GAP
 
 
 def test_polish_rejects_non_candidate_edge(p3_file, tmp_path):
@@ -308,7 +345,7 @@ def test_polish_finds_support_edges_in_any_order(tmp_path):
     doc = json.loads(report.read_text())
     prob = graphs.default_problem(plant_edges, cand, resistive=True)
     index = {(int(i), int(j)): l for l, (i, j) in enumerate(cand.pairs)}
-    x, J = pipeline.polish(prob, [index[(0, 5)], index[(0, 2)], index[(1, 4)]])
+    x, J, _ = pipeline.polish(prob, [index[(0, 5)], index[(0, 2)], index[(1, 4)]])
     assert doc["objective"]["J_polished"] == J
     assert sorted((i, j) for i, j, _ in doc["solution"]) == [(0, 2), (0, 5), (1, 4)]
 

@@ -81,16 +81,18 @@ def test_polish_p3_value():
     # polishing the single-edge support at any gamma gives the gamma = 0
     # optimum on that support: J = 2 sqrt(2) - 5/3
     prob = p3_problem(1.5)
-    x, J = pipeline.polish(prob, [0])
+    x, J, gap = pipeline.polish(prob, [0])
     assert J == pytest.approx(2 * np.sqrt(2) - 5.0 / 3.0, abs=1e-7)
     assert x[0] == pytest.approx((2 / np.sqrt(2) - 1) / 2, abs=1e-5)
+    assert gap <= pipeline.POLISH_TOL_GAP
 
 
 def test_polish_empty_support():
     prob = p3_problem(1.0)
-    x, J = pipeline.polish(prob, [])
+    x, J, gap = pipeline.polish(prob, [])
     assert np.allclose(x, 0.0)
     assert J == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert np.isnan(gap)
 
 
 def test_polish_empty_support_disconnected_raises():
@@ -104,7 +106,7 @@ def test_polish_embeds_support():
         graphs.generate("erdos_renyi", 10, p=0.5, seed=7), gamma=0.5
     )
     support = [1, 4, 7]
-    x, J = pipeline.polish(prob, support)
+    x, J, _ = pipeline.polish(prob, support)
     nz = np.flatnonzero(np.abs(x) > 1e-12)
     assert set(nz).issubset(set(support))
     assert J == pytest.approx(Objective(prob).value(x), abs=1e-10)
@@ -330,7 +332,7 @@ def test_sweep_polish_matches_a_tight_polish(monkeypatch):
             x_ref[support], rep = solve_newton(
                 prob.restrict(support).with_gamma(0.0), None,
                 NewtonOptions(tol_gap=1e-10))
-            _, _, gap = pipeline.polish(prob, support, x, return_gap=True)
+            _, _, gap = pipeline.polish(prob, support, x)
             assert p.polish_gap <= 1e-6 and rep.final_gap <= 1e-10
             assert gap <= 1e-10
         else:
@@ -348,11 +350,26 @@ def test_polish_certifies_from_a_given_start():
     support = [0, 3, 5, 8]
     x0 = np.zeros(prob.m)
     x0[support] = 0.7
-    x_cold, J_cold = pipeline.polish(prob, support)
-    x_warm, J_warm = pipeline.polish(prob, support, x0)
+    x_cold, J_cold, _ = pipeline.polish(prob, support)
+    x_warm, J_warm, _ = pipeline.polish(prob, support, x0)
     assert set(np.flatnonzero(x_warm)) <= set(support)
     assert J_warm == pytest.approx(J_cold, rel=1e-6)
     assert J_warm == pytest.approx(Objective(prob).value(x_warm), abs=1e-12)
+
+
+def test_cold_polish_certifies_to_the_polish_gap():
+    # the support resistive proxBB finds at 0.5 gamma_max on an ER n=12
+    # plant: polished from Newton's default start, as `gsp solve` and
+    # `gsp polish` do, it certifies to POLISH_TOL_GAP like a warm polish
+    # (Newton's default tol_gap would stop it at 3.3e-5)
+    prob = er_problem(12, 1)
+    x, _ = solve_projected(prob.with_gamma(0.5 * pipeline.gamma_max(prob)))
+    support = np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL)
+    assert support.size == 5
+    x_pol, J, gap = pipeline.polish(prob, support)
+    assert gap <= pipeline.POLISH_TOL_GAP
+    assert set(np.flatnonzero(x_pol)) <= set(support)
+    assert J == Objective(prob).value(x_pol)
 
 
 def test_solve_centralized_dispatch():

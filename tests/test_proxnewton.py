@@ -623,22 +623,8 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
     # The working set grows from empty to well below k, the Hessian entries
     # built (the free block of every active-set solve in every round) stay
     # under |W| k + |W|^2, far below the k^2 of the whole block, and the
-    # direction is the whole block's, with the growth test run to
-    # convergence; both meet the KKT conditions
-    n = 120
-    prob = graphs.default_problem(
-        graphs.generate("erdos_renyi", n, p=1.05 * np.log(n) / n, seed=3),
-        resistive=True,
-    )
-    obj = Objective(prob)
-    x = np.zeros(prob.m)
-    state = obj.state(x)
-    gam = np.full(prob.m, 0.3 * float(np.max(-state.grad)))
-    grad = state.grad + gam
-    act = active_set(x, grad, gam, resistive=True)
-    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, True)
-    set_inner_stop(monkeypatch, grad, *CONVERGED)
+    # direction is the whole block's; both meet the KKT conditions
+    args = first_resistive_direction(120, 1.05 * np.log(120) / 120, 3, 0.3)
     k = usable_count(args)
     assert k * k > proxnewton.CD_CACHE_ELEMS
 
@@ -758,6 +744,25 @@ def test_resistive_direction_holds_one_block_in_memory():
     assert model_kkt_violation(args, xt) <= KKT_BOUND
     block = k * k * np.dtype(float).itemsize
     assert block <= peak < 2 * block
+
+
+def test_resistive_working_set_growth_does_not_read_cd_tol(monkeypatch):
+    # the ER n=120 direction of the working-set test above, 1,123 active
+    # coordinates in working-set rounds: an outside coordinate joins on any
+    # positive step, so the direction is the same for every CD_TOL and
+    # meets the KKT conditions on the whole usable block, not only on its
+    # final working set.  A growth test on cd_tol kept 80 of the 139
+    # coordinates that move at CD_TOL = 1e-2
+    args = first_resistive_direction(120, 1.05 * np.log(120) / 120, 3, 0.3)
+    assert usable_count(args) ** 2 > proxnewton.CD_CACHE_ELEMS
+    directions = []
+    for tol in (1e-2, proxnewton.CD_TOL, 1e-14):
+        monkeypatch.setattr(proxnewton, "CD_TOL", tol)
+        directions.append(cd_direction(*args))
+    xt = directions[0]
+    assert all(d.tobytes() == xt.tobytes() for d in directions[1:])
+    assert np.count_nonzero(xt) == 139
+    assert model_kkt_violation(args, xt) <= KKT_BOUND
 
 
 def model_value(args, xt):
