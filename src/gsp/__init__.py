@@ -24,7 +24,7 @@ from .graphs import (
     strengthened,
     write_edge_list,
 )
-from .objective import Objective, QpMatrix, build_qp
+from .objective import Objective, build_qp
 from .pipeline import (
     TradeoffPoint,
     gamma_max,
@@ -46,4 +46,4 @@ from .proxnewton import NewtonOptions, active_set, cd_direction, line_search, so
 __version__ = "0.1.0"
 
 #: version string of the report/CSV serialization format
-REPORT_FORMAT = "gsp-report-4"
+REPORT_FORMAT = "gsp-report-5"

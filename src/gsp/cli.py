@@ -226,11 +226,8 @@ def _cmd_sweep(args) -> int:
     problem = _load_problem(args)
     gammas = parse_gamma_spec(args.gammas, problem)
     opts = _solver_options(args)
-    points = sweep(
-        problem, gammas, solver=args.method, opts=opts,
-        use_reweighting=args.reweight,
-        warm_start=not args.cold,
-    )
+    points = sweep(problem, gammas, solver=args.method, opts=opts,
+                   use_reweighting=args.reweight)
     if args.csv:
         write_tradeoff_csv(points, args.csv)
     payload = {
@@ -339,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "log:0.01gmax:gmax:50")
     p.add_argument("--reweight", action="store_true",
                    help="use the path-following reweighted penalty")
-    p.add_argument("--cold", action="store_true",
-                   help="disable warm starts between gamma points")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="tradeoff CSV path")
     p.set_defaults(func=_cmd_sweep)

@@ -317,9 +317,9 @@ def try_cholesky(A: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """Closed-loop strengthened Laplacian together with its factorization."""
+    """Factorization of a closed-loop strengthened Laplacian ``G``; ``G``
+    itself is not kept, since every use of it is a solve."""
 
-    G: np.ndarray
     chol: np.ndarray | None  # lower Cholesky factor, None if not PD
 
     @property
@@ -348,7 +348,7 @@ def closed_loop(G_p: np.ndarray, inc: IncidenceMatrix, x) -> ClosedLoop:
     """Form ``G_p + E diag(x) E^T`` and attempt its factorization."""
     G = controller_laplacian(inc, x)
     np.add(G_p, G, out=G)  # G_p + L without a second n-by-n temporary
-    return ClosedLoop(G, try_cholesky(G))
+    return ClosedLoop(try_cholesky(G))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,8 +476,8 @@ class ProblemFamily:
     """What a problem shares with every problem derived from it by
     :meth:`Problem.with_gamma` and :meth:`Problem.restrict`, in any order:
     data that depends only on the plant, ``Q`` and ``R``, set once on first
-    use.  ``qp`` is the :class:`~gsp.objective.QpMatrix` of
-    :func:`~gsp.objective.build_qp`, None until it is built."""
+    use.  ``qp`` is the transposed factor ``C^T`` of ``Q_p = C C^T`` that
+    :func:`~gsp.objective.build_qp` returns, None until it is built."""
 
     __slots__ = ("qp",)
 

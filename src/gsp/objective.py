@@ -9,8 +9,10 @@ The objective of the design problem is
 and everything at a point comes from two lower Cholesky factors,
 ``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per problem
 family: a problem and all that ``with_gamma`` and ``restrict`` derive from
-it, see :func:`build_qp`).  Both triangular solves are taken from the row
-side, on the transposes ``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
+it, see :func:`build_qp`).  Neither ``G`` nor ``Q_p`` is kept once
+factored: each is n-by-n (18 MB at n = 1,500) and nothing reads it.  Both
+triangular solves are taken from the row side, on the transposes
+``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
 
     h2 = <G^-1, Q_p> = ||V^T||_F^2,
     J  = h2 + diag(E^T R E)^T x - <R, L_p> - 1,
@@ -23,7 +25,7 @@ is used because OpenBLAS solves it faster.  With SciPy's bundled OpenBLAS
 97-127 us at n = 120 and 15-23 us at n = 60, where the left-side
 ``dtrtrs`` that solves ``V = L^-1 C`` took 150-187 us and 26-38 us; at
 n = 10-40 the left side was never faster.  ``C^T`` is stored
-Fortran-ordered once per :class:`QpMatrix`.  The explicit
+Fortran-ordered once per problem family.  The explicit
 inverse ``G^-1`` is only formed where the Newton solver needs random entry
 access.  Every quadratic form ``xi_k^T A xi_l`` is assembled from four
 entries of ``A`` because each incidence column has exactly two nonzeros.
@@ -104,34 +106,24 @@ def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarra
     return HESSIAN_SCALE * (M[ri, ri] - M[ri, rj] - M[rj, ri] + M[rj, rj])
 
 
-@dataclass(frozen=True)
-class QpMatrix:
-    """Effective state weight ``Q_p`` with its lower Cholesky factor
-    ``chol`` (``Q_p = chol @ chol.T``) and the factor's transpose
-    ``chol_t``, Fortran-ordered for the row-side solves."""
-
-    Qp: np.ndarray
-    chol: np.ndarray
-    chol_t: np.ndarray
-
-
-def build_qp(problem: Problem) -> QpMatrix:
-    """Effective state weight ``Q + (1/n) 11^T + L_p R L_p`` and its factor,
-    formed and factored once per problem family.
+def build_qp(problem: Problem) -> np.ndarray:
+    """Transposed lower Cholesky factor ``C^T`` of the effective state
+    weight ``Q_p = Q + (1/n) 11^T + L_p R L_p = C C^T``, Fortran-ordered for
+    the row-side solves, formed and factored once per problem family.
 
     ``Q_p`` depends on the plant, ``Q`` and ``R`` only, which every problem
     derived by ``with_gamma`` or ``restrict`` keeps, so the first call for
-    any problem of a family stores the result in the family's shared
-    :class:`~gsp.graphs.ProblemFamily` and later calls return it.
+    any problem of a family stores the factor in the family's shared
+    :class:`~gsp.graphs.ProblemFamily` and later calls return it.  ``Q_p``
+    and ``C`` are not kept.
     """
     family = problem.family
     if family.qp is None:
         Lp = problem.plant.L
-        Qp = strengthened(problem.Q) + Lp @ problem.R @ Lp
-        chol = try_cholesky(Qp)
+        chol = try_cholesky(strengthened(problem.Q) + Lp @ problem.R @ Lp)
         if chol is None:
             raise InvalidInputError("effective state weight is not positive definite")
-        family.qp = QpMatrix(Qp, chol, np.asfortranarray(chol.T))
+        family.qp = np.asfortranarray(chol.T)
     return family.qp
 
 
@@ -156,7 +148,7 @@ class Objective:
     which OpenBLAS runs in about 0.6 of the time of the column-side
     ``L^-1 C`` (see the module docstring).
 
-    ``Q_p`` and its factor are read from the problem's family
+    ``qp`` is the factor ``C^T`` read from the problem's family
     (:func:`build_qp`), so an objective for a problem that ``with_gamma`` or
     ``restrict`` derived neither forms nor factors ``Q_p`` again.  Apart
     from cached problem data it remembers one entry: the closed loop of the
@@ -183,7 +175,7 @@ class Objective:
     def _half_solve(self, cl: ClosedLoop) -> np.ndarray:
         """``V^T = C^T L^-T`` of a closed loop, reused for the last one asked."""
         if self._half[0] is not cl:
-            self._half = (cl, cl.tri_solve(self.qp.chol_t, trans=True))
+            self._half = (cl, cl.tri_solve(self.qp, trans=True))
         return self._half[1]
 
     @staticmethod

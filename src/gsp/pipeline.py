@@ -126,8 +126,9 @@ def reweight_update(x) -> np.ndarray:
     return 1.0 / (np.abs(np.asarray(x, dtype=float)) + REWEIGHT_EPS)
 
 
-def reweighted_path(problem: Problem, gammas, solver: str = "proxn", opts=None):
-    """Path-following solves with iteratively reweighted penalties.
+def reweighted_path(problem: Problem, gammas, opts=None):
+    """Path-following proximal Newton solves with iteratively reweighted
+    penalties.
 
     The unpenalized solution initializes the weights; each subsequent gamma is
     warm-started from the previous solution and followed by a weight update.
@@ -136,39 +137,40 @@ def reweighted_path(problem: Problem, gammas, solver: str = "proxn", opts=None):
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
-    x_c, _ = solve_centralized(problem, solver, opts)
+    x_c, _ = solve_centralized(problem, "proxn", opts)
     return [(g, x) for g, x, _, _ in
-            _gamma_path(problem, gammas, solver, opts, x_c, reweight=True)]
+            _gamma_path(problem, gammas, "proxn", opts, x_c, True)]
 
 
-def _gamma_path(problem: Problem, gammas, solver, opts, x_c,
-                warm_start: bool = True, reweight: bool = False):
+def _gamma_path(problem: Problem, gammas, solver, opts, x_c, reweight: bool):
     """Solve each gamma in turn; yields ``(gamma, x, iterations, seconds)``.
 
-    ``x_c`` is the unpenalized solution.  A warm start begins at ``x_c`` and
-    then at the previous solution; cold starts use the solver's default
-    start throughout.  With ``reweight`` the penalty weights are
-    :func:`reweight_update` of the same previous solution.
+    Each solve starts at the previous solution, the first at the
+    unpenalized solution ``x_c``: the pathwise order of Friedman, Hastie
+    and Tibshirani (J. Stat. Softw. 2010).  With ``reweight`` the penalty
+    weights are :func:`reweight_update` of the same previous solution.
     """
     x_prev = x_c
     for g in gammas:
         t0 = time.perf_counter()
         prob_g = problem.with_gamma(float(g))
         w = reweight_update(x_prev) if reweight else None
-        x, rep = _solve(prob_g, solver, x_prev if warm_start else None, opts, w)
+        x, rep = _solve(prob_g, solver, x_prev, opts, w)
         yield float(g), x, rep.iterations, time.perf_counter() - t0
         x_prev = x
 
 
 def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
-          use_reweighting: bool = False,
-          warm_start: bool = True) -> list[TradeoffPoint]:
+          use_reweighting: bool = False) -> list[TradeoffPoint]:
     """Tradeoff curve: solve, threshold, polish and normalize for each gamma.
 
-    Each support is polished from its own point's solve, the thresholded
-    design whose ``J_sparse`` is recorded, so ``J_polished <= J_sparse``
-    holds by descent.  A support met again in the same sweep reuses
-    its first polish, so equal supports get bit-equal ``J_polished``.
+    The gammas are solved in the given order, each warm-started from the
+    previous point's solution and the first from the centralized one (see
+    :func:`_gamma_path`).  Each support is polished from its own point's
+    solve, the thresholded design whose ``J_sparse`` is recorded, so
+    ``J_polished <= J_sparse`` holds by descent.  A support met again in
+    the same sweep reuses its first polish, so equal supports get bit-equal
+    ``J_polished``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if use_reweighting and np.any(np.diff(gammas) < 0):
@@ -181,7 +183,7 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
     polished = {}  # support bytes -> (J_polished, polish_gap)
     points = []
     for g, x, iters, solve_s in _gamma_path(problem, gammas, solver, opts, x_c,
-                                            warm_start, use_reweighting):
+                                            use_reweighting):
         t0 = time.perf_counter()
         support = np.flatnonzero(np.abs(x) > ZERO_TOL)
         J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))

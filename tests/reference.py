@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from gsp.errors import InfeasiblePointError, InvalidInputError
-from gsp.graphs import EdgeList, controller_laplacian, try_cholesky
+from gsp.graphs import EdgeList, controller_laplacian, strengthened, try_cholesky
 from gsp.objective import hessian_rows
 
 
@@ -43,6 +43,13 @@ def csgraph_component_count(edges) -> int:
     i, j = edges.pairs[:, 0], edges.pairs[:, 1]
     A = scipy.sparse.coo_matrix((np.ones(edges.m), (i, j)), shape=(edges.n, edges.n))
     return int(scipy.sparse.csgraph.connected_components(A, directed=False)[0])
+
+
+def effective_weight(problem):
+    """The effective state weight ``Q_p = Q + (1/n) 11^T + L_p R L_p``,
+    which the package keeps only as the factor that ``build_qp`` returns."""
+    Lp = problem.plant.L
+    return strengthened(problem.Q) + Lp @ problem.R @ Lp
 
 
 def dense_hessian(obj, x):

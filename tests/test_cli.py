@@ -38,7 +38,7 @@ def test_version_banner(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "gsp-report-4" in out
+    assert "gsp-report-5" in out
     assert "numpy-pcg64" in out
 
 
@@ -73,7 +73,7 @@ def test_solve_report(p3_file, tmp_path):
                 "proxn", "--gamma", "1.0", "--out", str(report)])
     assert code == EXIT_OK
     doc = json.loads(report.read_text())
-    assert doc["format"] == "gsp-report-4"
+    assert doc["format"] == "gsp-report-5"
     assert doc["problem"] == {"n": 3, "m": 1, "plant_edges": 2,
                               "connected": True, "resistive": True}
     (i, j, w), = doc["solution_unpolished"]
@@ -383,6 +383,22 @@ def test_removed_flags_are_usage_errors(p3_file, argv, capsys):
     assert exc.value.code == EXIT_INVALID
     expected = "invalid choice" if "projgrad" in argv else "unrecognized arguments"
     assert expected in capsys.readouterr().err
+
+
+def test_sweep_has_no_cold_start(p3_file, tmp_path, capsys):
+    # every sweep warm-starts along its path: --cold is a usage error, and
+    # the report's config echo has no cold key
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--plant", p3_file, "--resistive", "--gammas", "0.5",
+             "--cold"])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --cold" in capsys.readouterr().err
+    report = tmp_path / "s.json"
+    assert run(["sweep", "--plant", p3_file, "--resistive", "--gammas", "0.5",
+                "--out", str(report)]) == EXIT_OK
+    doc = strict_json(report)
+    assert doc["format"] == "gsp-report-5"
+    assert "cold" not in doc["config"]
 
 
 @pytest.mark.parametrize("method", ["proxn", "proxbb"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gsp import duality, graphs, pipeline, proxgrad, proxnewton
 from gsp.errors import CertificateInvalidError, InvalidInputError
 from gsp.objective import Objective, edge_quad_diag
-from reference import duality_gap, edge_forms, spd_weight
+from reference import duality_gap, edge_forms, effective_weight, spd_weight
 
 
 def p3_problem(gamma=0.0):
@@ -29,11 +29,12 @@ TIGHT = proxgrad.ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6, report_every=1)
 
 def eigh_dual_objective(Y, qp, G_p):
     """Dual value ``2 trace((Q_p^{1/2} Y Q_p^{1/2})^{1/2}) - <Y, G_p>`` from
-    the spectrum of ``C^T Y C``, ``C`` the Cholesky factor of ``Q_p``:
-    ``C = Q_p^{1/2} U`` with ``U`` orthogonal, so the two are similar.  The
-    reference for the closed form of ``duality.dual_objective``.
+    the spectrum of ``C^T Y C``, ``C`` the Cholesky factor of ``Q_p`` and
+    ``qp`` its transpose ``C^T``: ``C = Q_p^{1/2} U`` with ``U``
+    orthogonal, so the two are similar.  The reference for the closed form
+    of ``duality.dual_objective``.
     """
-    S = qp.chol.T @ Y @ qp.chol
+    S = qp @ Y @ qp.T
     lam = scipy.linalg.eigh(0.5 * (S + S.T), eigvals_only=True)
     return float(2.0 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - np.sum(Y * G_p))
 
@@ -123,7 +124,7 @@ def test_dual_objective_two_node_hand_value():
     assert dual == pytest.approx(3.0, abs=1e-10)
     assert eigh_dual_objective(st.Y, obj.qp, prob.plant.G) == pytest.approx(
         3.0, abs=1e-10)
-    primal = float(np.trace(st.cl.solve(obj.qp.Qp)) + obj.lin @ st.x)
+    primal = float(np.trace(st.cl.solve(effective_weight(prob))) + obj.lin @ st.x)
     assert primal == pytest.approx(3.0, abs=1e-10)
 
 
@@ -132,9 +133,11 @@ def test_primal_to_Y():
     # inverses
     prob = p3_problem()
     obj = Objective(prob)
-    st = obj.state(np.array([0.4]))
-    Ginv = np.linalg.inv(st.cl.G)
-    assert np.allclose(st.Y, Ginv @ obj.qp.Qp @ Ginv, atol=1e-10)
+    x = np.array([0.4])
+    st = obj.state(x)
+    G = prob.plant.G + graphs.controller_laplacian(prob.candidates, x)
+    Ginv = np.linalg.inv(G)
+    assert np.allclose(st.Y, Ginv @ effective_weight(prob) @ Ginv, atol=1e-10)
     assert np.allclose(obj.closed_loop_inverse(st), Ginv, atol=1e-10)
 
 
@@ -209,10 +212,11 @@ def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r
     cl = obj.closed_loop(x)
     assume(cl.positive_definite)
     state = obj.state(x, cl)
+    Qp = effective_weight(prob)
     for beta in (1.0, ref_make_dual_feasible(state.Y, prob)[1]):
         Y_hat = blend(state.Y, beta)
         got = duality.dual_objective(state, beta, prob.plant.G)
-        for ref in (sqrt_dual_objective(Y_hat, obj.qp.Qp, prob.plant.G),
+        for ref in (sqrt_dual_objective(Y_hat, Qp, prob.plant.G),
                     eigh_dual_objective(Y_hat, obj.qp, prob.plant.G)):
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -343,27 +347,31 @@ def test_certificates_on_geometric_plants(n, seed, radius, weighted, gamma,
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 14), st.integers(0, 10_000), st.booleans(),
-       st.booleans(), st.booleans(), st.sampled_from([0.3, 0.7]))
-def test_certified_solves_agree(n, seed, geometric, resistive, scalar_r, frac):
+       st.booleans(), st.booleans(), st.sampled_from([0.3, 0.7]),
+       st.booleans())
+def test_certified_solves_agree(n, seed, geometric, resistive, scalar_r, frac,
+                                weighted):
     # proximal Newton and the first-order solver at 0.3 or 0.7 gamma_max on
-    # a connected ER or geometric plant, with R = I or a non-scalar R: every
-    # certificate passes check_certificates, and where both solves end
-    # converged on a certificate their objectives agree within the larger
-    # gap (each gap bounds its own distance to the optimum), so within
-    # tol_gap
+    # a connected ER or geometric plant, with R = I or a non-scalar R, and
+    # unit penalty weights or the same per-edge weights from [0.5, 2] for
+    # both: every certificate passes check_certificates, and where both
+    # solves end converged on a certificate their objectives agree within
+    # the larger gap (each gap bounds its own distance to the optimum), so
+    # within tol_gap
     plant = (graphs.random_geometric(n, 5.0, seed=seed) if geometric
              else graphs.generate("erdos_renyi", n, p=0.5, seed=seed))
     assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
     prob = graphs.default_problem(plant, resistive=resistive)
+    rng = np.random.Generator(np.random.PCG64(seed))
     if not scalar_r:
-        R = spd_weight(np.random.Generator(np.random.PCG64(seed)), n)
-        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q, R, 0.0,
-                              resistive)
+        prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
+                              spd_weight(rng, n), 0.0, resistive)
+    w = rng.uniform(0.5, 2.0, prob.m) if weighted else None
     prob = prob.with_gamma(frac * pipeline.gamma_max(prob))
     first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
     certs = []
     for solve in (proxnewton.solve_newton, first_order):
-        (_, rep), seen = recorded_certificates(lambda: solve(prob))
+        (_, rep), seen = recorded_certificates(lambda: solve(prob, weights=w))
         check_certificates(seen, prob)
         certs.append(rep.certificate if rep.status == "converged" else None)
     if None not in certs:

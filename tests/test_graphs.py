@@ -452,13 +452,17 @@ def test_laplacian_equals_add_at_assembly(n, seed, p, kind, signed):
 
 
 def spd_closed_loop(n, seed, p):
-    """A positive definite closed loop on a seeded ER plant, or None."""
+    """A positive definite closed loop on a seeded ER plant and its matrix
+    ``G``, or None."""
     plant = graphs.generate("erdos_renyi", n, p=p, seed=seed)
     inc = graphs.complement_candidates(plant).incidence
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.uniform(0.0, 2.0, inc.m) * (rng.random(inc.m) < 0.5)
-    cl = graphs.closed_loop(graphs.PlantGraph.from_edges(plant).G, inc, x)
-    return cl if cl.positive_definite else None
+    G_p = graphs.PlantGraph.from_edges(plant).G
+    cl = graphs.closed_loop(G_p, inc, x)
+    if not cl.positive_definite:
+        return None
+    return cl, G_p + graphs.controller_laplacian(inc, x)
 
 
 def assert_same_array(got, ref):
@@ -474,9 +478,10 @@ def test_lapack_kernels_equal_scipy_wrappers(n, seed, p, nrhs, fortran):
     # byte, and the row-side triangular solve is SciPy's right-side dtrsm
     # byte for byte and solve_triangular on the transposed system within
     # rounding, for C- and Fortran-ordered right-hand sides
-    cl = spd_closed_loop(n, seed, p)
-    assume(cl is not None)
-    assert_same_array(cl.chol, scipy.linalg.cholesky(cl.G, lower=True,
+    loop = spd_closed_loop(n, seed, p)
+    assume(loop is not None)
+    cl, G = loop
+    assert_same_array(cl.chol, scipy.linalg.cholesky(G, lower=True,
                                                      check_finite=False))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     B = rng.standard_normal((n, nrhs))
@@ -509,11 +514,11 @@ def test_lapack_kernels_edge_cases():
     empty = np.zeros((0, 0))
     chol = graphs.try_cholesky(empty)
     assert chol.shape == (0, 0) and chol.dtype == np.float64
-    cl = graphs.ClosedLoop(empty, chol)
+    cl = graphs.ClosedLoop(chol)
     for Z in (cl.solve(empty), cl.tri_solve(empty), cl.tri_solve(empty, trans=True)):
         assert Z.shape == (0, 0) and Z.dtype == np.float64
     # no right-hand side rows on a non-empty factor
-    cl = graphs.ClosedLoop(np.eye(2), graphs.try_cholesky(np.eye(2)))
+    cl = graphs.ClosedLoop(graphs.try_cholesky(np.eye(2)))
     for trans in (False, True):
         Z = cl.tri_solve(np.zeros((0, 2)), trans=trans)
         assert Z.shape == (0, 2) and Z.dtype == np.float64
@@ -526,8 +531,7 @@ def test_lapack_kernels_edge_cases():
         1.0, singular, np.ones((1, 2)), side=1, lower=1)))
     for trans in (False, True):
         with pytest.raises(scipy.linalg.LinAlgError):
-            graphs.ClosedLoop(np.eye(2), singular).tri_solve(np.ones((1, 2)),
-                                                             trans=trans)
+            graphs.ClosedLoop(singular).tri_solve(np.ones((1, 2)), trans=trans)
 
 
 def test_problem_data_is_read_only():
@@ -542,7 +546,7 @@ def test_equality_is_identity():
     # comparison of numpy arrays has no single truth value
     a, b = graphs.generate("path", 4), graphs.generate("path", 4)
     pa, pb = graphs.default_problem(a), graphs.default_problem(b)
-    loops = [graphs.ClosedLoop(np.eye(2), np.eye(2)) for _ in range(2)]
+    loops = [graphs.ClosedLoop(np.eye(2)) for _ in range(2)]
     for x, y in ((a, b), (a.incidence, b.incidence),
                  (graphs.PlantGraph.from_edges(a), graphs.PlantGraph.from_edges(b)),
                  (pa, pb), loops):

@@ -13,6 +13,7 @@ from gsp.errors import InfeasiblePointError
 from gsp.objective import HESSIAN_SCALE, Objective
 from reference import (
     dense_hessian,
+    effective_weight,
     incidence_dense,
     lyapunov_h2_oracle,
     spd_weight,
@@ -43,12 +44,14 @@ def feasible_point(problem, seed=0, lo=0.2, hi=0.8):
 
 def test_qp_matrix_p3_spectrum():
     # path-3 plant with identity weights: eigenvalues of the effective
-    # state weight are {1, 2, 10}
+    # state weight Q_p = C C^T are {1, 2, 10}, here of C C^T built from the
+    # cached factor C^T, which also matches the reference Q_p
     prob = p3_problem()
     qp = objective.build_qp(prob)
-    lam = np.sort(np.linalg.eigvalsh(qp.Qp))
+    Qp = qp.T @ qp
+    lam = np.sort(np.linalg.eigvalsh(Qp))
     assert np.allclose(lam, [1.0, 2.0, 10.0], atol=1e-10)
-    assert np.allclose(qp.chol @ qp.chol.T, qp.Qp, atol=1e-10)
+    assert np.allclose(Qp, effective_weight(prob), atol=1e-10)
 
 
 def test_qp_is_factored_once_per_problem_family(monkeypatch):
@@ -293,7 +296,7 @@ def test_state_matches_two_cho_solve_formulas(n, seed, resistive, scalar_r):
     x = er_point(prob, seed + 1)
     cl = obj.closed_loop(x)
     assume(cl.positive_definite)
-    Z = scipy.linalg.cho_solve((cl.chol, True), obj.qp.Qp)
+    Z = scipy.linalg.cho_solve((cl.chol, True), effective_weight(prob))
     h2 = float(np.trace(Z))
     Y = scipy.linalg.cho_solve((cl.chol, True), Z.T)
     Y = 0.5 * (Y + Y.T)
@@ -364,7 +367,7 @@ def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r)
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(module, name, forbidden)
     obj = Objective(prob)
-    assert np.allclose(obj.qp.chol @ obj.qp.chol.T, obj.qp.Qp, atol=1e-12)
+    assert np.allclose(obj.qp.T @ obj.qp, effective_weight(prob), atol=1e-12)
     st = obj.state(feasible_point(prob, seed=2))
     duality.certify_or_none(prob, obj, st)
     prob = prob.with_gamma(0.5 * pipeline.gamma_max(prob))

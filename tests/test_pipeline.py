@@ -135,6 +135,22 @@ def test_reweighted_path_sparsifies():
     assert [g for g, _ in path] == [pytest.approx(v) for v in gammas]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 12), st.integers(0, 10_000),
+       st.sampled_from([2.0, 3.0, 4.0]))
+def test_reweighted_path_points_are_connected(n, seed, radius):
+    # on a plant of two or more components every point of the path joins
+    # them: plant and support form one component
+    plant = graphs.random_geometric(n, radius, seed=seed)
+    assume(graphs.component_count(plant) >= 2)
+    prob = graphs.default_problem(plant)
+    for _, x in pipeline.reweighted_path(prob, np.geomspace(1e-3, 2.5, 5)):
+        support = np.flatnonzero(np.abs(x) > pipeline.ZERO_TOL)
+        pairs = np.vstack([plant.pairs, prob.candidates.pairs[support]])
+        joined = graphs.EdgeList(n, pairs, np.ones(len(pairs)))
+        assert graphs.component_count(joined) == 1
+
+
 def test_sweep_p3_cardinalities():
     # the candidate edge survives below gamma_max = 2 and vanishes above
     prob = p3_problem()
@@ -155,17 +171,20 @@ def test_sweep_iterations_recorded():
     assert all(p.wall_time >= 0 for p in points)
 
 
-def test_sweep_cold_start_solves_each_gamma():
+def test_sweep_warm_starts_each_gamma_from_the_previous_solution():
+    # the same chain of direct solves: the first from the centralized
+    # solution, each later one from the solution before it
     prob = graphs.default_problem(
         graphs.generate("erdos_renyi", 10, p=0.5, seed=13), resistive=True
     )
     gammas = [0.2, 0.6, 1.0]
-    points = pipeline.sweep(prob, gammas, opts=TIGHT, warm_start=False)
+    points = pipeline.sweep(prob, gammas, opts=TIGHT)
+    x_prev, _ = solve_newton(prob.with_gamma(0.0), None, TIGHT)
     for g, p in zip(gammas, points):
-        x, rep = solve_newton(prob.with_gamma(g), None, TIGHT)
+        x_prev, rep = solve_newton(prob.with_gamma(g), x_prev, TIGHT)
         assert p.gamma == g
         assert p.iterations == rep.iterations
-        assert p.cardinality == np.count_nonzero(np.abs(x) > pipeline.ZERO_TOL)
+        assert p.cardinality == np.count_nonzero(np.abs(x_prev) > pipeline.ZERO_TOL)
 
 
 def test_sweep_reweighting_mode():
@@ -179,9 +198,8 @@ def test_sweep_reweighting_mode():
     assert cards[-1] <= cards[0]
 
 
-@pytest.mark.parametrize("mode", [{}, {"warm_start": False},
-                                  {"use_reweighting": True}],
-                         ids=["warm", "cold", "reweighted"])
+@pytest.mark.parametrize("mode", [{}, {"use_reweighting": True}],
+                         ids=["warm", "reweighted"])
 def test_sweep_wall_time_covers_the_solve(monkeypatch, mode):
     # a pause inside every solve, which threshold and polish never see, must
     # show in the wall time of each point
@@ -219,9 +237,9 @@ def test_sweep_reweighting_records_iterations(monkeypatch):
     assert any(p.iterations > 0 for p in points)
 
 
-def record_starts(monkeypatch, warm_start):
-    """Run a reweighted sweep on the P3 problem with the given start rule;
-    returns the ``(x0, x)`` of every ``_solve``, the centralized one first."""
+def record_starts(monkeypatch):
+    """Run a reweighted sweep on the P3 problem; returns the ``(x0, x)`` of
+    every ``_solve``, the centralized one first."""
     solves = []
     real_solve = pipeline._solve
 
@@ -231,20 +249,14 @@ def record_starts(monkeypatch, warm_start):
         return x, rep
 
     monkeypatch.setattr(pipeline, "_solve", recording_solve)
-    pipeline.sweep(p3_problem(), [0.5, 1.0], opts=TIGHT, use_reweighting=True,
-                   warm_start=warm_start)
+    pipeline.sweep(p3_problem(), [0.5, 1.0], opts=TIGHT, use_reweighting=True)
     return solves
-
-
-def test_cold_reweighted_sweep_starts_every_solve_at_the_default(monkeypatch):
-    solves = record_starts(monkeypatch, warm_start=False)
-    assert [x0 for x0, _ in solves] == [None, None, None]
 
 
 def test_warm_reweighted_sweep_starts_each_solve_at_the_previous_point(monkeypatch):
     # one solve per gamma after the centralized one, each from the previous
     # solution itself: a warm start is never retried from the default
-    solves = record_starts(monkeypatch, warm_start=True)
+    solves = record_starts(monkeypatch)
     assert len(solves) == 3 and solves[0][0] is None
     for (_, x_prev), (x0, _) in zip(solves, solves[1:]):
         assert x0 is x_prev
