@@ -11,6 +11,9 @@ As ``Q 1 = 0`` and ``G_p 1 = 1``, the all-ones vector is an eigenvector of
 ``xi^T Y_hat xi = beta xi^T Y xi`` and the dual value has the closed form of
 :func:`dual_objective`.  :func:`certify` builds the multipliers with their
 sign check, the gap and the dual residuals in one pass, without ``Y_hat``.
+The per-edge penalty is the problem's own ``Problem.penalty``, built and
+checked when the problem was built or derived, so a certificate builds and
+checks nothing but the iterate's edge forms.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateInvalidError, InvalidInputError
+from .errors import CertificateInvalidError
 from .graphs import Problem
 from .objective import Objective, ObjectiveState, edge_quad_diag
 
@@ -73,33 +76,19 @@ def dual_objective(state: ObjectiveState, beta: float, G_p: np.ndarray) -> float
                  - beta * np.vdot(state.Y, G_p) - (1.0 - beta))
 
 
-def _gamma_vector(problem: Problem, weights) -> np.ndarray:
-    """Per-edge penalty ``gamma * weights`` (uniform without ``weights``).
-
-    Raises InvalidInputError unless ``weights`` holds one finite,
-    non-negative entry per candidate edge.
-    """
-    g = np.full(problem.m, problem.gamma)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (problem.m,):
-            raise InvalidInputError(
-                f"weights must have shape ({problem.m},), not {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise InvalidInputError("weights must be finite and non-negative")
-        g = g * w
-    return g
-
-
 def certify(problem: Problem, objective: Objective, state: ObjectiveState,
             weights=None) -> DualCertificate:
     """Certificate at a feasible iterate, built in one pass from ``state.Y``.
 
+    The per-edge penalty is ``problem.penalty``; given ``weights``, the
+    certificate is that of ``problem.with_gamma(problem.gamma, weights)``.
     The bound's edge forms ``xi^T R xi`` are ``objective.lin``.  Raises
     CertificateInvalidError when the blended point gives a negative
     multiplier (callers then fall back to objective-change stopping).
     """
-    gam = _gamma_vector(problem, weights)
+    if weights is not None:
+        problem = problem.with_gamma(problem.gamma, weights)
+    gam = problem.penalty
     c = objective.lin
     q = edge_quad_diag(state.Y, problem.candidates.positions)
     d = q - c
@@ -133,10 +122,11 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
                            y_minus - y_minus_c, primal, dual)
 
 
-def certify_or_none(problem: Problem, objective: Objective,
-                    state: ObjectiveState, weights=None) -> DualCertificate | None:
-    """:func:`certify`, or None when the certificate is not valid."""
+def certify_or_none(objective: Objective,
+                    state: ObjectiveState) -> DualCertificate | None:
+    """:func:`certify` of ``objective.problem``, or None when the certificate
+    is not valid."""
     try:
-        return certify(problem, objective, state, weights)
+        return certify(objective.problem, objective, state)
     except CertificateInvalidError:
         return None

@@ -9,7 +9,9 @@ Outside data is checked once, in the constructor that takes it; checked
 objects are read-only and trusted by what derives from them:
 ``EdgeList.incidence`` checks nothing again, and ``Problem.with_gamma``,
 ``Problem.restrict`` and ``controller_laplacian`` check only what they add
-(penalty, support indices, edge weights).  What depends only on the
+(penalty and its per-edge weights, support indices, edge weights).  A
+problem carries its per-edge penalty, built and checked when the problem is
+built or derived, never during a solve.  What depends only on the
 plant, ``Q`` and ``R`` is kept in the :class:`ProblemFamily` that a problem
 shares with every problem derived from it, and is built at most once.
 
@@ -55,7 +57,9 @@ small matrices, so they are written for low per-call overhead:
 
   - ``dpotrf(lower=1, clean=1)`` factors; a non-zero ``info`` raises
     ``scipy.linalg.LinAlgError``, except that a matrix that is not positive
-    definite makes :func:`try_cholesky` return None.
+    definite makes :func:`try_cholesky` return None.  It factors a
+    Fortran-ordered matrix in place and copies any other; a closed loop's
+    ``G`` is factored in place.
   - ``dpotrs`` solves with both factors (:meth:`ClosedLoop.solve`) and
     raises on a non-zero ``info``.
   - ``dtrsm(side=1)`` solves with one factor from the row side
@@ -307,9 +311,11 @@ def try_cholesky(A: np.ndarray):
     or None if ``A`` is not positive definite.
 
     Success/failure of the factorization is the feasibility test used
-    throughout; no tolerance is added.
+    throughout; no tolerance is added.  A Fortran-ordered ``A`` is factored
+    in place, even a read-only one, and any other ``A`` is copied first: so
+    callers hand over only arrays of their own that they no longer read.
     """
-    c, info = dpotrf(A, lower=1, clean=1)
+    c, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info > 0:  # leading minor ``info`` is not positive definite
         return None
     return _lapack_result(c, info, "dpotrf")
@@ -345,10 +351,12 @@ class ClosedLoop:
 
 
 def closed_loop(G_p: np.ndarray, inc: IncidenceMatrix, x) -> ClosedLoop:
-    """Form ``G_p + E diag(x) E^T`` and attempt its factorization."""
+    """Form ``G_p + E diag(x) E^T`` and attempt its factorization, in place:
+    ``G`` is exactly symmetric, so its Fortran-ordered transpose ``G.T`` is
+    ``G`` itself, and no second n-by-n array is made."""
     G = controller_laplacian(inc, x)
     np.add(G_p, G, out=G)  # G_p + L without a second n-by-n temporary
-    return ClosedLoop(try_cholesky(G))
+    return ClosedLoop(try_cholesky(G.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,6 +472,26 @@ def _check_gamma(gamma) -> None:
         raise InvalidInputError("gamma must be finite and non-negative")
 
 
+def _penalty(m: int, gamma: float, weights) -> np.ndarray:
+    """Read-only per-edge penalty ``gamma * weights`` (uniform without
+    ``weights``).
+
+    Raises InvalidInputError unless ``weights`` holds one finite,
+    non-negative entry per candidate edge.
+    """
+    g = np.full(m, gamma)
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (m,):
+            raise InvalidInputError(
+                f"weights must have shape ({m},), not {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise InvalidInputError("weights must be finite and non-negative")
+        g = g * w
+    g.setflags(write=False)
+    return g
+
+
 def _symmetric(A: np.ndarray) -> bool:
     """``max|A - A^T| <= 1e-12 max(1, max|A|)``, an absolute bound (a
     relative one passes parts-in-a-million asymmetry); NaN or infinite
@@ -490,7 +518,9 @@ class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
 
     ``Q`` and ``R`` are node-space (n-by-n) weights; dual certificates exist
-    for every symmetric positive definite ``R``.
+    for every symmetric positive definite ``R``.  ``penalty`` is the
+    read-only per-edge penalty of ``sum_l penalty_l |x_l|``: ``gamma`` on
+    every edge, or ``gamma * weights`` from :meth:`with_gamma`.
     """
 
     plant: PlantGraph
@@ -500,6 +530,7 @@ class Problem:
     gamma: float = 0.0
     resistive: bool = False
     family: ProblemFamily = field(init=False, repr=False)
+    penalty: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", ProblemFamily())
@@ -519,9 +550,10 @@ class Problem:
             raise InvalidInputError("Q + (1/n) 11^T must be positive definite")
         if not _symmetric(R):
             raise InvalidInputError("R must be symmetric")
-        if try_cholesky(R) is None:
+        if try_cholesky(R.copy(order="F")) is None:  # R itself is kept
             raise InvalidInputError("R must be positive definite")
         _check_gamma(self.gamma)
+        object.__setattr__(self, "penalty", _penalty(self.m, self.gamma, None))
         if self.resistive:
             if not self.plant.connected:
                 raise InvalidInputError("resistive problems require a connected plant")
@@ -549,12 +581,19 @@ class Problem:
         new.__dict__.update(self.__dict__, **changes)
         return new
 
-    def with_gamma(self, gamma: float) -> "Problem":
+    def with_gamma(self, gamma: float, weights=None) -> "Problem":
+        """Problem with penalty ``gamma``, per edge ``gamma * weights``
+        (see :func:`_penalty`)."""
         _check_gamma(gamma)
-        return self._derive(gamma=gamma)
+        return self._derive(gamma=gamma, penalty=_penalty(self.m, gamma, weights))
 
     def restrict(self, support) -> "Problem":
-        return self._derive(candidates=self.candidates.restrict(support))
+        """Problem over a subset of distinct candidates, with their
+        penalties."""
+        candidates = self.candidates.restrict(support)  # checks the indices
+        penalty = self.penalty[np.asarray(support, dtype=np.intp).reshape(-1)]
+        penalty.setflags(write=False)
+        return self._derive(candidates=candidates, penalty=penalty)
 
 
 def default_problem(

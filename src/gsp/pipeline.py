@@ -62,7 +62,7 @@ def gamma_max(problem: Problem) -> float:
 _OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions}
 
 
-def _solve(problem: Problem, method: str, x0, opts, weights=None):
+def _solve(problem: Problem, method: str, x0, opts):
     """Dispatch one solve by method name: proxbb or proxn.
 
     ``opts`` is None (the solver's defaults) or an instance of the method's
@@ -74,10 +74,10 @@ def _solve(problem: Problem, method: str, x0, opts, weights=None):
         raise InvalidInputError(f"{method} takes {_OPTIONS[method].__name__}, "
                                 f"not {type(opts).__name__}")
     if method == "proxn":
-        return solve_newton(problem, x0, opts, weights)
+        return solve_newton(problem, x0, opts)
     if problem.resistive:
-        return solve_projected(problem, x0, opts, weights)
-    return solve_ista(problem, x0, opts, weights)
+        return solve_projected(problem, x0, opts)
+    return solve_ista(problem, x0, opts)
 
 
 def solve_centralized(problem: Problem, method: str = "proxn", opts=None):
@@ -147,15 +147,15 @@ def _gamma_path(problem: Problem, gammas, solver, opts, x_c, reweight: bool):
 
     Each solve starts at the previous solution, the first at the
     unpenalized solution ``x_c``: the pathwise order of Friedman, Hastie
-    and Tibshirani (J. Stat. Softw. 2010).  With ``reweight`` the penalty
-    weights are :func:`reweight_update` of the same previous solution.
+    and Tibshirani (J. Stat. Softw. 2010).  With ``reweight`` each problem
+    carries the per-edge penalty weights :func:`reweight_update` of the same
+    previous solution.
     """
     x_prev = x_c
     for g in gammas:
         t0 = time.perf_counter()
-        prob_g = problem.with_gamma(float(g))
         w = reweight_update(x_prev) if reweight else None
-        x, rep = _solve(prob_g, solver, x_prev, opts, w)
+        x, rep = _solve(problem.with_gamma(float(g), w), solver, x_prev, opts)
         yield float(g), x, rep.iterations, time.perf_counter() - t0
         x_prev = x
 

@@ -13,12 +13,14 @@ smallest allowed step raises LineSearchError.
 The step recipe is fixed by module constants, read at call time:
 ``ALPHA_FALLBACK`` (the first step, and any step whose BB estimate is
 undefined), the BB clamp ``[ALPHA_MIN, ALPHA_MAX]``, the backtracking factor
-``BACKTRACK_SHRINK`` and the number of recent objective values the resistive
-test compares against, ``NONMONOTONE_MEMORY``.
+``BACKTRACK_SHRINK``, the number of recent objective values the resistive
+test compares against, ``NONMONOTONE_MEMORY``, and the certification
+interval ``CERTIFY_EVERY``.  The per-edge penalty is ``problem.penalty``.
 
 The frame around the loop is shared with proximal Newton: :func:`_start`
 (default start ``x = 1`` signed and ``x = 0`` resistive, the non-negative
-start check, the first state or InfeasibleStartError), the certificate test
+start check, the objective and first state ``(obj, st)`` or
+InfeasibleStartError), the certificate test
 :func:`_certified` and :func:`_finish`, which sets the status.  A run that
 stops by its own rule is ``converged``; one that uses up its iterations is
 certified once more and is ``converged`` only if that certificate passes.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualCertificate, _gamma_vector, certify_or_none
+from .duality import DualCertificate, certify_or_none
 from .errors import (
     InfeasiblePointError,
     InfeasibleStartError,
@@ -47,6 +49,8 @@ ALPHA_MIN = 1e-12
 ALPHA_MAX = 1e12
 BACKTRACK_SHRINK = 0.5
 NONMONOTONE_MEMORY = 10
+#: Certification interval of the loop, in iterations.
+CERTIFY_EVERY = 10
 
 
 def _check_tolerances(tol_gap, tol_rd):
@@ -63,12 +67,11 @@ class ProxGradOptions:
     max_iters: int = 10000
     tol_gap: float = 1e-4
     tol_rd: float = 1e-3
-    report_every: int = 10  # certification interval
 
     def __post_init__(self):
         _check_tolerances(self.tol_gap, self.tol_rd)
-        if self.max_iters < 1 or self.report_every < 1:
-            raise InvalidInputError("max_iters and report_every must be at least 1")
+        if self.max_iters < 1:
+            raise InvalidInputError("max_iters must be at least 1")
 
 
 @dataclass
@@ -113,19 +116,18 @@ def bb_step(x_k, x_prev, g_k, g_prev) -> float:
     return float(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))
 
 
-def _start(problem: Problem, x0, weights):
-    """``(obj, gam, st)`` of a solve from ``x0`` (None: the default start):
-    objective, per-edge penalty and first state, whose ``st.x`` is the
-    iterate.  Raises InvalidInputError for a negative resistive start."""
+def _start(problem: Problem, x0):
+    """``(obj, st)`` of a solve from ``x0`` (None: the default start):
+    objective and first state, whose ``st.x`` is the iterate.  Raises
+    InvalidInputError for a negative resistive start."""
     if x0 is None:
         x0 = np.zeros(problem.m) if problem.resistive else np.ones(problem.m)
     x = np.asarray(x0, dtype=float).reshape(-1)
     if problem.resistive and x.size and x.min() < 0:
         raise InvalidInputError("resistive starting point must be non-negative")
     obj = Objective(problem)
-    gam = _gamma_vector(problem, weights)
     try:
-        return obj, gam, obj.state(x)
+        return obj, obj.state(x)
     except InfeasiblePointError as exc:
         raise InfeasibleStartError(str(exc)) from exc
 
@@ -147,8 +149,7 @@ def _finish(report, t0, cert, opts=None):
     return report
 
 
-def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
-                   weights):
+def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
     """The proximal-gradient loop behind :func:`solve_ista` and
     :func:`solve_projected`; the per-mode rules are fixed before it starts.
 
@@ -159,8 +160,9 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
     """
     opts = opts or ProxGradOptions()
     t0 = time.perf_counter()
-    obj, gam, st = _start(problem, x0, weights)
+    obj, st = _start(problem, x0)
     x = st.x
+    gam = problem.penalty
     resistive = problem.resistive
 
     def penalty(z):
@@ -197,7 +199,7 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
     flat_count = 0
 
     if problem.m == 0:
-        return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
+        return x, _finish(report, t0, certify_or_none(obj, st))
 
     for k in range(1, opts.max_iters + 1):
         if x_prev is None:
@@ -244,8 +246,8 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
 
         # an exact fixed point of the prox map is optimal for the convex problem
         stationary = step_sq == 0.0
-        if k % opts.report_every == 0 or stationary or flat_count >= 5:
-            cert = certify_or_none(problem, obj, st, weights)
+        if k % CERTIFY_EVERY == 0 or stationary or flat_count >= 5:
+            cert = certify_or_none(obj, st)
             if cert is not None:
                 report.gap_trace.append(cert.gap)
                 if stationary or _certified(cert, opts):
@@ -253,25 +255,24 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None,
             elif flat_count >= 5 or stationary:
                 return x, _finish(report, t0, None)
 
-    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights), opts)
+    return x, _finish(report, t0, certify_or_none(obj, st), opts)
 
 
-def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None,
-               weights=None):
-    """Soft-thresholding iteration for the signed problem.
+def solve_ista(problem: Problem, x0=None, opts: ProxGradOptions | None = None):
+    """Soft-thresholding iteration for the signed problem, with its per-edge
+    ``problem.penalty``.
 
-    Returns ``(x, SolveReport)``.  ``weights`` optionally replaces the uniform
-    penalty with a per-edge weighted one.
+    Returns ``(x, SolveReport)``.
     """
     if problem.resistive:
         raise InvalidInputError("solve_ista handles the signed problem; "
                                 "use solve_projected for resistive problems")
-    return _prox_gradient(problem, x0, opts, weights)
+    return _prox_gradient(problem, x0, opts)
 
 
 def solve_projected(problem: Problem, x0=None,
-                    opts: ProxGradOptions | None = None, weights=None):
+                    opts: ProxGradOptions | None = None):
     """Projected gradient with non-monotone BB steps for resistive problems."""
     if not problem.resistive:
         raise InvalidInputError("solve_projected requires a resistive problem")
-    return _prox_gradient(problem, x0, opts, weights)
+    return _prox_gradient(problem, x0, opts)

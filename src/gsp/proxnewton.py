@@ -497,13 +497,15 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, d0):
     return d
 
 
-def line_search(objective: Objective, gamma_vec, state, xt):
-    """Backtracking with a generalized Armijo rule.
+def line_search(objective: Objective, state, xt):
+    """Backtracking with a generalized Armijo rule on the objective plus
+    the problem's per-edge penalty.
 
     Returns ``(alpha, x_new, cl_new)``; raises LineSearchError when no step
     is accepted within the backtrack budget.
     """
     resistive = objective.problem.resistive
+    gamma_vec = objective.problem.penalty
     x_bar = state.x
     l1_bar = float(gamma_vec @ np.abs(x_bar))  # resistive iterates are non-negative
     f_bar = state.J + l1_bar
@@ -527,13 +529,14 @@ def line_search(objective: Objective, gamma_vec, state, xt):
     raise LineSearchError("no acceptable step within the backtrack budget")
 
 
-def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
-                 weights=None):
-    """Proximal Newton solve; returns ``(x, SolveReport)``."""
+def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
+    """Proximal Newton solve with the per-edge ``problem.penalty``; returns
+    ``(x, SolveReport)``."""
     opts = opts or NewtonOptions()
     t0 = time.perf_counter()
-    obj, gam, st = _start(problem, x0, weights)
+    obj, st = _start(problem, x0)
     x = st.x
+    gam = problem.penalty
     resistive = problem.resistive
 
     def composite(state):
@@ -542,13 +545,13 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
     report = SolveReport()
     report.objective_trace.append(composite(st))
     if problem.m == 0:
-        return x, _finish(report, t0, certify_or_none(problem, obj, st, weights))
+        return x, _finish(report, t0, certify_or_none(obj, st))
 
     prev_F = report.objective_trace[0]
     flat_count = 0
 
     for k in range(1, opts.max_iters + 1):
-        cert = certify_or_none(problem, obj, st, weights)
+        cert = certify_or_none(obj, st)
         if cert is not None:
             report.gap_trace.append(cert.gap)
             if _certified(cert, opts):
@@ -564,7 +567,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             report.iterations = k - 1
             return x, _finish(report, t0, cert)
 
-        alpha, x, cl = line_search(obj, gam, st, xt)
+        alpha, x, cl = line_search(obj, st, xt)
         st = obj.state(x, cl)
         F = composite(st)
         report.iterations = k
@@ -576,10 +579,10 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None,
             # no usable certificate (the blended point fails its sign
             # checks, as at gamma = 0): stop on a flat objective
             if flat_count >= 3 and cert is None:
-                cert = certify_or_none(problem, obj, st, weights)
+                cert = certify_or_none(obj, st)
                 return x, _finish(report, t0, cert)
         else:
             flat_count = 0
         prev_F = F
 
-    return x, _finish(report, t0, certify_or_none(problem, obj, st, weights), opts)
+    return x, _finish(report, t0, certify_or_none(obj, st), opts)

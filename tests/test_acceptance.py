@@ -17,7 +17,7 @@ from gsp.proxnewton import NewtonOptions
 from reference import dense_hessian, duality_gap, lyapunov_h2_oracle
 
 TIGHT_N = NewtonOptions(tol_gap=1e-12, tol_rd=1e-6)
-TIGHT_G = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6, report_every=1)
+TIGHT_G = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6)
 
 
 def report(num, name, ok):

@@ -24,7 +24,7 @@ def two_node_problem(gamma=0.0):
                                   gamma=gamma)
 
 
-TIGHT = proxgrad.ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6, report_every=1)
+TIGHT = proxgrad.ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6)
 
 
 def eigh_dual_objective(Y, qp, G_p):
@@ -47,15 +47,22 @@ def blend(Y, beta):
 
 # The certificate as a chain of three steps (blend, multipliers, residuals),
 # each re-reading the edge forms xi^T R xi (from the dense incidence matrix,
-# not Objective.lin) and the penalty vector, with the blended point formed
-# and its dual value taken by eigh_dual_objective: an independent reference
-# for the one-pass duality.certify.
+# not Objective.lin) and the penalty vector (from gamma and the weights, not
+# Problem.penalty), with the blended point formed and its dual value taken
+# by eigh_dual_objective: an independent reference for the one-pass
+# duality.certify.
+
+def ref_penalty(problem, weights=None):
+    """Per-edge penalty ``gamma * weights``, uniform without ``weights``."""
+    w = np.ones(problem.m) if weights is None else np.asarray(weights)
+    return problem.gamma * w
+
 
 def ref_make_dual_feasible(Y, problem, weights=None):
     """Blend ``Y`` toward ``(1/n) 11^T`` until the dual bound holds."""
     c = edge_forms(problem.candidates, problem.R)
     d = edge_quad_diag(Y, problem.candidates.positions) - c
-    gam = duality._gamma_vector(problem, weights)
+    gam = ref_penalty(problem, weights)
     if problem.m == 0:
         beta = 1.0
     else:
@@ -71,7 +78,7 @@ def ref_multipliers(Y_hat, problem, weights=None):
     """Clipped multipliers after the sign check."""
     c = edge_forms(problem.candidates, problem.R)
     d_hat = edge_quad_diag(Y_hat, problem.candidates.positions) - c
-    gam = duality._gamma_vector(problem, weights)
+    gam = ref_penalty(problem, weights)
     if problem.resistive:
         y = gam - d_hat
         if y.size and y.min() < -duality._SIGN_TOL:
@@ -88,7 +95,7 @@ def ref_multipliers(Y_hat, problem, weights=None):
 def ref_residuals(Y, Y_hat, y, problem, weights=None):
     """Dual residuals: against ``Y`` (resistive) or ``Y_hat`` (signed)."""
     c = edge_forms(problem.candidates, problem.R)
-    gam = duality._gamma_vector(problem, weights)
+    gam = ref_penalty(problem, weights)
     if problem.resistive:
         d = edge_quad_diag(Y, problem.candidates.positions) - c
         return gam - d - y, None
@@ -100,7 +107,7 @@ def ref_residuals(Y, Y_hat, y, problem, weights=None):
 def ref_certify(problem, objective, state, weights=None):
     """The certificate fields, in DualCertificate order, from the chain."""
     Y_hat, beta = ref_make_dual_feasible(state.Y, problem, weights)
-    gam = duality._gamma_vector(problem, weights)
+    gam = ref_penalty(problem, weights)
     x = state.x
     c = edge_forms(problem.candidates, problem.R)
     primal = float(state.h2 + c @ x + gam @ np.abs(x))
@@ -161,27 +168,66 @@ def test_certify_reads_the_state(monkeypatch):
         calls.clear()
         cert = duality.certify(prob, obj, st, w)
         assert calls == []
-        gam = duality._gamma_vector(prob, w)
+        gam = ref_penalty(prob, w)
         assert cert.primal == float(st.h2 + obj.lin @ x + gam @ np.abs(x))
 
 
 def test_certify_builds_in_one_pass(monkeypatch):
-    # one penalty vector and one edge gather (at Y; the blended point's
-    # edge forms are beta times those) per certificate, signed and resistive
+    # one edge gather (at Y; the blended point's edge forms are beta times
+    # those) per certificate, signed and resistive, and no penalty build:
+    # the problem carries its weighted penalty
     calls = []
-    for name in ("_gamma_vector", "edge_quad_diag"):
-        def counting(*args, _name=name, _f=getattr(duality, name)):
+    for module, name in ((graphs, "_penalty"), (duality, "edge_quad_diag")):
+        def counting(*args, _name=name, _f=getattr(module, name)):
             calls.append(_name)
             return _f(*args)
 
-        monkeypatch.setattr(duality, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for prob, x in ((p3_problem(gamma=0.9), np.array([0.25])),
                     (two_node_problem(gamma=2.0), np.array([0.3]))):
+        prob = prob.with_gamma(prob.gamma, np.full(prob.m, 1.5))
         obj = Objective(prob)
         st = obj.state(x)
         calls.clear()
-        duality.certify(prob, obj, st, np.ones(prob.m))
-        assert sorted(calls) == ["_gamma_vector", "edge_quad_diag"]
+        duality.certify(prob, obj, st)
+        assert calls == ["edge_quad_diag"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12), st.integers(0, 10_000), st.booleans(),
+       st.sampled_from([0.05, 0.3, 1.0]))
+def test_certify_weights_equal_the_weighted_problem(n, seed, resistive, scale):
+    # certify(p.with_gamma(g), obj, st, w) is the certificate of
+    # p.with_gamma(g, w), bit for bit in gap, beta and multipliers, or
+    # both raise
+    plant = graphs.generate("erdos_renyi", n, p=0.5, seed=seed)
+    assume(graphs.component_count(plant) == 1 and 2 * plant.m < n * (n - 1))
+    base = graphs.default_problem(plant, resistive=resistive)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = 0.3 * pipeline.gamma_max(base)
+    w = rng.uniform(0.5, 2.0, base.m)
+    x = scale * rng.uniform(0.0 if resistive else -0.1, 1.0, base.m)
+    uniform, weighted = base.with_gamma(g), base.with_gamma(g, w)
+    obj, obj_w = Objective(uniform), Objective(weighted)
+    cl = obj.closed_loop(x)
+    assume(cl.positive_definite)
+    st_u, st_w = obj.state(x, cl), obj_w.state(x)
+    certs = []
+    for call in (lambda: duality.certify(uniform, obj, st_u, w),
+                 lambda: duality.certify(weighted, obj_w, st_w)):
+        try:
+            certs.append(call())
+        except CertificateInvalidError:
+            certs.append(None)
+    a, b = certs
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    for field in ("gap", "beta", "y_plus", "y_minus", "primal", "dual"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is None) == (v is None)
+        if u is not None:
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes(), field
 
 
 def sqrt_dual_objective(Y, Qp, G_p):
@@ -269,7 +315,7 @@ def test_one_pass_certificate_matches_three_step_chain(n, seed, resistive,
     assert abs(cert.dual - dual) <= 1e-12 * abs(dual)
     assert abs(cert.gap - gap) <= 1e-12 * abs(dual)
     q = edge_quad_diag(state.Y, prob.candidates.positions)
-    scale = max(1.0, np.max(duality._gamma_vector(prob, w), initial=0.0),
+    scale = max(1.0, np.max(ref_penalty(prob, w), initial=0.0),
                 np.max(np.abs(q), initial=0.0))
     for a, b in ((cert.y_plus, y_plus), (cert.y_minus, y_minus),
                  (cert.r_d_plus, r_d_plus), (cert.r_d_minus, r_d_minus)):
@@ -336,11 +382,13 @@ def test_certificates_on_geometric_plants(n, seed, radius, weighted, gamma,
     if not scalar_r:
         prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
                               spd_weight(rng, n), gamma)
+    prob = prob.with_gamma(gamma, w)
 
     def solves():
-        proxnewton.solve_newton(prob, weights=w)
-        proxgrad.solve_ista(prob, opts=proxgrad.ProxGradOptions(
-            max_iters=30, report_every=1), weights=w)
+        proxnewton.solve_newton(prob)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(proxgrad, "CERTIFY_EVERY", 1)
+            proxgrad.solve_ista(prob, opts=proxgrad.ProxGradOptions(max_iters=30))
 
     check_certificates(recorded_certificates(solves)[1], prob)
 
@@ -367,11 +415,11 @@ def test_certified_solves_agree(n, seed, geometric, resistive, scalar_r, frac,
         prob = graphs.Problem(prob.plant, prob.candidates, prob.Q,
                               spd_weight(rng, n), 0.0, resistive)
     w = rng.uniform(0.5, 2.0, prob.m) if weighted else None
-    prob = prob.with_gamma(frac * pipeline.gamma_max(prob))
+    prob = prob.with_gamma(frac * pipeline.gamma_max(prob), w)
     first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
     certs = []
     for solve in (proxnewton.solve_newton, first_order):
-        (_, rep), seen = recorded_certificates(lambda: solve(prob, weights=w))
+        (_, rep), seen = recorded_certificates(lambda: solve(prob))
         check_certificates(seen, prob)
         certs.append(rep.certificate if rep.status == "converged" else None)
     if None not in certs:
@@ -411,7 +459,7 @@ def test_closed_form_dual_tolerates_Q_row_sums(resistive):
             for scale in (0.0, 0.003, 0.03, 0.3):
                 x = scale * rng.uniform(0.0, 1.0, prob.m)
                 state = obj.state(x)
-                cert = duality.certify_or_none(prob, obj, state)
+                cert = duality.certify_or_none(obj, state)
                 if cert is None:
                     continue
                 ref = eigh_dual_objective(blend(state.Y, cert.beta), obj.qp,
@@ -428,21 +476,22 @@ def test_closed_form_dual_tolerates_Q_row_sums(resistive):
     np.array([1.0, np.inf, 1.0]),
 ], ids=["negative", "short", "column", "nan", "inf"])
 def test_penalty_weights_are_validated(weights):
-    # every solver and certify turn weights into the penalty vector, and
-    # reject weights that are not one finite non-negative entry per edge
+    # with_gamma, and certify through it, turn weights into the penalty
+    # vector, and reject weights that are not one finite non-negative entry
+    # per edge
+    message = ("weights must have shape" if weights.shape != (3,)
+               else "weights must be finite and non-negative")
     plant = graphs.generate("path", 4)
     signed = graphs.default_problem(plant, gamma=0.5)
     resistive = graphs.default_problem(plant, gamma=0.5, resistive=True)
     obj = Objective(signed)
     calls = [
         lambda: duality.certify(signed, obj, obj.state(np.full(3, 0.2)), weights),
-        lambda: proxnewton.solve_newton(signed, weights=weights),
-        lambda: proxnewton.solve_newton(resistive, weights=weights),
-        lambda: proxgrad.solve_ista(signed, weights=weights),
-        lambda: proxgrad.solve_projected(resistive, weights=weights),
+        lambda: signed.with_gamma(0.5, weights),
+        lambda: resistive.with_gamma(0.5, weights),
     ]
     for call in calls:
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=message):
             call()
 
 
@@ -474,7 +523,7 @@ def test_blending_cannot_fix_small_edge_forms():
     st = obj.state(np.array([0.7]))
     with pytest.raises(duality.CertificateInvalidError):
         duality.certify(prob, obj, st)
-    assert duality.certify_or_none(prob, obj, st) is None
+    assert duality.certify_or_none(obj, st) is None
 
 
 def test_blended_point_at_optimum_keeps_Y():
@@ -504,7 +553,7 @@ def test_certificate_for_diagonal_R():
     st = obj.state(np.array([0.4]))
     with pytest.raises(CertificateInvalidError):
         duality.certify(prob, obj, st)
-    assert duality.certify_or_none(prob, obj, st) is None
+    assert duality.certify_or_none(obj, st) is None
     prob = prob.with_gamma(0.3 * pipeline.gamma_max(prob))
     for solve, opts in ((proxnewton.solve_newton, proxnewton.NewtonOptions()),
                         (proxgrad.solve_ista, proxgrad.ProxGradOptions())):
@@ -623,11 +672,11 @@ def test_weighted_penalty_certificate():
     prob = graphs.default_problem(plant, gamma=0.8, resistive=False)
     obj = Objective(prob)
     w = np.linspace(0.5, 2.0, prob.m)
-    x, rep = proxgrad.solve_ista(prob, opts=TIGHT, weights=w)
+    x, rep = proxgrad.solve_ista(prob.with_gamma(prob.gamma, w), opts=TIGHT)
     cert = rep.certificate
     assert cert is not None
     assert cert.gap <= 1e-10
-    d_hat = duality._gamma_vector(prob, w) - cert.y_plus
+    d_hat = prob.gamma * w - cert.y_plus
     assert np.all(np.abs(d_hat) <= prob.gamma * w + 1e-10)
 
 

@@ -18,7 +18,7 @@ from gsp import graphs
 from gsp.errors import InvalidInputError
 from gsp.objective import Objective
 from gsp.pipeline import ZERO_TOL, gamma_max, polish
-from gsp.proxgrad import solve_projected
+from gsp.proxgrad import ProxGradOptions, solve_ista, solve_projected
 from gsp.proxnewton import solve_newton
 from reference import (
     csgraph_component_count,
@@ -262,6 +262,25 @@ def test_restrict_problem():
     assert prob.restrict([]).m == 0
 
 
+def test_penalty_is_carried_by_the_problem():
+    # uniform from the constructor and with_gamma(g), gamma * weights from
+    # with_gamma(g, w); restrict slices it; every penalty is read-only
+    prob = graphs.default_problem(graphs.generate("path", 6), gamma=0.4)
+    assert np.array_equal(prob.penalty, np.full(prob.m, 0.4))
+    assert not prob.penalty.flags.writeable
+    rng = np.random.Generator(np.random.PCG64(4))
+    w = rng.uniform(0.5, 2.0, prob.m)
+    g = 0.7
+    support = [5, 0, 3]
+    sub = prob.with_gamma(g, w).restrict(support)
+    assert sub.penalty.tobytes() == (g * w)[support].tobytes()
+    assert not sub.penalty.flags.writeable
+    again = sub.with_gamma(g)
+    assert np.array_equal(again.penalty, np.full(sub.m, g))
+    assert not again.penalty.flags.writeable
+    assert prob.restrict([]).penalty.shape == (0,)
+
+
 def test_joint_edges_are_listed_sorted():
     # up to three plant edges that are also candidates, smallest first,
     # whatever the candidates' order
@@ -477,12 +496,17 @@ def test_lapack_kernels_equal_scipy_wrappers(n, seed, p, nrhs, fortran):
     # the direct LAPACK calls give SciPy's factor and full solve byte for
     # byte, and the row-side triangular solve is SciPy's right-side dtrsm
     # byte for byte and solve_triangular on the transposed system within
-    # rounding, for C- and Fortran-ordered right-hand sides
+    # rounding, for C- and Fortran-ordered right-hand sides.  The closed
+    # loop's in-place factor is also that of try_cholesky on a C-ordered
+    # copy of G, which it leaves unchanged
     loop = spd_closed_loop(n, seed, p)
     assume(loop is not None)
     cl, G = loop
     assert_same_array(cl.chol, scipy.linalg.cholesky(G, lower=True,
                                                      check_finite=False))
+    G_before = G.tobytes()
+    assert_same_array(cl.chol, graphs.try_cholesky(G))
+    assert G.tobytes() == G_before
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     B = rng.standard_normal((n, nrhs))
     Bt = rng.standard_normal((nrhs, n))  # row-side: n columns
@@ -575,6 +599,49 @@ def test_derived_problems_are_not_rechecked(monkeypatch):
     # restrict checks the support indices only (bad ones raise:
     # test_restrict_rejects_bad_support), not the checked pairs they pick
     assert not calls
+
+
+def test_solves_build_no_penalty(monkeypatch):
+    # the per-edge penalty is built when a problem is built or derived, and
+    # never during a solve, weighted or not
+    plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
+    builds = []
+
+    def counted(*args, _build=graphs._penalty):
+        builds.append(1)
+        return _build(*args)
+
+    monkeypatch.setattr(graphs, "_penalty", counted)
+    for resistive in (True, False):
+        base = graphs.default_problem(plant, resistive=resistive)
+        w = np.random.Generator(np.random.PCG64(9)).uniform(0.5, 2.0, base.m)
+        for weights in (None, w):
+            prob = base.with_gamma(0.3 * gamma_max(base), weights)
+            builds.clear()
+            if resistive:
+                solve_projected(prob)
+            else:
+                solve_ista(prob, opts=ProxGradOptions(max_iters=50))
+            solve_newton(prob)
+            assert builds == []
+
+
+def test_problem_leaves_fortran_ordered_weights_unchanged():
+    # try_cholesky factors a Fortran-ordered matrix in place, even a
+    # read-only one: the checks of Q and R factor neither the caller's
+    # matrices nor the problem's copies
+    base = graphs.default_problem(graphs.generate("ring", 7))
+    B = np.random.Generator(np.random.PCG64(2)).standard_normal((7, 7))
+    Q = np.asfortranarray(base.Q)
+    R = np.asfortranarray(B @ B.T + np.eye(7))
+    before = Q.tobytes(), R.tobytes()
+    for a in (Q, R):
+        a.setflags(write=False)
+    prob = graphs.Problem(base.plant, base.candidates, Q, R, 0.2, False)
+    assert (Q.tobytes(), R.tobytes()) == before
+    assert (prob.Q.tobytes(), prob.R.tobytes()) == before
+    Objective(prob).state(np.full(prob.m, 0.1))
+    assert (prob.Q.tobytes(), prob.R.tobytes()) == before
 
 
 # The pair-loop definitions the vectorized builders replaced; they pin the

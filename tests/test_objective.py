@@ -369,7 +369,7 @@ def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r)
     obj = Objective(prob)
     assert np.allclose(obj.qp.T @ obj.qp, effective_weight(prob), atol=1e-12)
     st = obj.state(feasible_point(prob, seed=2))
-    duality.certify_or_none(prob, obj, st)
+    duality.certify_or_none(obj, st)
     prob = prob.with_gamma(0.5 * pipeline.gamma_max(prob))
     first_order = proxgrad.solve_projected if resistive else proxgrad.solve_ista
     for solve in (proxnewton.solve_newton, first_order):

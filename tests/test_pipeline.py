@@ -36,7 +36,7 @@ def test_gamma_max_brute_force():
     gmax = pipeline.gamma_max(prob)
     from gsp.proxgrad import ProxGradOptions, solve_projected
 
-    opts = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-8, report_every=1)
+    opts = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-8)
     x_above, _ = solve_projected(prob.with_gamma(1.001 * gmax), opts=opts)
     assert np.allclose(x_above, 0.0, atol=1e-9)
     x_below, _ = solve_projected(prob.with_gamma(0.95 * gmax), opts=opts)

@@ -24,7 +24,7 @@ def two_node_problem(gamma=0.0):
                                   gamma=gamma)
 
 
-TIGHT = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6, report_every=1)
+TIGHT = ProxGradOptions(tol_gap=1e-12, tol_rd=1e-6)
 
 
 def test_soft_threshold_cases():
@@ -86,7 +86,6 @@ def test_bb_step_fallback_and_clamp():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"report_every": 0},  # the loop takes k % report_every
     {"max_iters": 0},
     # a NaN tolerance never certifies, an infinite one always does
     {"tol_gap": float("nan")},
@@ -139,7 +138,7 @@ def test_projected_nonmonotone_bound():
         graphs.generate("erdos_renyi", 15, p=0.3, seed=5),
         candidates=None, gamma=0.3, resistive=True,
     )
-    opts = ProxGradOptions(tol_gap=1e-10, tol_rd=1e-5, report_every=1)
+    opts = ProxGradOptions(tol_gap=1e-10, tol_rd=1e-5)
     x, rep = proxgrad.solve_projected(prob, opts=opts)
     assert rep.status == "converged"
     trace = rep.objective_trace
@@ -195,7 +194,7 @@ def test_weighted_penalty_changes_solution():
     g = 0.8
     prob = two_node_problem(g)
     x_plain, _ = proxgrad.solve_ista(prob, opts=TIGHT)
-    x_wt, _ = proxgrad.solve_ista(prob, opts=TIGHT, weights=np.array([3.0]))
+    x_wt, _ = proxgrad.solve_ista(prob.with_gamma(g, np.array([3.0])), opts=TIGHT)
     # effective penalty 3*gamma shrinks the weight further
     assert x_wt[0] < x_plain[0]
     assert x_wt[0] == pytest.approx(1 / np.sqrt(2 * (2 + 3 * g)), abs=1e-6)

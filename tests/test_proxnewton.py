@@ -828,7 +828,7 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
     last = np.zeros_like(xt)
     last[args[6][usable(args)]] = calls[0][0]
     assert model_value(args, xt) < min(model_value(args, last), 0.0)
-    _, x_new, cl = line_search(obj, gam, state, xt)
+    _, x_new, cl = line_search(Objective(prob.with_gamma(gam[0])), state, xt)
     assert obj.value_at(cl, x_new) + gam @ x_new < state.J + gam @ x
 
 
@@ -902,7 +902,7 @@ def test_line_search_hand_trace():
     obj = Objective(prob)
     st = obj.state(np.array([1.0]))
     xt = np.array([-1.5])
-    alpha, x_new, cl = line_search(obj, np.zeros(1), st, xt)
+    alpha, x_new, cl = line_search(obj, st, xt)
     assert alpha == pytest.approx(0.25)
     assert x_new[0] == pytest.approx(0.625)
     assert obj.value(x_new) == pytest.approx(2.05, abs=1e-12)
@@ -973,8 +973,8 @@ def test_newton_warm_start_and_weights():
     prob = two_node_problem(g)
     x, rep = proxnewton.solve_newton(prob, x0=np.array([0.35]), opts=TIGHT)
     assert x[0] == pytest.approx(1 / np.sqrt(2 * (2 + g)), abs=1e-6)
-    x, rep = proxnewton.solve_newton(prob, opts=TIGHT,
-                                     weights=np.array([3.0]))
+    x, rep = proxnewton.solve_newton(prob.with_gamma(g, np.array([3.0])),
+                                     opts=TIGHT)
     assert x[0] == pytest.approx(1 / np.sqrt(2 * (2 + 3 * g)), abs=1e-6)
 
 
