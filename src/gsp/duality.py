@@ -10,10 +10,12 @@ As ``Q 1 = 0`` and ``G_p 1 = 1``, the all-ones vector is an eigenvector of
 ``Q_p``, ``G`` and ``Y`` with eigenvalue 1 and blending scales only the rest:
 ``xi^T Y_hat xi = beta xi^T Y xi`` and the dual value has the closed form of
 :func:`dual_objective`.  :func:`certify` builds the multipliers with their
-sign check, the gap and the dual residuals in one pass, without ``Y_hat``.
+sign check, the gap and the dual residuals in one pass, without ``Y_hat``,
+forming each edge vector in place once ``beta`` is known.
 The per-edge penalty is the problem's own ``Problem.penalty``, built and
-checked when the problem was built or derived, so a certificate builds and
-checks nothing but the iterate's edge forms.
+checked when the problem was built or derived, and the primal value's
+penalty term is ``Problem.l1``, so a certificate builds and checks nothing
+but the iterate's edge forms.
 """
 
 from __future__ import annotations
@@ -92,34 +94,48 @@ def certify(problem: Problem, objective: Objective, state: ObjectiveState,
     c = objective.lin
     q = edge_quad_diag(state.Y, problem.candidates.positions)
     d = q - c
-    denom = (d if problem.resistive else np.abs(d)) + c
-    with np.errstate(divide="ignore"):
-        bounds = np.where(denom > 0, (gam + c) / denom, np.inf)
+    if problem.resistive:
+        denom = d + c  # d is kept for the residual
+    else:
+        denom = np.abs(d, out=d)
+        denom += c
+    # each edge's largest admissible blend; one with denom <= 0 admits any
+    bounds = np.divide(gam + c, denom, out=np.full(q.shape, np.inf),
+                       where=denom > 0)
     beta = float(min(1.0, bounds.min(initial=np.inf)))
-    d_hat = beta * q - c  # the blend center has zero edge forms
-    # multipliers before clipping; resistive problems have y_plus only
-    y_plus = gam - d_hat
+    del bounds, denom
+    # the rest is formed in place: d_hat = beta q - c, as the blend center
+    # has zero edge forms, then the multipliers before clipping (resistive
+    # problems have y_plus only) and the residuals
+    d_hat = q
+    d_hat *= beta
+    d_hat -= c
     y_minus = None if problem.resistive else gam + d_hat
+    y_plus = np.subtract(gam, d_hat, out=d_hat)
     worst = min(y.min(initial=0.0) for y in (y_plus, y_minus) if y is not None)
     if worst < -_SIGN_TOL:
         raise CertificateInvalidError(f"negative multiplier {worst:.3e}")
     x = state.x
-    primal = float(state.h2 + objective.lin @ x + gam @ np.abs(x))
+    primal = float(state.h2 + objective.lin @ x + problem.l1(x))
     dual = dual_objective(state, beta, problem.plant.G)
     # The multiplier products y_+^T x_+ + y_-^T x_- only equal the
     # primal/dual difference once the blending factor reaches 1; before that
     # they can vanish at non-optimal points, so the gap is taken directly.
     gap = primal - dual
-    # signed residuals are the multiplier defects at Y_hat, the resistive
-    # one is taken against the unblended Y
     y_plus_c = np.clip(y_plus, 0.0, None)
-    r_d_plus = (gam - d if problem.resistive else y_plus) - y_plus_c
     if y_minus is None:
+        # the resistive residual is taken against the unblended Y
+        r_d_plus = np.subtract(gam, d, out=d)
+        r_d_plus -= y_plus_c
         return DualCertificate(beta, y_plus_c, None, gap, r_d_plus, None,
                                primal, dual)
+    # signed residuals are the multiplier defects at Y_hat
     y_minus_c = np.clip(y_minus, 0.0, None)
-    return DualCertificate(beta, y_plus_c, y_minus_c, gap, r_d_plus,
-                           y_minus - y_minus_c, primal, dual)
+    r_d_plus, r_d_minus = y_plus, y_minus
+    r_d_plus -= y_plus_c
+    r_d_minus -= y_minus_c
+    return DualCertificate(beta, y_plus_c, y_minus_c, gap, r_d_plus, r_d_minus,
+                           primal, dual)
 
 
 def certify_or_none(objective: Objective,

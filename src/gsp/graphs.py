@@ -11,7 +11,9 @@ objects are read-only and trusted by what derives from them:
 ``Problem.restrict`` and ``controller_laplacian`` check only what they add
 (penalty and its per-edge weights, support indices, edge weights).  A
 problem carries its per-edge penalty, built and checked when the problem is
-built or derived, never during a solve.  What depends only on the
+built or derived, never during a solve, and the two formulas that read it:
+the penalty term :meth:`Problem.l1` and the smooth gradient
+:meth:`Problem.smooth_grad`.  What depends only on the
 plant, ``Q`` and ``R`` is kept in the :class:`ProblemFamily` that a problem
 shares with every problem derived from it, and is built at most once.
 
@@ -519,8 +521,8 @@ class Problem:
 
     ``Q`` and ``R`` are node-space (n-by-n) weights; dual certificates exist
     for every symmetric positive definite ``R``.  ``penalty`` is the
-    read-only per-edge penalty of ``sum_l penalty_l |x_l|``: ``gamma`` on
-    every edge, or ``gamma * weights`` from :meth:`with_gamma`.
+    read-only per-edge penalty of ``sum_l penalty_l |x_l|`` (:meth:`l1`):
+    ``gamma`` on every edge, or ``gamma * weights`` from :meth:`with_gamma`.
     """
 
     plant: PlantGraph
@@ -594,6 +596,22 @@ class Problem:
         penalty = self.penalty[np.asarray(support, dtype=np.intp).reshape(-1)]
         penalty.setflags(write=False)
         return self._derive(candidates=candidates, penalty=penalty)
+
+    def l1(self, x) -> float:
+        """The penalty term ``sum_l penalty_l |x_l|`` at ``x``."""
+        return float(self.penalty @ np.abs(x))
+
+    def smooth_grad(self, grad):
+        """Gradient of the smooth part of the solvers' objective, from the
+        objective gradient ``grad``.
+
+        On the cone ``x >= 0`` of a resistive problem the penalty term is
+        linear, so it joins the smooth part: ``grad + penalty``.  A signed
+        problem's penalty stays in the prox, and the smooth gradient is
+        ``grad`` itself.  Every solver and Newton kernel reads a gradient
+        in this convention.
+        """
+        return grad + self.penalty if self.resistive else grad
 
 
 def default_problem(

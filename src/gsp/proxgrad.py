@@ -15,7 +15,10 @@ The step recipe is fixed by module constants, read at call time:
 undefined), the BB clamp ``[ALPHA_MIN, ALPHA_MAX]``, the backtracking factor
 ``BACKTRACK_SHRINK``, the number of recent objective values the resistive
 test compares against, ``NONMONOTONE_MEMORY``, and the certification
-interval ``CERTIFY_EVERY``.  The per-edge penalty is ``problem.penalty``.
+interval ``CERTIFY_EVERY``.  The problem carries its penalty: the loop
+steps along :meth:`~gsp.graphs.Problem.smooth_grad`, adds
+:meth:`~gsp.graphs.Problem.l1` to the objective and thresholds by
+``problem.penalty``.
 
 The frame around the loop is shared with proximal Newton: :func:`_start`
 (default start ``x = 1`` signed and ``x = 0`` resistive, the non-negative
@@ -153,37 +156,26 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
     """The proximal-gradient loop behind :func:`solve_ista` and
     :func:`solve_projected`; the per-mode rules are fixed before it starts.
 
-    ``grad`` is the gradient of the smooth part, as in proximal Newton: the
-    objective gradient for signed problems, the penalized one for resistive
-    problems.  Raises LineSearchError when a trial is rejected at
-    ``ALPHA_MIN``.
+    ``grad`` is the gradient of the smooth part,
+    :meth:`~gsp.graphs.Problem.smooth_grad`, as in proximal Newton.  Raises
+    LineSearchError when a trial is rejected at ``ALPHA_MIN``.
     """
     opts = opts or ProxGradOptions()
     t0 = time.perf_counter()
     obj, st = _start(problem, x0)
     x = st.x
-    gam = problem.penalty
     resistive = problem.resistive
 
-    def penalty(z):
-        return float(gam @ np.abs(z))  # resistive iterates are non-negative
-
     if resistive:
-        def smooth_grad(state):
-            return state.grad + gam
-
         def prox(v, alpha):
             return np.clip(v, 0.0, None)
 
         def accepts(st, f_ref, trial, J_trial, delta, step_sq, alpha):
             # non-monotone sufficient decrease against the recent maximum
-            return J_trial + penalty(trial) <= f_ref - 1e-4 * step_sq / alpha
+            return J_trial + problem.l1(trial) <= f_ref - 1e-4 * step_sq / alpha
     else:
-        def smooth_grad(state):
-            return state.grad
-
         def prox(v, alpha):
-            return soft_threshold(v, alpha * gam)
+            return soft_threshold(v, alpha * problem.penalty)
 
         def accepts(st, f_ref, trial, J_trial, delta, step_sq, alpha):
             # the quadratic upper model at x majorizes the trial point
@@ -191,8 +183,8 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
                                + step_sq / (2.0 * alpha) + 1e-12)
 
     report = SolveReport()
-    F = st.J + penalty(x)
-    grad = smooth_grad(st)
+    F = st.J + problem.l1(x)
+    grad = problem.smooth_grad(st.grad)
     report.objective_trace.append(F)
     recent = [F]
     x_prev = g_prev = None
@@ -228,8 +220,8 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
         x_prev, g_prev = x, grad
         x = trial
         st = obj.state(x, trial_cl)
-        F_new = st.J + penalty(x)
-        grad = smooth_grad(st)
+        F_new = st.J + problem.l1(x)
+        grad = problem.smooth_grad(st.grad)
         recent.append(F_new)
         if len(recent) > NONMONOTONE_MEMORY:
             recent.pop(0)

@@ -46,6 +46,12 @@ block solve is exact on its working set, unless the active-set guesses
 cycle, and a coordinate outside it joins on any positive step, so the
 direction meets the model's KKT conditions on the whole active block.
 
+The kernels take the problem and read from it what it carries: its
+candidates, per-edge penalty and class in :func:`active_set` and
+:func:`cd_direction`, and its penalty term :meth:`~gsp.graphs.Problem.l1`
+in :func:`line_search`.  The gradient they are given is that of the smooth
+part, :meth:`~gsp.graphs.Problem.smooth_grad`.
+
 The start, the certificate test and the status rule are those of
 :mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
 a usable certificate it stops after three flat steps in a row.  A run that
@@ -65,7 +71,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .duality import certify_or_none
 from .errors import DegenerateCurvatureError, InvalidInputError, LineSearchError
-from .graphs import IncidenceMatrix, Problem
+from .graphs import Problem
 from .objective import (
     HESSIAN_SCALE,
     Objective,
@@ -114,37 +120,39 @@ class NewtonOptions:
             raise InvalidInputError("max_iters must be at least 1")
 
 
-def active_set(x_bar, grad, gamma_vec, resistive: bool) -> np.ndarray:
-    """Indices allowed to move in the Newton subproblem.
+def active_set(problem: Problem, x_bar, grad) -> np.ndarray:
+    """Indices allowed to move in the Newton subproblem of ``problem`` at
+    ``x_bar``.
 
-    ``grad`` is the gradient of the smooth part: the plain objective gradient
-    for signed problems, the penalized one for resistive problems.  A signed
-    coordinate at zero stays out while ``|grad|`` is below its penalty by
-    more than ``ACTIVE_EPS_FACTOR`` of it.
+    ``grad`` is the gradient of the smooth part,
+    :meth:`~gsp.graphs.Problem.smooth_grad`.  A signed coordinate at zero
+    stays out while ``|grad|`` is below its ``problem.penalty`` by more than
+    ``ACTIVE_EPS_FACTOR`` of it.
     """
     x_bar = np.asarray(x_bar)
     grad = np.asarray(grad)
     at_zero = x_bar == 0.0
-    if resistive:
+    if problem.resistive:
         inactive = at_zero & (grad >= 0.0)
     else:
-        margin = gamma_vec - ACTIVE_EPS_FACTOR * gamma_vec
+        penalty = problem.penalty
+        margin = penalty - ACTIVE_EPS_FACTOR * penalty
         inactive = at_zero & (np.abs(grad) < margin)
     return np.flatnonzero(~inactive)
 
 
-def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
-                 resistive: bool):
+def cd_direction(problem: Problem, Y, Ginv, grad, x_bar, active):
     """Newton direction: the quadratic model minimized over the active
     coordinates, exactly for resistive problems and by cyclic sweeps for
     signed ones.
 
-    ``inc`` is the candidate incidence structure; ``grad`` follows the same
-    convention as in :func:`active_set`; ``active`` holds distinct candidate
-    indices, and ``Y`` and ``Ginv`` are symmetric.  The coordinates with
-    positive curvature are solved for in rounds, each on the Hessian block
-    over a working set ``W`` of those ``k`` coordinates, kept in their order
-    in ``active``:
+    The candidates, per-edge penalty and problem class are ``problem``'s;
+    ``grad`` is the gradient of the smooth part,
+    :meth:`~gsp.graphs.Problem.smooth_grad`; ``active`` holds distinct
+    candidate indices, and ``Y`` and ``Ginv`` are symmetric.  The
+    coordinates with positive curvature are solved for in rounds, each on
+    the Hessian block over a working set ``W`` of those ``k`` coordinates,
+    kept in their order in ``active``:
 
     - resistive, :func:`_pdas_block` solves the model over ``W`` exactly,
       with every coordinate outside ``W`` held at its current direction (or,
@@ -179,6 +187,7 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
     if act.size == 0:
         return xt
 
+    inc, resistive = problem.candidates, problem.resistive
     pos = inc.positions[:, act]
     a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
     usable = a > 0.0
@@ -190,7 +199,7 @@ def cd_direction(inc: IncidenceMatrix, Y, Ginv, grad, x_bar, gamma_vec, active,
         1.0, float(np.max(np.abs(grad), initial=0.0)))
     cols = act[usable]
     sub, a = inc.pairs[cols], a[usable]
-    g, xb, gam = grad[cols], x_bar[cols], gamma_vec[cols]
+    g, xb, gam = grad[cols], x_bar[cols], problem.penalty[cols]
     ends = sub.T
     inside = np.full(k, True) if k * k <= CD_CACHE_ELEMS else xb != 0.0
     d = np.zeros(k)
@@ -499,20 +508,24 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, d0):
 
 def line_search(objective: Objective, state, xt):
     """Backtracking with a generalized Armijo rule on the objective plus
-    the problem's per-edge penalty.
+    the problem's penalty term :meth:`~gsp.graphs.Problem.l1`.
 
-    Returns ``(alpha, x_new, cl_new)``; raises LineSearchError when no step
-    is accepted within the backtrack budget.
+    The slope is that of the smooth part,
+    :meth:`~gsp.graphs.Problem.smooth_grad`, along ``xt``, plus for a signed
+    problem the change of its penalty term.  Returns ``(alpha, x_new,
+    cl_new)``; raises LineSearchError when no step is accepted within the
+    backtrack budget.
     """
-    resistive = objective.problem.resistive
-    gamma_vec = objective.problem.penalty
+    problem = objective.problem
+    resistive = problem.resistive
     x_bar = state.x
-    l1_bar = float(gamma_vec @ np.abs(x_bar))  # resistive iterates are non-negative
+    l1_bar = problem.l1(x_bar)
     f_bar = state.J + l1_bar
-    if resistive:
-        slope = float((state.grad + gamma_vec) @ xt)
-    else:
-        slope = float(state.grad @ xt) + float(gamma_vec @ np.abs(x_bar + xt)) - l1_bar
+    slope = float(problem.smooth_grad(state.grad) @ xt)
+    if not resistive:
+        # not +=: the penalty change is added after the smooth slope, not
+        # formed apart, so the slope keeps its bits
+        slope = slope + problem.l1(x_bar + xt) - l1_bar
 
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
@@ -522,7 +535,7 @@ def line_search(objective: Objective, state, xt):
             continue
         cl = objective.closed_loop(x_new)
         if cl.positive_definite:
-            f_new = objective.value_at(cl, x_new) + float(gamma_vec @ np.abs(x_new))
+            f_new = objective.value_at(cl, x_new) + problem.l1(x_new)
             if f_new <= f_bar + alpha * ARMIJO_SIGMA * slope + 1e-12:
                 return alpha, x_new, cl
         alpha *= BACKTRACK_SHRINK
@@ -536,14 +549,9 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
     t0 = time.perf_counter()
     obj, st = _start(problem, x0)
     x = st.x
-    gam = problem.penalty
-    resistive = problem.resistive
-
-    def composite(state):
-        return state.J + float(gam @ np.abs(state.x))
 
     report = SolveReport()
-    report.objective_trace.append(composite(st))
+    report.objective_trace.append(st.J + problem.l1(x))
     if problem.m == 0:
         return x, _finish(report, t0, certify_or_none(obj, st))
 
@@ -558,10 +566,9 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
                 return x, _finish(report, t0, cert)
 
         Ginv = obj.closed_loop_inverse(st)
-        smooth_grad = st.grad + gam if resistive else st.grad
-        act = active_set(x, smooth_grad, gam, resistive)
-        xt = cd_direction(problem.candidates, st.Y, Ginv, smooth_grad, x, gam,
-                          act, resistive)
+        grad = problem.smooth_grad(st.grad)
+        act = active_set(problem, x, grad)
+        xt = cd_direction(problem, st.Y, Ginv, grad, x, act)
         if not np.any(xt):
             # a zero Newton direction means the iterate solves its own model
             report.iterations = k - 1
@@ -569,7 +576,7 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
 
         alpha, x, cl = line_search(obj, st, xt)
         st = obj.state(x, cl)
-        F = composite(st)
+        F = st.J + problem.l1(x)
         report.iterations = k
         report.step_trace.append(alpha)
         report.objective_trace.append(F)

@@ -1,5 +1,7 @@
 """Dual certificates: feasibility, weak duality, gap and residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -191,6 +193,33 @@ def test_certify_builds_in_one_pass(monkeypatch):
         calls.clear()
         duality.certify(prob, obj, st)
         assert calls == ["edge_quad_diag"]
+
+
+def test_certify_holds_few_edge_vectors_at_once():
+    # a resistive ER n=320 plant (seed 3, p = 1.05 ln n / n, m = 50,020
+    # candidates) at 0.3 gamma_max, with x = 0.1 on the first 50 candidates:
+    # once beta is known its bounds are freed and the rest is formed in
+    # place, so a certificate's traced peak above its entry stays at 6
+    # m-vectors at most
+    n = 320
+    plant = graphs.generate("erdos_renyi", n, p=1.05 * np.log(n) / n, seed=3)
+    prob = graphs.default_problem(plant, resistive=True)
+    assert prob.m == 50_020
+    prob = prob.with_gamma(0.3 * pipeline.gamma_max(prob))
+    obj = Objective(prob)
+    x = np.zeros(prob.m)
+    x[:50] = 0.1
+    st_x = obj.state(x)
+    duality.certify(prob, obj, st_x)  # lazy set-up out of the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = duality.certify(prob, obj, st_x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cert.gap >= 0.0
+    assert peak <= 6 * prob.m * np.dtype(float).itemsize
 
 
 @settings(max_examples=60, deadline=None)

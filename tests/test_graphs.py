@@ -281,6 +281,30 @@ def test_penalty_is_carried_by_the_problem():
     assert prob.restrict([]).penalty.shape == (0,)
 
 
+@pytest.mark.parametrize("resistive", [False, True])
+def test_problem_penalty_term_and_smooth_gradient(resistive):
+    # l1 is float((g w) @ |x|) and smooth_grad is grad + g w (resistive) or
+    # grad (signed), bit for bit, with some weights exactly 0; on a
+    # restricted problem both are the sliced ones
+    prob = graphs.default_problem(graphs.generate("path", 6), resistive=resistive)
+    rng = np.random.Generator(np.random.PCG64(8))
+    w = rng.uniform(0.5, 2.0, prob.m)
+    w[[1, 4, 7]] = 0.0
+    g = 0.7
+    x = rng.uniform(0.0 if resistive else -1.0, 1.0, prob.m)
+    grad = rng.standard_normal(prob.m)
+    p = prob.with_gamma(g, w)
+    pen = g * w
+    assert p.l1(x).hex() == float(pen @ np.abs(x)).hex()
+    smooth = grad + pen if resistive else grad
+    assert p.smooth_grad(grad).tobytes() == smooth.tobytes()
+    support = [7, 0, 3, 4, 9]
+    sub = p.restrict(support)
+    assert np.any(w[support] == 0.0)
+    assert sub.l1(x[support]).hex() == float(pen[support] @ np.abs(x[support])).hex()
+    assert sub.smooth_grad(grad[support]).tobytes() == smooth[support].tobytes()
+
+
 def test_joint_edges_are_listed_sorted():
     # up to three plant edges that are also candidates, smallest first,
     # whatever the candidates' order

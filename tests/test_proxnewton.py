@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import daxpy
 
 from gsp import graphs, pipeline, proxgrad, proxnewton
-from gsp.errors import DegenerateCurvatureError, InfeasiblePointError, InvalidInputError
+from gsp.errors import (
+    DegenerateCurvatureError,
+    InfeasiblePointError,
+    InvalidInputError,
+    LineSearchError,
+)
 from gsp.objective import HESSIAN_SCALE, Objective, edge_quad_diag, hessian_rows
 from gsp.proxgrad import soft_threshold
 from gsp.proxnewton import NewtonOptions, active_set, cd_direction, line_search
@@ -29,6 +35,13 @@ def p3_problem(gamma=0.0):
 def two_node_problem(gamma=0.0):
     return graphs.default_problem(graphs.EdgeList.from_tuples(2, []),
                                   gamma=gamma)
+
+
+def kernel_problem(penalty, resistive, candidates=None):
+    """The three attributes of a problem that the Newton kernels read, for
+    synthetic cases with no real problem behind them."""
+    return SimpleNamespace(candidates=candidates, penalty=penalty,
+                           resistive=resistive)
 
 
 TIGHT = NewtonOptions(tol_gap=1e-12, tol_rd=1e-6)
@@ -54,7 +67,7 @@ def test_active_set_signed_rule():
     gamma = np.full(4, 1.0)
     x = np.array([0.5, 0.0, 0.0, 0.0])
     grad = np.array([0.2, 0.5, 0.99999, -1.2])
-    act = active_set(x, grad, gamma, resistive=False)
+    act = active_set(kernel_problem(gamma, False), x, grad)
     # nonzero coordinates always active; zeros active when
     # |grad| >= gamma - ACTIVE_EPS_FACTOR gamma (1e-4 of the penalty)
     assert list(act) == [0, 2, 3]
@@ -64,7 +77,7 @@ def test_active_set_resistive_rule():
     gamma = np.full(3, 1.0)
     x = np.array([0.0, 0.0, 0.4])
     grad = np.array([0.3, -0.3, 5.0])
-    act = active_set(x, grad, gamma, resistive=True)
+    act = active_set(kernel_problem(gamma, True), x, grad)
     # zeros stay inactive when the penalized gradient pushes outward
     assert list(act) == [1, 2]
 
@@ -75,9 +88,7 @@ def test_cd_direction_two_node_hand_value():
     obj = Objective(prob)
     st = obj.state(np.array([1.0]))
     Ginv = st.cl.solve(np.eye(2))
-    gam = np.zeros(1)
-    xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, st.x, gam,
-                      np.array([0]), resistive=False)
+    xt = cd_direction(prob, st.Y, Ginv, st.grad, st.x, np.array([0]))
     assert xt[0] == pytest.approx(-1.5, abs=1e-10)
 
 
@@ -93,11 +104,10 @@ def test_cd_direction_matches_dense_reference(monkeypatch):
     st = obj.state(x)
     Ginv = st.cl.solve(np.eye(prob.n))
     Ginv = 0.5 * (Ginv + Ginv.T)
-    gam = np.full(prob.m, prob.gamma)
+    gam = prob.penalty
     set_inner_stop(monkeypatch, st.grad, 1e-14, 30)
-    act = active_set(x, st.grad, gam, resistive=False)
-    xt = cd_direction(prob.candidates, st.Y, Ginv, st.grad, x, gam, act,
-                      resistive=False)
+    act = active_set(prob, x, st.grad)
+    xt = cd_direction(prob, st.Y, Ginv, st.grad, x, act)
 
     H = dense_hessian(obj, x)
     # independent dense coordinate descent
@@ -142,14 +152,14 @@ def ufunc_update(hv, delta, colY, colG):
     return hv
 
 
-def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, resistive,
-                  update):
+def per_update_cd(problem, Y, Ginv, grad, x_bar, active, update):
     """Coordinate descent that rebuilds both incidence columns from ``Y`` and
     ``Ginv`` on every nonzero update, soft-thresholds numpy scalars and adds
     the Hessian row to the running product through ``update``: the scalar
     coordinate-descent loop, kept as the reference.  It stops as
     ``cd_direction`` does, at the current ``CD_TOL`` and
     ``CD_SWEEPS_MAX``."""
+    inc, gamma_vec = problem.candidates, problem.penalty
     xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
     pairs = inc.pairs
@@ -168,7 +178,7 @@ def per_update_cd(inc, Y, Ginv, grad, x_bar, gamma_vec, active, resistive,
             at = a[t]
             b = hv[t] + grad[i]
             c = x_bar[i] + xt[i]
-            if resistive:
+            if problem.resistive:
                 z = c - b / at
                 delta = -b / at if z >= 0.0 else -c
             else:
@@ -232,13 +242,13 @@ def model_kkt_violation(args, xt):
     one at ``x_bar_t + d_t = 0`` must have it non-negative.  Each residual is
     taken relative to ``(|H| |d| + |g|)_t``, the size of its terms.  The
     direction must also be zero off those coordinates and feasible."""
-    inc, Y, Ginv, grad, x_bar = args[:5]
-    cols = args[6][usable(args)]
+    problem, Y, Ginv, grad, x_bar = args[:5]
+    cols = args[5][usable(args)]
     rest = np.ones(x_bar.size, dtype=bool)
     rest[cols] = False
     assert not np.any(xt[rest])
     assert np.min(x_bar + xt) >= 0.0
-    ends = inc.pairs[cols].T
+    ends = problem.candidates.pairs[cols].T
     H = hessian_rows(Y, Ginv, ends, ends)
     d, g = xt[cols], grad[cols]
     r = H @ d + g
@@ -249,10 +259,10 @@ def model_kkt_violation(args, xt):
 def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     """Weighted penalties at a random point with some zero weights, both as
     solve_newton builds them, and about a share ``zero_frac`` of the
-    penalties set to exactly 0; returns the ``cd_direction`` arguments, or
-    None for a disconnected resistive plant, an infeasible or numerically
-    singular point (``max|grad| > GRAD_BOUND``) or an active set of at most
-    three coordinates."""
+    penalties set to exactly 0; returns the ``cd_direction`` arguments, whose
+    problem carries those penalties, or None for a disconnected resistive
+    plant, an infeasible or numerically singular point (``max|grad| >
+    GRAD_BOUND``) or an active set of at most three coordinates."""
     plant = graphs.generate("erdos_renyi", n, p=0.4, seed=seed)
     if resistive and not graphs.PlantGraph.from_edges(plant).connected:
         return None
@@ -270,17 +280,18 @@ def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     gam = frac * float(np.max(np.abs(state.grad))) * (0.5 + rng.random(prob.m))
     if zero_frac:
         gam[rng.random(prob.m) < zero_frac] = 0.0
-    grad = state.grad + gam if resistive else state.grad
-    act = active_set(x, grad, gam, resistive)
+    prob = prob.with_gamma(1.0, gam)  # the penalty is gam itself
+    grad = prob.smooth_grad(state.grad)
+    act = active_set(prob, x, grad)
     if act.size <= 3:
         return None
-    return prob.candidates, state.Y, Ginv, grad, x, gam, act, resistive
+    return prob, state.Y, Ginv, grad, x, act
 
 
 def usable(args):
     """Mask of the coordinates of ``args`` with positive curvature."""
-    inc, Y, Ginv, act = args[0], args[1], args[2], args[6]
-    pos = inc.positions[:, act]
+    problem, Y, Ginv, act = args[0], args[1], args[2], args[5]
+    pos = problem.candidates.positions[:, act]
     return edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos) > 0.0
 
 
@@ -293,7 +304,7 @@ def starts_outside(args):
     """Candidate indices of the usable coordinates of ``args`` at ``x_bar =
     0``: below the whole-block budget, those outside the first working
     set."""
-    x_bar, act = args[4], args[6]
+    x_bar, act = args[4], args[5]
     cols = act[usable(args)]
     return cols[x_bar[cols] == 0.0]
 
@@ -340,7 +351,7 @@ def capped_cd(args, cache):
     with pytest.MonkeyPatch.context() as mp:
         for name in KERNELS:
             def spy(*a, _real=getattr(proxnewton, name), _name=name, **kw):
-                assert _name == KERNELS[args[7]]
+                assert _name == KERNELS[args[0].resistive]
                 sizes.append(a[3].size)
                 return _real(*a, **kw)
             mp.setattr(proxnewton, name, spy)
@@ -437,12 +448,11 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
     obj = Objective(prob)
     x = np.zeros(prob.m)
     state = obj.state(x)
-    gam = np.full(prob.m, 0.3 * float(np.max(np.abs(state.grad))))
-    grad = state.grad + gam
-    act = active_set(x, grad, gam, resistive=True)
+    prob = prob.with_gamma(0.3 * float(np.max(np.abs(state.grad))))
+    grad = prob.smooth_grad(state.grad)
+    act = active_set(prob, x, grad)
     assert np.all(grad[act] < 0.0)
-    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, True)
+    args = (prob, state.Y, obj.closed_loop_inverse(state), grad, x, act)
     default = cd_direction(*args)
     monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
     guesses = spy_guesses(monkeypatch)
@@ -496,7 +506,7 @@ def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
     # runs once per sweep (one product with the strict upper triangle
     # each), and the direction matches the per-update reference loop
     args = random_cd_case(12, 1, 0.0, False)
-    assert args is not None and not np.any(args[5])
+    assert args is not None and not np.any(args[0].penalty)
     calls = count_block_calls(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == WHOLE
@@ -536,10 +546,9 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(1))
     x = 10.0 ** rng.uniform(-2, 0, prob.m) * (rng.random(prob.m) < 0.6)
     state = obj.state(x)
-    gam = np.zeros(prob.m)
-    act = active_set(x, state.grad, gam, resistive=True)
-    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
-            x, gam, act, True)
+    assert not np.any(prob.penalty)
+    act = active_set(prob, x, state.grad)
+    args = (prob, state.Y, obj.closed_loop_inverse(state), state.grad, x, act)
     guesses = spy_guesses(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == WHOLE
@@ -571,7 +580,7 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
     # cases whose working set grows, as there
     args = random_cd_case(n, seed, frac, resistive, zero_frac)
     assume(args is not None)
-    gam, act = args[5], args[6]
+    gam, act = args[0].penalty, args[5]
     assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
     x_bar = args[4]
     if cache == "full" and not resistive:
@@ -602,18 +611,19 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
 @pytest.mark.parametrize("resistive", [False, True])
 def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
     # the sweeps and the block solves work in place on their own buffers;
-    # no input may share their memory, and the incidence structure's arrays
-    # are read-only
+    # no input may share their memory, and the problem's incidence
+    # structure and penalty are read-only
     args = random_cd_case(12, 3, 0.1, resistive)
     assert args is not None
-    inc = args[0]
-    assert not (inc.pairs.flags.writeable or inc.positions.flags.writeable)
-    before = [np.copy(v) for v in args[1:7]]
+    inc, gam = args[0].candidates, args[0].penalty
+    assert not (inc.pairs.flags.writeable or inc.positions.flags.writeable
+                or gam.flags.writeable)
+    before = [np.copy(v) for v in args[1:]]
     budget = {"full": "full", "working_set": "none"}[cache]
     xt, path = capped_cd(args, budget)
     assert path == expected_path(args, budget)
     assert np.any(xt)
-    for v, b in zip(args[1:7], before):
+    for v, b in zip(args[1:], before):
         assert v.tobytes() == b.tobytes()
 
 
@@ -667,10 +677,9 @@ def test_no_kkt_product_once_the_working_set_holds_every_coordinate(monkeypatch)
     obj = Objective(prob)
     x = np.ones(prob.m)
     state = obj.state(x)
-    gam = np.full(prob.m, 0.3 * float(np.max(np.abs(state.grad))))
-    act = active_set(x, state.grad, gam, resistive=False)
-    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), state.grad,
-            x, gam, act, False)
+    prob = prob.with_gamma(0.3 * float(np.max(np.abs(state.grad))))
+    act = active_set(prob, x, state.grad)
+    args = (prob, state.Y, obj.closed_loop_inverse(state), state.grad, x, act)
     k = usable_count(args)
     assert k * k > proxnewton.CD_CACHE_ELEMS
 
@@ -698,11 +707,9 @@ def test_cd_direction_resistive_respects_cone():
     x[::3] = 0.3
     st = obj.state(x)
     Ginv = st.cl.solve(np.eye(prob.n))
-    gam = np.full(prob.m, prob.gamma)
-    grad_f = st.grad + gam
-    act = active_set(x, grad_f, gam, resistive=True)
-    xt = cd_direction(prob.candidates, st.Y, Ginv, grad_f, x, gam, act,
-                      resistive=True)
+    grad_f = prob.smooth_grad(st.grad)
+    act = active_set(prob, x, grad_f)
+    xt = cd_direction(prob, st.Y, Ginv, grad_f, x, act)
     assert np.min(x + xt) >= -1e-12
 
 
@@ -715,11 +722,10 @@ def first_resistive_direction(n, p, seed, frac):
     obj = Objective(prob)
     x = np.zeros(prob.m)
     state = obj.state(x)
-    gam = np.full(prob.m, frac * float(np.max(-state.grad)))
-    grad = state.grad + gam
-    act = active_set(x, grad, gam, resistive=True)
-    return (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, True)
+    prob = prob.with_gamma(frac * float(np.max(-state.grad)))
+    grad = prob.smooth_grad(state.grad)
+    act = active_set(prob, x, grad)
+    return prob, state.Y, obj.closed_loop_inverse(state), grad, x, act
 
 
 def test_resistive_direction_holds_one_block_in_memory():
@@ -768,9 +774,9 @@ def test_resistive_working_set_growth_does_not_read_cd_tol(monkeypatch):
 def model_value(args, xt):
     """Value of the model ``g^T d + d^T H d / 2`` at ``xt`` over the usable
     coordinates of ``args``, with ``H`` built densely by ``hessian_rows``."""
-    inc, Y, Ginv, grad = args[:4]
-    cols = args[6][usable(args)]
-    ends = inc.pairs[cols].T
+    problem, Y, Ginv, grad = args[:4]
+    cols = args[5][usable(args)]
+    ends = problem.candidates.pairs[cols].T
     d = xt[cols]
     return float(grad[cols] @ d + 0.5 * d @ hessian_rows(Y, Ginv, ends, ends) @ d)
 
@@ -801,11 +807,11 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
     x = np.zeros(prob.m)
     x[::2] = 0.1
     state = obj.state(x)
-    gam = np.full(prob.m, 0.1 * float(np.max(np.abs(state.grad))))
-    grad = state.grad + gam
-    act = active_set(x, grad, gam, resistive=True)
-    args = (prob.candidates, state.Y, obj.closed_loop_inverse(state), grad, x, gam,
-            act, True)
+    penalized = prob.with_gamma(0.1 * float(np.max(np.abs(state.grad))))
+    gam = penalized.penalty
+    grad = penalized.smooth_grad(state.grad)
+    act = active_set(penalized, x, grad)
+    args = (penalized, state.Y, obj.closed_loop_inverse(state), grad, x, act)
     k = usable_count(args)
     count = itertools.count(1)
 
@@ -826,9 +832,9 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
     assert k > 3 and len(factorizations) == k + 1 and len(calls) == 1
     assert np.all(np.isfinite(xt)) and np.min(x + xt) >= 0.0
     last = np.zeros_like(xt)
-    last[args[6][usable(args)]] = calls[0][0]
+    last[args[5][usable(args)]] = calls[0][0]
     assert model_value(args, xt) < min(model_value(args, last), 0.0)
-    _, x_new, cl = line_search(Objective(prob.with_gamma(gam[0])), state, xt)
+    _, x_new, cl = line_search(Objective(penalized), state, xt)
     assert obj.value_at(cl, x_new) + gam @ x_new < state.J + gam @ x
 
 
@@ -845,8 +851,8 @@ def test_cycling_active_set_guesses_end_in_a_descent_direction(monkeypatch):
     G = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, 1.0]])
     ends = inc.pairs.T
     assert np.allclose(hessian_rows(G, G, ends, ends), [[8.0, 7.22], [7.22, 8.0]])
-    args = (inc, G, G, np.array([-1.0, -1.0]), np.ones(2), np.zeros(2),
-            np.array([0, 1]), True)
+    args = (kernel_problem(np.zeros(2), True, inc), G, G, np.array([-1.0, -1.0]),
+            np.ones(2), np.array([0, 1]))
     count = itertools.count()
 
     def alternate(z):
@@ -874,8 +880,8 @@ def test_indefinite_free_block_is_a_typed_error():
     H = hessian_rows(np.eye(3), Ginv, ends, ends)
     assert np.array_equal(H, [[8.0, 12.0], [12.0, 8.0]])
     with pytest.raises(DegenerateCurvatureError, match="not positive definite"):
-        cd_direction(inc, np.eye(3), Ginv, np.array([-1.0, -1.0]), np.zeros(2),
-                     np.zeros(2), np.array([0, 1]), resistive=True)
+        cd_direction(kernel_problem(np.zeros(2), True, inc), np.eye(3), Ginv,
+                     np.array([-1.0, -1.0]), np.zeros(2), np.array([0, 1]))
 
 
 def test_tight_polish_of_a_large_resistive_support_converges():
@@ -906,6 +912,39 @@ def test_line_search_hand_trace():
     assert alpha == pytest.approx(0.25)
     assert x_new[0] == pytest.approx(0.625)
     assert obj.value(x_new) == pytest.approx(2.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("resistive", [False, True])
+def test_line_search_gives_up_after_its_backtrack_budget(monkeypatch, resistive):
+    # an ascent direction from x_bar = 0.1 that keeps every trial point at
+    # or above 0.05, so each trial is feasible and positive definite but
+    # raises the objective by at least alpha times the slope: with
+    # MAX_BACKTRACKS = 2, read at call time, the line search tries alpha =
+    # 1, 1/2 and 1/4, one closed loop each, and ends in LineSearchError
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 12, p=0.4, seed=2), resistive=resistive)
+    prob = prob.with_gamma(0.1 * pipeline.gamma_max(prob))
+    obj = Objective(prob)
+    x = np.full(prob.m, 0.1)
+    state = obj.state(x)
+    # the penalty is linear on the trial points, so this is the slope's sign
+    xt = 0.05 * np.sign(state.grad + prob.penalty)
+    assert float(prob.smooth_grad(state.grad) @ xt) + (
+        0.0 if resistive else prob.l1(x + xt) - prob.l1(x)) > 0.0
+    assert np.min(x + xt) >= 0.0
+    trials = []
+
+    def closed_loop(self, z, _real=Objective.closed_loop):
+        trials.append(z.copy())
+        return _real(self, z)
+
+    monkeypatch.setattr(Objective, "closed_loop", closed_loop)
+    monkeypatch.setattr(proxnewton, "MAX_BACKTRACKS", 2)
+    with pytest.raises(LineSearchError, match="backtrack budget"):
+        line_search(obj, state, xt)
+    assert len(trials) == 3
+    for z, alpha in zip(trials, (1.0, 0.5, 0.25)):
+        assert z.tobytes() == (x + alpha * xt).tobytes()
 
 
 def test_newton_two_node_analytic():
