@@ -24,7 +24,7 @@ from .graphs import (
     strengthened,
     write_edge_list,
 )
-from .objective import Objective, build_qp
+from .objective import Objective
 from .pipeline import (
     TradeoffPoint,
     gamma_max,

@@ -13,9 +13,10 @@ objects are read-only and trusted by what derives from them:
 problem carries its per-edge penalty, built and checked when the problem is
 built or derived, never during a solve, and the two formulas that read it:
 the penalty term :meth:`Problem.l1` and the smooth gradient
-:meth:`Problem.smooth_grad`.  What depends only on the
-plant, ``Q`` and ``R`` is kept in the :class:`ProblemFamily` that a problem
-shares with every problem derived from it, and is built at most once.
+:meth:`Problem.smooth_grad`.  The constructor also forms and factors the
+effective state weight ``Q_p``, which depends only on the plant, ``Q`` and
+``R``, and keeps the factor as ``Problem.qp``; every problem that
+``with_gamma`` and ``restrict`` derive shares it.
 
 Building and checking take whole-array numpy operations, with no Python
 loop over the edges: ``EdgeList.from_tuples`` reads each column with one
@@ -502,19 +503,6 @@ def _symmetric(A: np.ndarray) -> bool:
     return bool(np.max(np.abs(A - A.T), initial=0.0) <= 1e-12 * scale)
 
 
-class ProblemFamily:
-    """What a problem shares with every problem derived from it by
-    :meth:`Problem.with_gamma` and :meth:`Problem.restrict`, in any order:
-    data that depends only on the plant, ``Q`` and ``R``, set once on first
-    use.  ``qp`` is the transposed factor ``C^T`` of ``Q_p = C C^T`` that
-    :func:`~gsp.objective.build_qp` returns, None until it is built."""
-
-    __slots__ = ("qp",)
-
-    def __init__(self):
-        self.qp = None
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable bundle of problem data for the edge-addition design problem.
@@ -523,6 +511,12 @@ class Problem:
     for every symmetric positive definite ``R``.  ``penalty`` is the
     read-only per-edge penalty of ``sum_l penalty_l |x_l|`` (:meth:`l1`):
     ``gamma`` on every edge, or ``gamma * weights`` from :meth:`with_gamma`.
+
+    ``qp`` is the read-only, Fortran-ordered transposed lower Cholesky
+    factor ``C^T`` of the effective state weight ``Q_p = Q + (1/n) 11^T +
+    L_p R L_p = C C^T``, formed and factored by the constructor and shared
+    by every problem that :meth:`with_gamma` and :meth:`restrict` derive;
+    ``Q_p`` and ``C`` are not kept.
     """
 
     plant: PlantGraph
@@ -531,11 +525,10 @@ class Problem:
     R: np.ndarray = field(repr=False)
     gamma: float = 0.0
     resistive: bool = False
-    family: ProblemFamily = field(init=False, repr=False)
     penalty: np.ndarray = field(init=False, repr=False)
+    qp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "family", ProblemFamily())
         n = self.plant.n
         for name in ("Q", "R"):
             a = np.array(getattr(self, name), dtype=float)
@@ -548,7 +541,8 @@ class Problem:
             raise InvalidInputError("Q must be symmetric")
         if not np.allclose(Q @ np.ones(n), 0.0, atol=1e-10):
             raise InvalidInputError("Q must annihilate the all-ones vector")
-        if try_cholesky(strengthened(Q)) is None:
+        S = strengthened(Q)  # C-ordered, so try_cholesky factors a copy
+        if try_cholesky(S) is None:
             raise InvalidInputError("Q + (1/n) 11^T must be positive definite")
         if not _symmetric(R):
             raise InvalidInputError("R must be symmetric")
@@ -567,6 +561,20 @@ class Problem:
             joint = [divmod(int(k), n) for k in both[:3]]
             if joint:
                 raise InvalidInputError(f"joint plant/candidate edges: {joint}")
+        Lp = self.plant.L
+        # a C-ordered temporary, copied by try_cholesky: L_p R L_p is not
+        # exactly symmetric, so factoring its transpose would change the
+        # bits.  An overflowing Q_p factors with info = 0 into a non-finite
+        # factor, which is rejected like a failed one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            chol = try_cholesky(S + Lp @ R @ Lp)
+        if chol is None or not np.isfinite(chol).all():
+            raise InvalidInputError(
+                "effective state weight Q + (1/n) 11^T + L_p R L_p must be "
+                "finite and positive definite")
+        qp = np.asfortranarray(chol.T)
+        qp.setflags(write=False)
+        object.__setattr__(self, "qp", qp)
 
     @property
     def n(self) -> int:
@@ -578,7 +586,7 @@ class Problem:
 
     def _derive(self, **changes) -> "Problem":
         """Problem with a new penalty or candidate subset; it keeps the plant,
-        ``Q``, ``R`` and so the same :class:`ProblemFamily`."""
+        ``Q``, ``R`` and so the same ``Q_p`` factor ``qp``."""
         new = object.__new__(Problem)  # skips __post_init__: the data is checked
         new.__dict__.update(self.__dict__, **changes)
         return new

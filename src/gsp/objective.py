@@ -7,9 +7,10 @@ The objective of the design problem is
     Q_p  = Q + (1/n) 11^T + L_p R L_p,
 
 and everything at a point comes from two lower Cholesky factors,
-``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per problem
-family: a problem and all that ``with_gamma`` and ``restrict`` derive from
-it, see :func:`build_qp`).  Neither ``G`` nor ``Q_p`` is kept once
+``G = L L^T`` (one per closed loop) and ``Q_p = C C^T`` (one per problem,
+formed and factored by its constructor and shared by all that
+``with_gamma`` and ``restrict`` derive from it, see
+:class:`~gsp.graphs.Problem`).  Neither ``G`` nor ``Q_p`` is kept once
 factored: each is n-by-n (18 MB at n = 1,500) and nothing reads it.  Both
 triangular solves are taken from the row side, on the transposes
 ``V^T = C^T L^-T`` and ``W^T = V^T L^-1 = C^T G^-1``:
@@ -25,7 +26,7 @@ is used because OpenBLAS solves it faster.  With SciPy's bundled OpenBLAS
 97-127 us at n = 120 and 15-23 us at n = 60, where the left-side
 ``dtrtrs`` that solves ``V = L^-1 C`` took 150-187 us and 26-38 us; at
 n = 10-40 the left side was never faster.  ``C^T`` is stored
-Fortran-ordered once per problem family.  The explicit
+Fortran-ordered once per problem, as ``Problem.qp``.  The explicit
 inverse ``G^-1`` is only formed where the Newton solver needs random entry
 access.  Every quadratic form ``xi_k^T A xi_l`` is assembled from four
 entries of ``A`` because each incidence column has exactly two nonzeros.
@@ -55,8 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasiblePointError, InvalidInputError
-from .graphs import ClosedLoop, Problem, closed_loop, strengthened, try_cholesky
+from .errors import InfeasiblePointError
+from .graphs import ClosedLoop, Problem, closed_loop
 
 #: Curvature scale of the elementwise Hessian product.  Differentiating the
 #: trace term twice gives 2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l); the value is
@@ -114,29 +115,6 @@ def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarra
     return HESSIAN_SCALE * (M[ri, ri] - M[ri, rj] - M[rj, ri] + M[rj, rj])
 
 
-def build_qp(problem: Problem) -> np.ndarray:
-    """Transposed lower Cholesky factor ``C^T`` of the effective state
-    weight ``Q_p = Q + (1/n) 11^T + L_p R L_p = C C^T``, Fortran-ordered for
-    the row-side solves, formed and factored once per problem family.
-
-    ``Q_p`` depends on the plant, ``Q`` and ``R`` only, which every problem
-    derived by ``with_gamma`` or ``restrict`` keeps, so the first call for
-    any problem of a family stores the factor in the family's shared
-    :class:`~gsp.graphs.ProblemFamily` and later calls return it.  ``Q_p``
-    and ``C`` are not kept.
-    """
-    family = problem.family
-    if family.qp is None:
-        Lp = problem.plant.L
-        # a C-ordered temporary, copied by try_cholesky: L_p R L_p is not
-        # exactly symmetric, so factoring its transpose would change the bits
-        chol = try_cholesky(strengthened(problem.Q) + Lp @ problem.R @ Lp)
-        if chol is None:
-            raise InvalidInputError("effective state weight is not positive definite")
-        family.qp = np.asfortranarray(chol.T)
-    return family.qp
-
-
 @dataclass(frozen=True)
 class ObjectiveState:
     """Cached quantities at a feasible point: used by solvers and certificates."""
@@ -158,10 +136,9 @@ class Objective:
     which OpenBLAS runs in about 0.6 of the time of the column-side
     ``L^-1 C`` (see the module docstring).
 
-    ``qp`` is the factor ``C^T`` read from the problem's family
-    (:func:`build_qp`), so an objective for a problem that ``with_gamma`` or
-    ``restrict`` derived neither forms nor factors ``Q_p`` again.  Apart
-    from cached problem data it remembers one entry: the closed loop of the
+    ``C^T`` is the factor ``problem.qp`` that the problem's constructor
+    made, so no objective forms or factors ``Q_p``.  Apart from cached
+    problem data it remembers one entry: the closed loop of the
     last value or state it evaluated and that loop's half solve ``V^T``.
     A line search that accepts a trial point therefore hands ``state(x,
     cl)`` the ``V^T`` that ``value_at(cl, x)`` just computed, and the state
@@ -172,7 +149,6 @@ class Objective:
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.qp = build_qp(problem)
         self.positions = problem.candidates.positions
         # linear coefficient diag(E^T R E) and the x-independent offset
         self.lin = edge_quad_diag(problem.R, self.positions)
@@ -185,7 +161,7 @@ class Objective:
     def _half_solve(self, cl: ClosedLoop) -> np.ndarray:
         """``V^T = C^T L^-T`` of a closed loop, reused for the last one asked."""
         if self._half[0] is not cl:
-            self._half = (cl, cl.tri_solve(self.qp, trans=True))
+            self._half = (cl, cl.tri_solve(self.problem.qp, trans=True))
         return self._half[1]
 
     @staticmethod

@@ -56,11 +56,14 @@ NONMONOTONE_MEMORY = 10
 CERTIFY_EVERY = 10
 
 
-def _check_tolerances(tol_gap, tol_rd):
-    """Reject certificate tolerances that are not positive and finite: a
-    NaN one would never certify."""
-    if not (0.0 < tol_gap < np.inf and 0.0 < tol_rd < np.inf):
+def _check_options(opts) -> None:
+    """Reject solver options that would break a loop: certificate
+    tolerances that are not positive and finite (a NaN one would never
+    certify) and fewer than one iteration."""
+    if not (0.0 < opts.tol_gap < np.inf and 0.0 < opts.tol_rd < np.inf):
         raise InvalidInputError("tolerances must be positive and finite")
+    if opts.max_iters < 1:
+        raise InvalidInputError("max_iters must be at least 1")
 
 
 @dataclass
@@ -72,9 +75,7 @@ class ProxGradOptions:
     tol_rd: float = 1e-3
 
     def __post_init__(self):
-        _check_tolerances(self.tol_gap, self.tol_rd)
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
+        _check_options(self)
 
 
 @dataclass
@@ -84,7 +85,6 @@ class SolveReport:
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     step_trace: list = field(default_factory=list)
-    gap_trace: list = field(default_factory=list)
     status: str = "max_iters"
     wall_time: float = 0.0
     certificate: DualCertificate | None = None
@@ -241,7 +241,6 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
         if k % CERTIFY_EVERY == 0 or stationary or flat_count >= 5:
             cert = certify_or_none(obj, st)
             if cert is not None:
-                report.gap_trace.append(cert.gap)
                 if stationary or _certified(cert, opts):
                     return x, _finish(report, t0, cert)
             elif flat_count >= 5 or stationary:

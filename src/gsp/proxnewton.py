@@ -70,7 +70,7 @@ from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .duality import certify_or_none
-from .errors import DegenerateCurvatureError, InvalidInputError, LineSearchError
+from .errors import DegenerateCurvatureError, LineSearchError
 from .graphs import Problem
 from .objective import (
     HESSIAN_SCALE,
@@ -79,7 +79,7 @@ from .objective import (
     hessian_product,
     hessian_rows,
 )
-from .proxgrad import SolveReport, _certified, _check_tolerances, _finish, _start
+from .proxgrad import SolveReport, _certified, _check_options, _finish, _start
 
 #: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
 #: takes whole as its first working set; an active block of ``k`` usable
@@ -115,9 +115,7 @@ class NewtonOptions:
     tol_rd: float = 1e-3
 
     def __post_init__(self):
-        _check_tolerances(self.tol_gap, self.tol_rd)
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
+        _check_options(self)
 
 
 def active_set(problem: Problem, x_bar, grad) -> np.ndarray:
@@ -560,10 +558,8 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
 
     for k in range(1, opts.max_iters + 1):
         cert = certify_or_none(obj, st)
-        if cert is not None:
-            report.gap_trace.append(cert.gap)
-            if _certified(cert, opts):
-                return x, _finish(report, t0, cert)
+        if cert is not None and _certified(cert, opts):
+            return x, _finish(report, t0, cert)
 
         Ginv = obj.closed_loop_inverse(st)
         grad = problem.smooth_grad(st.grad)

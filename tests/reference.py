@@ -47,7 +47,7 @@ def csgraph_component_count(edges) -> int:
 
 def effective_weight(problem):
     """The effective state weight ``Q_p = Q + (1/n) 11^T + L_p R L_p``,
-    which the package keeps only as the factor that ``build_qp`` returns."""
+    which the package keeps only as its factor ``Problem.qp``."""
     Lp = problem.plant.L
     return strengthened(problem.Q) + Lp @ problem.R @ Lp
 

@@ -431,6 +431,19 @@ def test_plants_of_fewer_than_two_nodes_are_invalid_input(tmp_path, capsys,
     assert "a plant needs at least two nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["0.1", "0.5gmax"])
+def test_overflowing_effective_weight_is_invalid_input(tmp_path, capsys,
+                                                      gamma):
+    # L_p R L_p overflows at r_scale = 1e307: the problem is rejected when it
+    # is built, before any solve or gamma spec is read
+    plant = tmp_path / "er12.edges"
+    graphs.write_edge_list(graphs.generate("erdos_renyi", 12, p=0.4, seed=9),
+                           plant)
+    assert run(["solve", "--plant", str(plant), "--r-scale", "1e307",
+                "--gamma", gamma]) == EXIT_INVALID
+    assert "effective state weight" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["proxn", "proxbb"])
 def test_infinite_gamma_is_invalid_input(p3_file, method):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma", "inf",

@@ -113,7 +113,7 @@ def ref_certify(problem, objective, state, weights=None):
     x = state.x
     c = edge_forms(problem.candidates, problem.R)
     primal = float(state.h2 + c @ x + gam @ np.abs(x))
-    dual = eigh_dual_objective(Y_hat, objective.qp, problem.plant.G)
+    dual = eigh_dual_objective(Y_hat, problem.qp, problem.plant.G)
     y = ref_multipliers(Y_hat, problem, weights)
     y_plus, y_minus = (y, None) if problem.resistive else y
     r_d_plus, r_d_minus = ref_residuals(state.Y, Y_hat, y, problem, weights)
@@ -131,7 +131,7 @@ def test_dual_objective_two_node_hand_value():
     assert np.allclose(st.Y, np.eye(2), atol=1e-12)
     dual = duality.dual_objective(st, 1.0, prob.plant.G)
     assert dual == pytest.approx(3.0, abs=1e-10)
-    assert eigh_dual_objective(st.Y, obj.qp, prob.plant.G) == pytest.approx(
+    assert eigh_dual_objective(st.Y, prob.qp, prob.plant.G) == pytest.approx(
         3.0, abs=1e-10)
     primal = float(np.trace(st.cl.solve(effective_weight(prob))) + obj.lin @ st.x)
     assert primal == pytest.approx(3.0, abs=1e-10)
@@ -292,7 +292,7 @@ def test_dual_objective_matches_square_root_formula(n, seed, resistive, scalar_r
         Y_hat = blend(state.Y, beta)
         got = duality.dual_objective(state, beta, prob.plant.G)
         for ref in (sqrt_dual_objective(Y_hat, Qp, prob.plant.G),
-                    eigh_dual_objective(Y_hat, obj.qp, prob.plant.G)):
+                    eigh_dual_objective(Y_hat, prob.qp, prob.plant.G)):
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
@@ -388,7 +388,7 @@ def check_certificates(seen, prob):
         assert np.allclose(Y_hat @ np.ones(prob.n), 1.0, rtol=0.0, atol=1e-12)
         for y in (cert.y_plus, cert.y_minus):
             assert y is None or y.min(initial=0.0) >= 0.0
-        ref = eigh_dual_objective(Y_hat, obj.qp, prob.plant.G)
+        ref = eigh_dual_objective(Y_hat, obj.problem.qp, prob.plant.G)
         assert cert.primal >= ref - 1e-12 * max(1.0, abs(cert.primal))
         assert abs(cert.dual - ref) <= 1e-12 * abs(ref)
 
@@ -491,7 +491,7 @@ def test_closed_form_dual_tolerates_Q_row_sums(resistive):
                 cert = duality.certify_or_none(obj, state)
                 if cert is None:
                     continue
-                ref = eigh_dual_objective(blend(state.Y, cert.beta), obj.qp,
+                ref = eigh_dual_objective(blend(state.Y, cert.beta), prob.qp,
                                           prob.plant.G)
                 assert abs(cert.dual - ref) <= BOUND * abs(ref)
                 checked += 1

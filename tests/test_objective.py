@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp import duality, graphs, objective, pipeline, proxgrad, proxnewton
-from gsp.errors import InfeasiblePointError
+from gsp.errors import InfeasiblePointError, InvalidInputError
 from gsp.objective import HESSIAN_SCALE, Objective
 from reference import (
     dense_hessian,
@@ -45,46 +45,59 @@ def feasible_point(problem, seed=0, lo=0.2, hi=0.8):
 def test_qp_matrix_p3_spectrum():
     # path-3 plant with identity weights: eigenvalues of the effective
     # state weight Q_p = C C^T are {1, 2, 10}, here of C C^T built from the
-    # cached factor C^T, which also matches the reference Q_p
+    # problem's factor C^T, which also matches the reference Q_p
     prob = p3_problem()
-    qp = objective.build_qp(prob)
-    Qp = qp.T @ qp
+    Qp = prob.qp.T @ prob.qp
     lam = np.sort(np.linalg.eigvalsh(Qp))
     assert np.allclose(lam, [1.0, 2.0, 10.0], atol=1e-10)
     assert np.allclose(Qp, effective_weight(prob), atol=1e-10)
 
 
-def test_qp_is_factored_once_per_problem_family(monkeypatch):
-    # Q_p depends on the plant, Q and R only: one factorization serves a
-    # problem and all that with_gamma and restrict derive from it, in any
-    # order, derived before the first objective or after it
-    calls = []
-
-    def counted(A, _factor=objective.try_cholesky):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(objective, "try_cholesky", counted)
+def test_qp_is_factored_once_per_problem(monkeypatch):
+    # Q_p depends on the plant, Q and R only: the constructor forms and
+    # factors it, every problem that restrict and with_gamma derive, in
+    # either order, shares the factor, and no objective, sweep or
+    # reweighted path forms it again
     plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
     base = graphs.default_problem(plant, resistive=True)
-    early = base.restrict([0, 2, 5]).with_gamma(0.0)
+    assert base.qp.flags.f_contiguous and not base.qp.flags.writeable
     low = base.with_gamma(0.1)
-    objs = [Objective(early), Objective(base), Objective(low),
-            Objective(base.restrict([1, 3]).with_gamma(0.0)),
-            Objective(low.restrict([4]).restrict([0]))]
-    assert calls == [(12, 12)]
-    assert all(obj.qp is objs[0].qp for obj in objs)
-    assert objective.build_qp(early) is objs[0].qp
-    # a problem built again is a family of its own
-    Objective(graphs.default_problem(plant, resistive=True))
-    assert len(calls) == 2
+    derived = [base.restrict([0, 2, 5]).with_gamma(0.0), low,
+               low.restrict([1, 3]), low.restrict([4]).restrict([0])]
+    assert all(prob.qp is base.qp for prob in derived)
 
+    calls = []
+
+    def counted(L, _strengthen=graphs.strengthened):
+        calls.append(L.shape)
+        return _strengthen(L)
+
+    # closed loops never call strengthened; forming Q_p does
+    monkeypatch.setattr(graphs, "strengthened", counted)
+    for prob in (base, *derived):
+        Objective(prob).state(np.ones(prob.m))
     gmax = pipeline.gamma_max(base)
-    for run in (lambda prob, g: pipeline.sweep(prob, g, "proxbb"),
-                lambda prob, g: pipeline.reweighted_path(prob, g)):
-        calls.clear()
-        run(graphs.default_problem(plant, resistive=True), [0.2 * gmax, 0.6 * gmax])
-        assert calls == [(12, 12)]
+    pipeline.sweep(base, [0.2 * gmax, 0.6 * gmax], "proxbb")
+    pipeline.reweighted_path(base, [0.2 * gmax, 0.6 * gmax])
+    assert calls == []
+
+    # a problem built again gets a factor of its own, with the same bits
+    again = graphs.Problem(base.plant, base.candidates, base.Q, base.R,
+                           resistive=True)
+    assert calls == [(12, 12)]
+    assert again.qp is not base.qp
+    assert again.qp.tobytes() == base.qp.tobytes()
+
+
+def test_non_finite_effective_weight_is_invalid_input():
+    # at r_scale = 1e307 L_p R L_p overflows: dpotrf factors the infinite
+    # Q_p with info = 0 into a non-finite factor, which the constructor
+    # rejects as it rejects a failed factorization
+    plant = graphs.generate("erdos_renyi", 12, p=0.4, seed=9)
+    with pytest.raises(InvalidInputError, match="effective state weight"):
+        graphs.default_problem(plant, resistive=True, r_scale=1e307)
+    with pytest.raises(InvalidInputError, match="effective state weight"):
+        graphs.default_problem(plant, resistive=True, r_scale=1e200)
 
 
 def test_value_two_node_analytic():
@@ -367,7 +380,7 @@ def test_objective_needs_no_eigendecomposition(monkeypatch, resistive, scalar_r)
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(module, name, forbidden)
     obj = Objective(prob)
-    assert np.allclose(obj.qp.T @ obj.qp, effective_weight(prob), atol=1e-12)
+    assert np.allclose(prob.qp.T @ prob.qp, effective_weight(prob), atol=1e-12)
     st = obj.state(feasible_point(prob, seed=2))
     duality.certify_or_none(obj, st)
     prob = prob.with_gamma(0.5 * pipeline.gamma_max(prob))
