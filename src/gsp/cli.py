@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import scipy.linalg
 
-from . import REPORT_FORMAT, __version__
+from . import REPORT_FORMAT, NewtonOptions, ProxGradOptions, __version__
 from .errors import (
     GspError,
     InfeasiblePointError,
@@ -30,13 +30,16 @@ from .graphs import (
     write_edge_list,
 )
 from .objective import Objective
-from .pipeline import (_OPTIONS, ZERO_TOL, TradeoffPoint, _solve, gamma_max,
-                       polish, solve_centralized, sweep)
+from .pipeline import (TradeoffPoint, _solve, gamma_max, polish,
+                       solve_centralized, support, sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+#: options class of each ``--method``; the options' type picks the solver
+_OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions}
 
 
 def parse_gamma_spec(spec: str, problem) -> list[float]:
@@ -146,7 +149,7 @@ def _problem_summary(problem) -> dict:
 
 def _solution_entry(problem, x) -> list:
     out = []
-    for l in np.flatnonzero(np.abs(x) > ZERO_TOL):
+    for l in support(x):
         i, j = problem.candidates.pairs[l]
         out.append([int(i), int(j), float(x[l])])
     return out
@@ -184,17 +187,16 @@ def _cmd_solve(args) -> int:
     problem = problem.with_gamma(gammas[0])
     opts = _solver_options(args)
 
-    x, report = _solve(problem, args.method, None, opts)
+    x, report = _solve(problem, None, opts)
     obj = Objective(problem)
     J = obj.value(x)
-    support = np.flatnonzero(np.abs(x) > ZERO_TOL)
-    x_pol, J_pol, polish_gap = polish(problem, support)
+    x_pol, J_pol, polish_gap = polish(problem, support(x))
 
     objective_values = {"J": J, "J_polished": J_pol,
                         "polish_gap": _nan_entry(polish_gap),
                         "J_c": None, "rel_loss": None}
     if not args.no_baseline:
-        x_c, _ = solve_centralized(problem, args.method, opts)
+        x_c, _ = solve_centralized(problem, opts)
         J_c = obj.value(x_c)
         objective_values["J_c"] = J_c
         objective_values["rel_loss"] = (J_pol - J_c) / J_c
@@ -225,8 +227,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     problem = _load_problem(args)
     gammas = parse_gamma_spec(args.gammas, problem)
-    opts = _solver_options(args)
-    points = sweep(problem, gammas, solver=args.method, opts=opts,
+    points = sweep(problem, gammas, _solver_options(args),
                    use_reweighting=args.reweight)
     if args.csv:
         write_tradeoff_csv(points, args.csv)
@@ -284,8 +285,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["proxbb", "proxn"],
-                   default="proxn")
+    p.add_argument("--method", choices=sorted(_OPTIONS), default="proxn")
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--tol-gap", type=float, dest="tol_gap")
     p.add_argument("--tol-rd", type=float, dest="tol_rd")

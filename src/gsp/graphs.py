@@ -264,12 +264,14 @@ class IncidenceMatrix:
     def restrict(self, support) -> "IncidenceMatrix":
         """Incidence structure over a subset of distinct columns.  Only the
         indices are checked: distinct columns of checked pairs are checked."""
-        idx = np.asarray(support, dtype=np.intp).reshape(-1)
+        idx = np.asarray(support).reshape(-1)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise InvalidInputError("support indices must be integers")
         if idx.size and (idx.min() < 0 or idx.max() >= self.m):
             raise InvalidInputError("support index out of range")
         if _has_repeats(idx):
             raise InvalidInputError("duplicate support index")
-        pairs = self.pairs[idx]
+        pairs = self.pairs[idx.astype(np.intp)]
         pairs.setflags(write=False)
         return IncidenceMatrix._trusted(self.n, pairs)
 

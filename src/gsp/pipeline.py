@@ -58,31 +58,27 @@ def gamma_max(problem: Problem) -> float:
     return float(np.max(-Objective(problem).state(np.zeros(problem.m)).grad))
 
 
-#: options class of each solver method
-_OPTIONS = {"proxn": NewtonOptions, "proxbb": ProxGradOptions}
-
-
-def _solve(problem: Problem, method: str, x0, opts):
-    """Dispatch one solve by method name: proxbb or proxn.
-
-    ``opts`` is None (the solver's defaults) or an instance of the method's
-    options class.
-    """
-    if method not in _OPTIONS:
-        raise InvalidInputError(f"unknown method {method!r}")
-    if opts is not None and not isinstance(opts, _OPTIONS[method]):
-        raise InvalidInputError(f"{method} takes {_OPTIONS[method].__name__}, "
-                                f"not {type(opts).__name__}")
-    if method == "proxn":
+def _solve(problem: Problem, x0, opts):
+    """One solve by the solver that ``opts`` pick (see :func:`sweep`)."""
+    if opts is None or isinstance(opts, NewtonOptions):
         return solve_newton(problem, x0, opts)
+    if not isinstance(opts, ProxGradOptions):
+        raise InvalidInputError("solver options must be NewtonOptions or "
+                                f"ProxGradOptions, not {type(opts).__name__}")
     if problem.resistive:
         return solve_projected(problem, x0, opts)
     return solve_ista(problem, x0, opts)
 
 
-def solve_centralized(problem: Problem, method: str = "proxn", opts=None):
-    """Solve the unpenalized problem (the dense baseline design)."""
-    return _solve(problem.with_gamma(0.0), method, None, opts)
+def solve_centralized(problem: Problem, opts=None):
+    """Solve the unpenalized problem (the dense baseline design) with the
+    solver that ``opts`` pick (see :func:`sweep`)."""
+    return _solve(problem.with_gamma(0.0), None, opts)
+
+
+def support(x) -> np.ndarray:
+    """Indices of the designed edges: ``|x|`` above :data:`ZERO_TOL`."""
+    return np.flatnonzero(np.abs(x) > ZERO_TOL)
 
 
 def polish(problem: Problem, support, x0=None):
@@ -98,15 +94,12 @@ def polish(problem: Problem, support, x0=None):
     value and the final gap of the Newton solve (NaN without a certificate,
     as for the empty support).
     """
-    support = np.asarray(support, dtype=np.intp).reshape(-1)
-    obj = Objective(problem)
-    gap = float("nan")
-    if support.size == 0:
-        if not problem.plant.connected:
-            raise InfeasibleSupportError("empty support on a disconnected plant")
-        x = np.zeros(problem.m)
-    else:
-        reduced = problem.restrict(support).with_gamma(0.0)
+    support = np.asarray(support).reshape(-1)
+    if support.size == 0 and not problem.plant.connected:
+        raise InfeasibleSupportError("empty support on a disconnected plant")
+    x, gap = np.zeros(problem.m), float("nan")
+    if support.size:
+        reduced = problem.restrict(support).with_gamma(0.0)  # checks support
         start = None if x0 is None else np.asarray(x0, dtype=float)[support]
         try:
             x_red, rep = solve_newton(reduced, start,
@@ -115,10 +108,9 @@ def polish(problem: Problem, support, x0=None):
             raise InfeasibleSupportError(
                 "support cannot make the closed loop positive definite"
             ) from exc
-        x = np.zeros(problem.m)
         x[support] = x_red
         gap = rep.final_gap
-    return x, obj.value(x), gap
+    return x, Objective(problem).value(x), gap
 
 
 def reweight_update(x) -> np.ndarray:
@@ -127,22 +119,22 @@ def reweight_update(x) -> np.ndarray:
 
 
 def reweighted_path(problem: Problem, gammas, opts=None):
-    """Path-following proximal Newton solves with iteratively reweighted
-    penalties.
+    """Path-following solves with iteratively reweighted penalties.
 
     The unpenalized solution initializes the weights; each subsequent gamma is
     warm-started from the previous solution and followed by a weight update.
-    Returns a list of ``(gamma, x)``.
+    The solver is the one ``opts`` pick (see :func:`sweep`): proximal Newton
+    by default.  Returns a list of ``(gamma, x)``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
-    x_c, _ = solve_centralized(problem, "proxn", opts)
+    x_c, _ = solve_centralized(problem, opts)
     return [(g, x) for g, x, _, _ in
-            _gamma_path(problem, gammas, "proxn", opts, x_c, True)]
+            _gamma_path(problem, gammas, opts, x_c, True)]
 
 
-def _gamma_path(problem: Problem, gammas, solver, opts, x_c, reweight: bool):
+def _gamma_path(problem: Problem, gammas, opts, x_c, reweight: bool):
     """Solve each gamma in turn; yields ``(gamma, x, iterations, seconds)``.
 
     Each solve starts at the previous solution, the first at the
@@ -155,14 +147,18 @@ def _gamma_path(problem: Problem, gammas, solver, opts, x_c, reweight: bool):
     for g in gammas:
         t0 = time.perf_counter()
         w = reweight_update(x_prev) if reweight else None
-        x, rep = _solve(problem.with_gamma(float(g), w), solver, x_prev, opts)
+        x, rep = _solve(problem.with_gamma(float(g), w), x_prev, opts)
         yield float(g), x, rep.iterations, time.perf_counter() - t0
         x_prev = x
 
 
-def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
+def sweep(problem: Problem, gammas, opts=None,
           use_reweighting: bool = False) -> list[TradeoffPoint]:
     """Tradeoff curve: solve, threshold, polish and normalize for each gamma.
+
+    The type of ``opts`` picks the solver: ``ProxGradOptions`` run proximal
+    gradient (projected if resistive, ISTA if signed), ``NewtonOptions`` or
+    None proximal Newton; anything else is invalid input.
 
     The gammas are solved in the given order, each warm-started from the
     previous point's solution and the first from the centralized one (see
@@ -176,22 +172,24 @@ def sweep(problem: Problem, gammas, solver: str = "proxn", opts=None,
     if use_reweighting and np.any(np.diff(gammas) < 0):
         raise InvalidInputError("gammas must be ascending")
     obj = Objective(problem)
-    x_c, _ = solve_centralized(problem, solver, opts)
+    x_c, _ = solve_centralized(problem, opts)
     J_c = obj.value(x_c)
-    card_c = int(np.count_nonzero(np.abs(x_c) > ZERO_TOL))
+    card_c = support(x_c).size
 
     polished = {}  # support bytes -> (J_polished, polish_gap)
     points = []
-    for g, x, iters, solve_s in _gamma_path(problem, gammas, solver, opts, x_c,
+    for g, x, iters, solve_s in _gamma_path(problem, gammas, opts, x_c,
                                             use_reweighting):
         t0 = time.perf_counter()
-        support = np.flatnonzero(np.abs(x) > ZERO_TOL)
-        J_sparse = obj.value(np.where(np.abs(x) > ZERO_TOL, x, 0.0))
-        key = support.tobytes()
+        edges = support(x)
+        x_sparse = np.zeros(problem.m)
+        x_sparse[edges] = x[edges]
+        J_sparse = obj.value(x_sparse)
+        key = edges.tobytes()
         if key not in polished:
-            polished[key] = polish(problem, support, x)[1:]
+            polished[key] = polish(problem, edges, x)[1:]
         J_pol, gap = polished[key]
-        card = int(support.size)
+        card = int(edges.size)
         points.append(TradeoffPoint(
             gamma=g,
             cardinality=card,

@@ -84,7 +84,6 @@ class SolveReport:
 
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
-    step_trace: list = field(default_factory=list)
     status: str = "max_iters"
     wall_time: float = 0.0
     certificate: DualCertificate | None = None
@@ -226,7 +225,6 @@ def _prox_gradient(problem: Problem, x0, opts: ProxGradOptions | None):
         if len(recent) > NONMONOTONE_MEMORY:
             recent.pop(0)
         report.iterations = k
-        report.step_trace.append(alpha)
         report.objective_trace.append(F_new)
 
         # signed only: resistive runs stop on a certificate or a fixed point

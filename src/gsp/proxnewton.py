@@ -570,11 +570,10 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
             report.iterations = k - 1
             return x, _finish(report, t0, cert)
 
-        alpha, x, cl = line_search(obj, st, xt)
+        _, x, cl = line_search(obj, st, xt)
         st = obj.state(x, cl)
         F = st.J + problem.l1(x)
         report.iterations = k
-        report.step_trace.append(alpha)
         report.objective_trace.append(F)
 
         if abs(F - prev_F) <= 1e-12 * max(1.0, abs(F)):

@@ -467,6 +467,27 @@ def test_bad_gamma_spec_fails_before_any_solve(p3_file, tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_signed_proxbb_sweep_runs_ista(tmp_path, monkeypatch):
+    # --method proxbb builds ProxGradOptions, which pick ISTA on a signed
+    # plant: the centralized solve and one per gamma, never the projected
+    # solver
+    plant = tmp_path / "path5.edges"
+    graphs.write_edge_list(graphs.generate("path", 5), plant)
+    calls = []
+    for name in ("solve_ista", "solve_projected"):
+        def spy(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    csv = tmp_path / "t.csv"
+    assert run(["sweep", "--plant", str(plant), "--method", "proxbb",
+                "--gammas", "log:0.2gmax:0.8gmax:3", "--csv", str(csv),
+                "--out", str(tmp_path / "t.json")]) == EXIT_OK
+    assert calls == ["solve_ista"] * 4
+    assert len(csv.read_text().splitlines()) == 4
+
+
 def test_solve_rejects_gamma_ranges(p3_file):
     assert run(["solve", "--plant", p3_file, "--resistive", "--gamma",
                 "log:0.1:1:3"]) == EXIT_INVALID

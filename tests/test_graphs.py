@@ -260,6 +260,9 @@ def test_restrict_problem():
     assert np.array_equal(sub.candidates.pairs, prob.candidates.pairs[[0, 2]])
     assert not sub.candidates.pairs.flags.writeable
     assert prob.restrict([]).m == 0
+    narrow = np.array([0, 2], dtype=np.int32)
+    assert np.array_equal(prob.restrict(narrow).candidates.pairs, sub.candidates.pairs)
+    assert polish(prob, narrow)[1] == polish(prob, [0, 2])[1]
 
 
 def test_penalty_is_carried_by_the_problem():
@@ -315,7 +318,11 @@ def test_joint_edges_are_listed_sorted():
         graphs.default_problem(plant, cand, resistive=True)
 
 
-@pytest.mark.parametrize("support", [[-1], [10**6], [0, 2, 0]])
+@pytest.mark.parametrize("support", [
+    [-1], [10**6], [0, 2, 0],
+    # floats were truncated and a boolean mask read as indices
+    [1.7], [2.9], np.array([False, True]),
+])
 def test_restrict_rejects_bad_support(support):
     prob = graphs.default_problem(graphs.generate("path", 5), resistive=True)
     with pytest.raises(InvalidInputError):

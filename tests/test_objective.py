@@ -77,7 +77,7 @@ def test_qp_is_factored_once_per_problem(monkeypatch):
     for prob in (base, *derived):
         Objective(prob).state(np.ones(prob.m))
     gmax = pipeline.gamma_max(base)
-    pipeline.sweep(base, [0.2 * gmax, 0.6 * gmax], "proxbb")
+    pipeline.sweep(base, [0.2 * gmax, 0.6 * gmax], proxgrad.ProxGradOptions())
     pipeline.reweighted_path(base, [0.2 * gmax, 0.6 * gmax])
     assert calls == []
 

@@ -243,8 +243,8 @@ def record_starts(monkeypatch):
     solves = []
     real_solve = pipeline._solve
 
-    def recording_solve(problem, method, x0, *args, **kwargs):
-        x, rep = real_solve(problem, method, x0, *args, **kwargs)
+    def recording_solve(problem, x0, *args, **kwargs):
+        x, rep = real_solve(problem, x0, *args, **kwargs)
         solves.append((x0, x))
         return x, rep
 
@@ -285,7 +285,7 @@ def record_polishes(monkeypatch, problem, gammas):
 
     monkeypatch.setattr(pipeline, "_solve", recording_solve)
     monkeypatch.setattr(pipeline, "solve_newton", recording_newton)
-    points = pipeline.sweep(problem, gammas, solver="proxbb")
+    points = pipeline.sweep(problem, gammas, ProxGradOptions())
     return points, xs, newtons
 
 
@@ -386,25 +386,63 @@ def test_cold_polish_certifies_to_the_polish_gap():
 
 def test_solve_centralized_dispatch():
     prob = p3_problem(1.0)
-    x_n, _ = pipeline.solve_centralized(prob, "proxn", TIGHT)
-    x_b, _ = pipeline.solve_centralized(prob, "proxbb")
+    x_n, _ = pipeline.solve_centralized(prob, TIGHT)
+    x_b, _ = pipeline.solve_centralized(prob, ProxGradOptions())
     assert x_n[0] == pytest.approx((2 / np.sqrt(2) - 1) / 2, abs=1e-5)
     assert x_b[0] == pytest.approx(x_n[0], abs=1e-4)
-    for method in ("nosuch", "projgrad"):
-        with pytest.raises(InvalidInputError):
-            pipeline.solve_centralized(prob, method)
 
 
-@pytest.mark.parametrize("method,opts", [
-    ("proxbb", NewtonOptions(tol_gap=1e-12)),
-    ("proxbb", NewtonOptions()),
-    ("proxn", ProxGradOptions(tol_gap=1e-12)),
-])
-def test_solver_options_must_match_the_method(method, opts):
-    # options of the other solver's class are an error, not replaced by
-    # the method's defaults
+def spy_solvers(monkeypatch):
+    """Record the name of every solver the flows call, in order; polish, a
+    Newton solve whatever the options, is stubbed out."""
+    calls = []
+    for name in ("solve_newton", "solve_projected", "solve_ista"):
+        def spy(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    monkeypatch.setattr(pipeline, "polish",
+                        lambda problem, support, x0=None: (None, 1.0, np.nan))
+    return calls
+
+
+@pytest.mark.parametrize("resistive", [False, True], ids=["signed", "resistive"])
+@pytest.mark.parametrize("opts", [None, NewtonOptions(), ProxGradOptions()],
+                         ids=["none", "newton", "proxgrad"])
+def test_options_pick_the_solver(monkeypatch, resistive, opts):
+    # ProxGradOptions run proximal gradient, projected if resistive and
+    # ISTA if signed; NewtonOptions or None run proximal Newton
+    if not isinstance(opts, ProxGradOptions):
+        expected = "solve_newton"
+    else:
+        expected = "solve_projected" if resistive else "solve_ista"
+    prob = graphs.default_problem(graphs.generate("path", 4),
+                                  resistive=resistive)
+    gammas = [0.2 * pipeline.gamma_max(prob), 0.5 * pipeline.gamma_max(prob)]
+    calls = spy_solvers(monkeypatch)
+    pipeline.solve_centralized(prob, opts)
+    assert calls == [expected]
+    for flow in (lambda: pipeline.sweep(prob, gammas, opts),
+                 lambda: pipeline.sweep(prob, gammas, opts, use_reweighting=True),
+                 lambda: pipeline.reweighted_path(prob, gammas, opts)):
+        calls.clear()
+        flow()
+        assert calls == [expected] * 3
+
+
+@pytest.mark.parametrize("opts", ["proxbb", "proxn", {"tol_gap": 1e-8}],
+                         ids=["proxbb", "proxn", "dict"])
+def test_options_of_no_solver_are_invalid_input(monkeypatch, opts):
+    # a method string, as in a stale call sweep(problem, gammas, "proxbb"),
+    # or a dict of options raises before any solve
     prob = p3_problem(1.0)
-    with pytest.raises(InvalidInputError):
-        pipeline.solve_centralized(prob, method, opts)
-    with pytest.raises(InvalidInputError):
-        pipeline.sweep(prob, [0.5], solver=method, opts=opts)
+    calls = spy_solvers(monkeypatch)
+    for flow in (lambda: pipeline.solve_centralized(prob, opts),
+                 lambda: pipeline.sweep(prob, [0.5], opts),
+                 lambda: pipeline.sweep(prob, [0.5], opts, use_reweighting=True),
+                 lambda: pipeline.reweighted_path(prob, [0.5], opts)):
+        with pytest.raises(InvalidInputError,
+                           match="NewtonOptions or ProxGradOptions"):
+            flow()
+    assert calls == []
