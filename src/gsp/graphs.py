@@ -90,7 +90,7 @@ import scipy.linalg
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidInputError
+from .errors import InfeasiblePointError, InvalidInputError
 
 #: Identifier of the seeded generator recorded in reports.
 PRNG_ID = "numpy-pcg64"
@@ -338,7 +338,10 @@ class ClosedLoop:
         return self.chol is not None
 
     def solve(self, B):
-        """Solve ``G Z = B`` reusing the retained factorization."""
+        """Solve ``G Z = B`` reusing the retained factorization.  Both
+        solves raise InfeasiblePointError if ``G`` is not positive definite."""
+        if self.chol is None:
+            raise InfeasiblePointError("closed-loop matrix is not positive definite")
         if B.size == 0:  # as SciPy's wrappers do: LAPACK rejects n = 0
             return np.empty_like(B, dtype=float)
         return _lapack_result(*dpotrs(self.chol, B, lower=1), "dpotrs")
@@ -348,6 +351,8 @@ class ClosedLoop:
         factor ``L`` of ``G = L L^T``: half of :meth:`solve`, from the row
         side, so ``B`` has ``n`` columns.  The result is Fortran-ordered and
         ``B`` is not overwritten.  Raises LinAlgError on a zero pivot."""
+        if self.chol is None:
+            raise InfeasiblePointError("closed-loop matrix is not positive definite")
         if B.size == 0:
             return np.empty_like(B, dtype=float)
         if not self.chol.diagonal().all():

@@ -1,4 +1,4 @@
-"""Performance objective: value, gradient, state and Hessian blocks.
+"""Performance objective: value, gradient, state and the Newton model.
 
 The objective of the design problem is
 
@@ -43,11 +43,10 @@ thread of the same VM the call takes 9 ms instead of 19-21 ms.  The
 triangular and Cholesky solves call BLAS and LAPACK directly (see
 :mod:`gsp.graphs`).
 
-Second-order information is built only in pieces, as the Newton solver
-reads it: :func:`hessian_rows` gives the entries over given row and column
-edges and :func:`hessian_product` a block times a vector; the dense m-by-m
-Hessian is never formed.  Only this module solves with the closed-loop
-factor.
+Second-order information is the :class:`NewtonModel` of a state, read in
+pieces indexed by candidate as the Newton kernels use them; the dense m-by-m
+Hessian is never formed.  Only this module builds Hessian entries and solves
+with the closed-loop factor.
 """
 
 from __future__ import annotations
@@ -55,9 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InfeasiblePointError
-from .graphs import ClosedLoop, Problem, closed_loop
+from .errors import DegenerateCurvatureError
+from .graphs import ClosedLoop, IncidenceMatrix, Problem, closed_loop
 
 #: Curvature scale of the elementwise Hessian product.  Differentiating the
 #: trace term twice gives 2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l); the value is
@@ -78,41 +78,83 @@ def edge_quad_diag(A: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return q
 
 
-def hessian_rows(Y: np.ndarray, Ginv: np.ndarray, rows, cols,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Hessian entries ``2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l)`` for the edges
-    ``k`` of ``rows`` and ``l`` of ``cols``, written to ``out`` if given.
+#: Entries of a Hessian block built at a time by :meth:`NewtonModel.upper`
+#: (32 kB of float64 per temporary).
+_BUILD_ELEMS = 1 << 12
 
-    ``rows`` and ``cols`` each hold the two end-node indices of their edges,
-    as in ``pairs.T``; ``rows`` may also be one edge's two ints, which gives
-    one row.  Every entry is assembled from four entries of ``Y`` and of
-    ``Ginv`` with the same arithmetic, so for symmetric ``Y`` and ``Ginv``
-    it has the same bits whichever other entries are built with it.
+
+@dataclass(frozen=True, eq=False)
+class NewtonModel:
+    """Hessian ``H = 2 (E^T Y E) o (E^T G^-1 E)`` at one state, for
+    symmetric ``Y`` and ``Ginv``; every method takes candidate indices.
+
+    Entry ``(k, l)`` is ``2 (xi_k^T Y xi_l)(xi_k^T G^-1 xi_l)``, assembled
+    from four entries of ``Y`` and of ``Ginv`` with the same arithmetic
+    wherever it is built, so its bits do not depend on the other entries
+    built with it or on how a block is cut into chunks.
     """
-    i, j = rows
-    UY = Y[:, i] - Y[:, j]  # columns: Y xi_k
-    UG = Ginv[:, i] - Ginv[:, j]
-    ci, cj = cols
-    HY = UY[ci] - UY[cj]  # HY[l, k] = xi_l^T Y xi_k
-    HG = UG[ci] - UG[cj]
-    HY *= HESSIAN_SCALE
-    return np.multiply(HY, HG, out=None if out is None else out.T).T
 
+    Y: np.ndarray = field(repr=False)
+    Ginv: np.ndarray = field(repr=False)
+    candidates: IncidenceMatrix = field(repr=False)
 
-def hessian_product(Y: np.ndarray, Ginv: np.ndarray, cols, v, rows) -> np.ndarray:
-    """Hessian block over the edges of ``rows`` and ``cols`` times ``v``,
-    without building one Hessian entry.
+    def _entries(self, rows, cols, out=None) -> np.ndarray:
+        """Entries over the edges whose end nodes (as in ``pairs.T``) are
+        ``rows`` and ``cols``, written to ``out`` if given."""
+        i, j = rows
+        UY = self.Y[:, i] - self.Y[:, j]  # columns: Y xi_k
+        UG = self.Ginv[:, i] - self.Ginv[:, j]
+        ci, cj = cols
+        HY = UY[ci] - UY[cj]  # HY[l, k] = xi_l^T Y xi_k
+        HG = UG[ci] - UG[cj]
+        HY *= HESSIAN_SCALE
+        return np.multiply(HY, HG, out=None if out is None else out.T).T
 
-    With ``L_v = sum_l v_l xi_l xi_l^T`` over the edges ``l`` of ``cols``,
-    entry ``k`` is ``2 xi_k^T (Y L_v G^-1) xi_k``; ``Y L_v G^-1`` is one
-    n-by-n product of the two n-by-|cols| incidence gathers, and each row
-    edge then reads four of its entries.  ``rows`` and ``cols`` are given as
-    in :func:`hessian_rows`.
-    """
-    i, j = cols
-    M = ((Y[:, i] - Y[:, j]) * v) @ (Ginv[:, i] - Ginv[:, j]).T
-    ri, rj = rows
-    return HESSIAN_SCALE * (M[ri, ri] - M[ri, rj] - M[rj, ri] + M[rj, rj])
+    def diag(self, cols) -> np.ndarray:
+        """Diagonal entries of the edges ``cols``."""
+        pos = self.candidates.positions[:, cols]
+        return (HESSIAN_SCALE * edge_quad_diag(self.Y, pos)
+                * edge_quad_diag(self.Ginv, pos))
+
+    def rows(self, rows, cols) -> np.ndarray:
+        """Block over the edges ``rows`` and ``cols``; one edge index for
+        ``rows`` gives one row."""
+        return self._entries(self.candidates.pairs[rows].T, self.candidates.pairs[cols].T)
+
+    def product(self, cols, v, rows) -> np.ndarray:
+        """Block over the edges ``rows`` and ``cols`` times ``v``, without
+        building one entry: with ``L_v = sum_l v_l xi_l xi_l^T`` over
+        ``cols``, entry ``k`` is ``2 xi_k^T (Y L_v G^-1) xi_k``, four entries
+        of one n-by-n product of the two n-by-|cols| incidence gathers."""
+        i, j = self.candidates.pairs[cols].T
+        M = ((self.Y[:, i] - self.Y[:, j]) * v) @ (self.Ginv[:, i] - self.Ginv[:, j]).T
+        ri, rj = self.candidates.pairs[rows].T
+        return HESSIAN_SCALE * (M[ri, ri] - M[ri, rj] - M[rj, ri] + M[rj, rj])
+
+    def upper(self, cols) -> np.ndarray:
+        """Block over the edges ``cols`` with only its upper triangle
+        written, into one k-by-k buffer a chunk of rows at a time, so no
+        temporary has more than ``_BUILD_ELEMS`` entries."""
+        ends = self.candidates.pairs[cols].T  # gathered once per block
+        k = ends.shape[1]
+        H = np.empty((k, k))
+        step = max(1, _BUILD_ELEMS // k)
+        for r0 in range(0, k, step):
+            r1 = min(k, r0 + step)
+            self._entries(ends[:, r0:r1], ends[:, r0:], out=H[r0:r1, r0:])
+        return H
+
+    def solve(self, cols, rhs) -> np.ndarray:
+        """Solution of ``H d = rhs`` for the block ``H`` over the edges
+        ``cols``: the transpose of its :meth:`upper` buffer, Fortran-ordered
+        with that triangle as its lower one, is factored in place by LAPACK
+        ``dpotrf`` and freed on return.  A block that is not positive
+        definite raises DegenerateCurvatureError."""
+        chol, info = dpotrf(self.upper(cols).T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise DegenerateCurvatureError(
+                "free block of the Newton model is not positive definite")
+        return dpotrs(chol, rhs, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -179,28 +221,22 @@ class Objective:
 
     def value(self, x) -> float:
         """Objective value; raises if the closed loop is not positive definite."""
-        cl = self.closed_loop(x)
-        if not cl.positive_definite:
-            raise InfeasiblePointError("closed-loop matrix is not positive definite")
-        return self.value_at(cl, x)
+        return self.value_at(self.closed_loop(x), x)
 
     def state(self, x, cl: ClosedLoop | None = None) -> ObjectiveState:
         """Value, gradient, trace term and dual-building matrix ``Y`` at a point."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if cl is None:
             cl = self.closed_loop(x)
-        if not cl.positive_definite:
-            raise InfeasiblePointError("closed-loop matrix is not positive definite")
-        Vt = self._half_solve(cl)
+        Vt = self._half_solve(cl)  # raises if the closed loop is not PD
         Wt = cl.tri_solve(Vt)  # C^T G^-1
         Y = Wt.T @ Wt  # one syrk: exactly symmetric
         grad = self.lin - edge_quad_diag(Y, self.positions)
         h2 = self._h2(Vt)
         return ObjectiveState(x, cl, Y, h2, self._J(h2, x), grad)
 
-    # -- second-order information ------------------------------------------
-
-    def closed_loop_inverse(self, state: ObjectiveState) -> np.ndarray:
-        """Symmetrized dense ``G^-1`` of a state, for random entry access."""
+    def newton_model(self, state: ObjectiveState) -> NewtonModel:
+        """The Hessian at ``state``: its ``Y`` and the symmetrized dense
+        ``G^-1``, which the model's entries read at random."""
         Ginv = state.cl.solve(np.eye(self.problem.n))
-        return 0.5 * (Ginv + Ginv.T)
+        return NewtonModel(state.Y, 0.5 * (Ginv + Ginv.T), self.problem.candidates)

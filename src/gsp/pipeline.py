@@ -95,12 +95,16 @@ def polish(problem: Problem, support, x0=None):
     as for the empty support).
     """
     support = np.asarray(support).reshape(-1)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.shape[0] != problem.m:
+            raise InvalidInputError("weight vector length does not match edge count")
     if support.size == 0 and not problem.plant.connected:
         raise InfeasibleSupportError("empty support on a disconnected plant")
     x, gap = np.zeros(problem.m), float("nan")
     if support.size:
         reduced = problem.restrict(support).with_gamma(0.0)  # checks support
-        start = None if x0 is None else np.asarray(x0, dtype=float)[support]
+        start = None if x0 is None else x0[support]
         try:
             x_red, rep = solve_newton(reduced, start,
                                       NewtonOptions(tol_gap=POLISH_TOL_GAP))

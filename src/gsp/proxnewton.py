@@ -1,12 +1,13 @@
 """Second-order solver: a quadratic model minimized over the active block.
 
-Each outer iteration materializes the dense inverse of the closed-loop matrix
-(the model's Hessian entries need random entry access), builds the active
-set, minimizes the quadratic model over the active coordinates to get the
-Newton direction, and backtracks with a generalized Armijo rule.  The m-by-m
-Hessian is never formed.  The model is minimized in rounds on the block of
-the Hessian over a working set of the ``k`` active coordinates with positive
-curvature, by one kernel per problem class:
+Each outer iteration builds the state's Hessian once, as a
+:class:`~gsp.objective.NewtonModel`, builds the active set, minimizes the
+quadratic model over the active coordinates to get the Newton direction, and
+backtracks with a generalized Armijo rule.  The kernels read the Hessian only
+through the model, by candidate index; none builds an entry.  The model is
+minimized in rounds on the block of the Hessian over a working set of the
+``k`` active coordinates with positive curvature, by one kernel per problem
+class:
 
 - **Resistive** (``x >= 0``): each round solves its block exactly, by a
   primal-dual active-set method (Hintermueller, Ito, Kunisch, SIAM J.
@@ -46,11 +47,11 @@ block solve is exact on its working set, unless the active-set guesses
 cycle, and a coordinate outside it joins on any positive step, so the
 direction meets the model's KKT conditions on the whole active block.
 
-The kernels take the problem and read from it what it carries: its
-candidates, per-edge penalty and class in :func:`active_set` and
-:func:`cd_direction`, and its penalty term :meth:`~gsp.graphs.Problem.l1`
-in :func:`line_search`.  The gradient they are given is that of the smooth
-part, :meth:`~gsp.graphs.Problem.smooth_grad`.
+The kernels take the problem and read from it what it carries: its per-edge
+penalty and class in :func:`active_set` and :func:`cd_direction`, and its
+penalty term :meth:`~gsp.graphs.Problem.l1` in :func:`line_search`.  The
+gradient they are given is that of the smooth part,
+:meth:`~gsp.graphs.Problem.smooth_grad`.
 
 The start, the certificate test and the status rule are those of
 :mod:`gsp.proxgrad`.  Newton certifies each iterate before its step; without
@@ -67,18 +68,11 @@ from math import copysign
 
 import numpy as np
 from scipy.linalg.blas import dtrmv, dtrsv
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .duality import certify_or_none
 from .errors import DegenerateCurvatureError, LineSearchError
 from .graphs import Problem
-from .objective import (
-    HESSIAN_SCALE,
-    Objective,
-    edge_quad_diag,
-    hessian_product,
-    hessian_rows,
-)
+from .objective import _BUILD_ELEMS, NewtonModel, Objective
 from .proxgrad import SolveReport, _certified, _check_options, _finish, _start
 
 #: Largest active block, in float64 entries (2 MB), that :func:`cd_direction`
@@ -88,10 +82,6 @@ from .proxgrad import SolveReport, _certified, _check_options, _finish, _start
 #: coordinates few of them move, and the whole block would cost time and
 #: resident memory for rows that stay at zero.
 CD_CACHE_ELEMS = 1 << 18
-
-#: Entries of the Hessian block built at a time by :func:`_scaled_block` and
-#: :func:`_free_solve` (32 kB of float64 per temporary).
-_BUILD_ELEMS = 1 << 12
 
 #: Fewest coordinates allowed to join the working set in one growth round;
 #: otherwise as many as it already holds.
@@ -139,18 +129,17 @@ def active_set(problem: Problem, x_bar, grad) -> np.ndarray:
     return np.flatnonzero(~inactive)
 
 
-def cd_direction(problem: Problem, Y, Ginv, grad, x_bar, active):
+def cd_direction(problem: Problem, model: NewtonModel, grad, x_bar, active):
     """Newton direction: the quadratic model minimized over the active
     coordinates, exactly for resistive problems and by cyclic sweeps for
     signed ones.
 
-    The candidates, per-edge penalty and problem class are ``problem``'s;
-    ``grad`` is the gradient of the smooth part,
-    :meth:`~gsp.graphs.Problem.smooth_grad`; ``active`` holds distinct
-    candidate indices, and ``Y`` and ``Ginv`` are symmetric.  The
-    coordinates with positive curvature are solved for in rounds, each on
-    the Hessian block over a working set ``W`` of those ``k`` coordinates,
-    kept in their order in ``active``:
+    The per-edge penalty and problem class are ``problem``'s and the
+    Hessian is ``model``'s; ``grad`` is the gradient of the smooth part,
+    :meth:`~gsp.graphs.Problem.smooth_grad`, and ``active`` holds distinct
+    candidate indices.  The coordinates with positive curvature are solved
+    for in rounds, each on the Hessian block over a working set ``W`` of
+    those ``k`` coordinates, kept in their order in ``active``:
 
     - resistive, :func:`_pdas_block` solves the model over ``W`` exactly,
       with every coordinate outside ``W`` held at its current direction (or,
@@ -167,27 +156,25 @@ def cd_direction(problem: Problem, Y, Ginv, grad, x_bar, active):
 
     ``W`` starts as all ``k`` coordinates when ``k**2 <= CD_CACHE_ELEMS``,
     and otherwise as those with ``x_bar != 0``, so every coordinate outside
-    it sits at ``x_bar + direction = 0``.  After a round, one
-    :func:`hessian_product` with the coordinates of ``W`` that moved gives
-    each outside coordinate its prox step from the current direction.  Those
-    whose step exceeds ``cd_tol`` (0 for resistive problems, whose block
-    solves are exact) join ``W``, at most ``max(_GROW_MIN, |W|)`` of them
-    per round with the largest steps first.  The loop ends once no
+    it sits at ``x_bar + direction = 0``.  After a round, one model product
+    with the coordinates of ``W`` that moved gives each outside coordinate
+    its prox step from the current direction.  Those whose step exceeds
+    ``cd_tol`` (0 for resistive problems, whose block solves are exact) join
+    ``W``, at most ``max(_GROW_MIN, |W|)`` of them per round with the
+    largest steps first.  The loop ends once no
     coordinate is outside ``W`` or none of them would move by more than
     ``cd_tol``.
 
     Coordinates outside the final working set keep a zero direction.  The
     inputs are not modified.
     """
-    m = x_bar.shape[0]
-    xt = np.zeros(m)
+    xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
     if act.size == 0:
         return xt
 
-    inc, resistive = problem.candidates, problem.resistive
-    pos = inc.positions[:, act]
-    a = HESSIAN_SCALE * edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos)
+    resistive = problem.resistive
+    a = model.diag(act)
     usable = a > 0.0
     k = int(np.count_nonzero(usable))
     if k == 0:
@@ -195,10 +182,8 @@ def cd_direction(problem: Problem, Y, Ginv, grad, x_bar, active):
 
     cd_tol = 0.0 if resistive else CD_TOL * max(
         1.0, float(np.max(np.abs(grad), initial=0.0)))
-    cols = act[usable]
-    sub, a = inc.pairs[cols], a[usable]
+    cols, a = act[usable], a[usable]
     g, xb, gam = grad[cols], x_bar[cols], problem.penalty[cols]
-    ends = sub.T
     inside = np.full(k, True) if k * k <= CD_CACHE_ELEMS else xb != 0.0
     d = np.zeros(k)
     if resistive:
@@ -206,16 +191,16 @@ def cd_direction(problem: Problem, Y, Ginv, grad, x_bar, active):
     while True:
         W = np.flatnonzero(inside)
         if W.size and resistive:
-            d[W], zero[W] = _pdas_block(Y, Ginv, sub[W], a[W], g[W], xb[W],
+            d[W], zero[W] = _pdas_block(model, cols[W], a[W], g[W], xb[W],
                                         zero[W], d[W])
         elif W.size:
-            d[W] = _block_sweeps(Y, Ginv, sub[W], a[W], g[W], xb[W], gam[W],
+            d[W] = _block_sweeps(model, cols[W], a[W], g[W], xb[W], gam[W],
                                  cd_tol, d[W])
         out = np.flatnonzero(~inside)
         if out.size == 0:
             break
         moved = W[d[W] != 0.0]
-        v = hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, out])
+        v = model.product(cols[moved], d[moved], cols[out])
         v += g[out]
         v /= -a[out]  # the unthresholded step of each outside coordinate
         step = np.maximum(v, 0.0) if resistive else np.abs(v) - gam[out] / a[out]
@@ -237,18 +222,18 @@ def _zero_guess(z):
     return z < 0.0
 
 
-def _pdas_block(Y, Ginv, sub, a, g, xb, zero, d0):
+def _pdas_block(model, cols, a, g, xb, zero, d0):
     """Exact minimizer of the resistive model ``q(d) = g^T d + d^T H d / 2``
-    subject to ``xb + d >= 0`` over the edges ``sub``, by the primal-dual
+    subject to ``xb + d >= 0`` over the edges ``cols``, by the primal-dual
     active-set method (a semismooth Newton method on the prox fixed point),
     from the guess ``zero`` of the coordinates at the cone's edge.
 
     Each guess is solved exactly: ``d_Z = -xb_Z`` on the guess ``Z`` and, on
-    the rest ``F``, ``H_FF d_F = -g_F - H_FZ d_Z`` by :func:`_free_solve`,
-    with ``H_FZ d_Z`` one :func:`hessian_product`.  The next guess is
-    :func:`_zero_guess` of the prox values ``z = xb + d - (H d + g) / a``:
-    ``xb + d`` on ``F``, where the solve makes ``H d + g`` zero, and on
-    ``Z`` one more :func:`hessian_product` for its rows.  When the next
+    the rest ``F``, ``H_FF d_F = -g_F - H_FZ d_Z`` by the model's
+    :meth:`~gsp.objective.NewtonModel.solve`, with ``H_FZ d_Z`` one model
+    product.  The next guess is :func:`_zero_guess` of the prox values ``z =
+    xb + d - (H d + g) / a``: ``xb + d`` on ``F``, where the solve makes ``H
+    d + g`` zero, and on ``Z`` one more product for its rows.  When the next
     guess is the one just solved, ``d`` meets the box-QP KKT conditions and
     is returned with it.
 
@@ -261,7 +246,6 @@ def _pdas_block(Y, Ginv, sub, a, g, xb, zero, d0):
     round is then the coordinates it holds at the cone's edge.
     """
     k = a.size
-    ends = sub.T
     neg_xb = 0.0 - xb  # no negative zeros
     tried = set()
     for _ in range(k + 1):
@@ -273,14 +257,12 @@ def _pdas_block(Y, Ginv, sub, a, g, xb, zero, d0):
             rhs = -g[free]
             moved = held[neg_xb[held] != 0.0]
             if moved.size:
-                rhs -= hessian_product(Y, Ginv, ends[:, moved], neg_xb[moved],
-                                       ends[:, free])
-            d[free] = _free_solve(Y, Ginv, ends[:, free], rhs)
+                rhs -= model.product(cols[moved], neg_xb[moved], cols[free])
+            d[free] = model.solve(cols[free], rhs)
         z = xb + d
         if held.size:
             moved = np.flatnonzero(d)
-            hd = (hessian_product(Y, Ginv, ends[:, moved], d[moved], ends[:, held])
-                  if moved.size else 0.0)
+            hd = model.product(cols[moved], d[moved], cols[held]) if moved.size else 0.0
             z[held] = -(hd + g[held]) / a[held]
         guess = _zero_guess(z)
         if np.array_equal(guess, zero):
@@ -289,11 +271,11 @@ def _pdas_block(Y, Ginv, sub, a, g, xb, zero, d0):
         if zero.tobytes() in tried:
             break
     np.maximum(d, neg_xb, out=d)
-    d = _descent_safeguard(Y, Ginv, ends, g, neg_xb, (d, d0))
+    d = _descent_safeguard(model, cols, g, neg_xb, (d, d0))
     return d, d <= neg_xb
 
 
-def _descent_safeguard(Y, Ginv, ends, g, lo, candidates):
+def _descent_safeguard(model, cols, g, lo, candidates):
     """A feasible direction with a model value ``q(d) = g^T d + d^T H d / 2``
     below that of every one of the feasible ``candidates`` (``d >= lo``),
     unless the best of them already minimizes ``q`` on ``d >= lo``.
@@ -302,19 +284,19 @@ def _descent_safeguard(Y, Ginv, ends, g, lo, candidates):
     step: along ``p = -(H d + g)``, with the components that would leave the
     cone from a coordinate at ``lo`` set to zero, to the minimum of ``q`` on
     the segment that stays feasible.  ``p = 0`` is the KKT condition, and
-    otherwise the step lowers ``q`` strictly.  It costs one
-    :func:`hessian_product` per candidate and one for ``p``.
+    otherwise the step lowers ``q`` strictly.  It costs one model product
+    per candidate and one for ``p``.
     """
-    def model(d):
+    def quad(d):
         nz = np.flatnonzero(d)
         r = g.copy()
         if nz.size:
-            r += hessian_product(Y, Ginv, ends[:, nz], d[nz], ends)
+            r += model.product(cols[nz], d[nz], cols)
         return 0.5 * float(d @ (r + g)), r
 
     best = None
     for c in candidates:
-        q, r = model(c)
+        q, r = quad(c)
         if best is None or q < best[0]:
             best = q, c, r
     _, d, r = best
@@ -325,7 +307,7 @@ def _descent_safeguard(Y, Ginv, ends, g, lo, candidates):
     if nz.size == 0:
         return d
     slope = float(p @ p)
-    curv = float(p[nz] @ hessian_product(Y, Ginv, ends[:, nz], p[nz], ends[:, nz]))
+    curv = float(p[nz] @ model.product(cols[nz], p[nz], cols[nz]))
     down = p < 0.0
     alpha = slope / curv if curv > 0.0 else np.inf
     alpha = min(alpha, float(np.min(room[down] / -p[down], initial=np.inf)))
@@ -334,47 +316,18 @@ def _descent_safeguard(Y, Ginv, ends, g, lo, candidates):
     return np.maximum(d + alpha * p, lo)
 
 
-def _free_solve(Y, Ginv, ends, rhs):
-    """Solution of ``H d = rhs`` for the Hessian block ``H`` over the edges
-    whose end nodes are ``ends``.
-
-    ``H``'s upper triangle is built into one buffer a chunk of rows at a
-    time, as in :func:`_scaled_block`, so no temporary has more than
-    ``_BUILD_ELEMS`` entries; the buffer is freed on return, before the
-    Hessian products of the next guess.  Its transpose, Fortran-ordered
-    with that triangle as its lower one, is factored in place by LAPACK
-    ``dpotrf``, called directly: :func:`gsp.graphs.try_cholesky` stays the
-    closed-loop factorization.  A block that is not positive definite
-    raises DegenerateCurvatureError.
-    """
-    f = rhs.size
-    H = np.empty((f, f))
-    step = max(1, _BUILD_ELEMS // f)
-    for r0 in range(0, f, step):
-        r1 = min(f, r0 + step)
-        hessian_rows(Y, Ginv, ends[:, r0:r1], ends[:, r0:], out=H[r0:r1, r0:])
-    chol, info = dpotrf(H.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise DegenerateCurvatureError(
-            "free block of the Newton model is not positive definite")
-    d, info = dpotrs(chol, rhs, lower=1)
-    return d
-
-
-def _scaled_block(Y, Ginv, sub, a):
-    """Hessian block over the edges ``sub`` as :func:`_block_sweeps` reads
-    it: the strict upper triangle as :func:`hessian_rows` builds it, the
-    strict lower triangle its mirror with row ``t`` divided by ``a[t]``, and
-    a zero diagonal.  Built a chunk of rows at a time, so no temporary has
-    more than ``_BUILD_ELEMS`` entries."""
+def _scaled_block(model, cols, a):
+    """Hessian block over the edges ``cols`` as :func:`_block_sweeps` reads
+    it: the strict upper triangle of :meth:`~gsp.objective.NewtonModel.upper`,
+    the strict lower triangle its mirror with row ``t`` divided by ``a[t]``,
+    and a zero diagonal.  Mirrored a chunk of rows at a time, so no
+    temporary has more than ``_BUILD_ELEMS`` entries."""
     k = a.size
-    ends = sub.T
-    H = np.empty((k, k))
+    H = model.upper(cols)
     col = np.arange(k)
     step = max(1, _BUILD_ELEMS // k)
     for r0 in range(0, k, step):
         r1 = min(k, r0 + step)
-        hessian_rows(Y, Ginv, ends[:, r0:r1], ends[:, r0:], out=H[r0:r1, r0:])
         np.divide(H[:r1, r0:r1].T, a[r0:r1, None], out=H[r0:r1, :r1],
                   where=col[:r1] < col[r0:r1, None])
     np.fill_diagonal(H, 0.0)
@@ -388,8 +341,8 @@ def _branch(v, thresh):
     return 1.0 * (v > thresh) - 1.0 * (v < -thresh)
 
 
-def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, d0):
-    """Cyclic coordinate descent on the signed block over the edges ``sub``,
+def _block_sweeps(model, cols, a, g, xb, gam, cd_tol, d0):
+    """Cyclic coordinate descent on the signed block over the edges ``cols``,
     one sweep at a time from the direction ``d0``.
 
     With ``H = D + L + U`` (diagonal ``a``, strict lower and upper parts), a
@@ -420,7 +373,7 @@ def _block_sweeps(Y, Ginv, sub, a, g, xb, gam, cd_tol, d0):
     until its first correction frees it.
     """
     k = a.size
-    H = _scaled_block(Y, Ginv, sub, a)
+    H = _scaled_block(model, cols, a)
     B = H.T  # Fortran order for BLAS: lower triangle U^T, upper (D^-1 L)^T
     negg = -g
     neg_xb = 0.0 - xb  # no negative zeros
@@ -561,10 +514,10 @@ def solve_newton(problem: Problem, x0=None, opts: NewtonOptions | None = None):
         if cert is not None and _certified(cert, opts):
             return x, _finish(report, t0, cert)
 
-        Ginv = obj.closed_loop_inverse(st)
+        model = obj.newton_model(st)
         grad = problem.smooth_grad(st.grad)
         act = active_set(problem, x, grad)
-        xt = cd_direction(problem, st.Y, Ginv, grad, x, act)
+        xt = cd_direction(problem, model, grad, x, act)
         if not np.any(xt):
             # a zero Newton direction means the iterate solves its own model
             report.iterations = k - 1

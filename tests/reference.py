@@ -5,7 +5,6 @@ import scipy.linalg
 
 from gsp.errors import InfeasiblePointError, InvalidInputError
 from gsp.graphs import EdgeList, controller_laplacian, strengthened, try_cholesky
-from gsp.objective import hessian_rows
 
 
 def incidence_dense(inc):
@@ -53,11 +52,10 @@ def effective_weight(problem):
 
 
 def dense_hessian(obj, x):
-    """Dense m-by-m Hessian of ``obj`` at ``x``: :func:`hessian_rows` over
-    all candidate pairs."""
-    st = obj.state(x)
-    ends = obj.problem.candidates.pairs.T
-    return hessian_rows(st.Y, obj.closed_loop_inverse(st), ends, ends)
+    """Dense m-by-m Hessian of ``obj`` at ``x``: the Newton model's rows over
+    all candidates."""
+    every = np.arange(obj.problem.m)
+    return obj.newton_model(obj.state(x)).rows(every, every)
 
 
 def lyapunov_h2_oracle(problem, x) -> float:

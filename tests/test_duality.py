@@ -147,7 +147,7 @@ def test_primal_to_Y():
     G = prob.plant.G + graphs.controller_laplacian(prob.candidates, x)
     Ginv = np.linalg.inv(G)
     assert np.allclose(st.Y, Ginv @ effective_weight(prob) @ Ginv, atol=1e-10)
-    assert np.allclose(obj.closed_loop_inverse(st), Ginv, atol=1e-10)
+    assert np.allclose(obj.newton_model(st).Ginv, Ginv, atol=1e-10)
 
 
 def test_certify_reads_the_state(monkeypatch):

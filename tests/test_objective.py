@@ -126,6 +126,21 @@ def test_value_raises_on_infeasible_point():
         Objective(prob).value(np.array([-1.0]))
 
 
+def test_closed_loop_that_is_not_positive_definite_is_infeasible():
+    # x = -10 on every candidate of the signed 4-node path: the closed loop
+    # has no factor, and the trial value and both of its solves say so as
+    # the state does, with InfeasiblePointError
+    prob = graphs.default_problem(graphs.generate("path", 4))
+    obj = Objective(prob)
+    x = np.full(prob.m, -10.0)
+    cl = obj.closed_loop(x)
+    assert not cl.positive_definite
+    for call in (lambda: obj.state(x, cl), lambda: obj.value_at(cl, x),
+                 lambda: cl.solve(np.eye(4)), lambda: cl.tri_solve(np.eye(4))):
+        with pytest.raises(InfeasiblePointError, match="not positive definite"):
+            call()
+
+
 def test_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(10):
@@ -186,15 +201,13 @@ def test_hessian_product_matches_dense_block():
     obj = Objective(prob)
     x = feasible_point(prob, seed=11)
     H = dense_hessian(obj, x)
-    state = obj.state(x)
-    Ginv = obj.closed_loop_inverse(state)
-    ends = prob.candidates.pairs.T
+    model = obj.newton_model(obj.state(x))
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(5):
         rows = rng.choice(prob.m, size=int(rng.integers(1, prob.m)), replace=False)
         cols = rng.choice(prob.m, size=int(rng.integers(0, prob.m)), replace=False)
         v = rng.standard_normal(cols.size)
-        hv = objective.hessian_product(state.Y, Ginv, ends[:, cols], v, ends[:, rows])
+        hv = model.product(cols, v, rows)
         ref = H[np.ix_(rows, cols)] @ v
         assert np.max(np.abs(hv - ref)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
 
@@ -237,9 +250,8 @@ def test_edge_quad_forms_match_dense():
     B = B + B.T
     l = 3
     ref = 2.0 * (E.T @ A @ E[:, l]) * (E.T @ B @ E[:, l])
-    ends = prob.candidates.pairs.T
-    assert np.allclose(objective.hessian_rows(A, B, ends[:, l], ends), ref,
-                       atol=1e-12)
+    model = objective.NewtonModel(A, B, prob.candidates)
+    assert np.allclose(model.rows(l, np.arange(prob.m)), ref, atol=1e-12)
 
 
 def test_lyapunov_oracle_equals_half_objective():
@@ -324,6 +336,53 @@ def test_state_matches_two_cho_solve_formulas(n, seed, resistive, scalar_r):
     assert rel_err(state.grad, grad) <= 1e-12
     assert rel_err(state.Y, Y) <= 1e-12
     assert np.array_equal(state.Y, state.Y.T)
+
+
+#: Largest difference between a read of the Newton model and the dense
+#: Hessian, relative to the size of the terms it is rounded from.
+MODEL_BOUND = 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 20), st.integers(0, 40), st.booleans(), st.booleans())
+def test_newton_model_matches_dense_hessian(n, seed, resistive, scalar_r):
+    # every read of the model at a random feasible point, on random candidate
+    # subsets, against H = 2 (E^T Y E) o (E^T G^-1 E) from the dense
+    # incidence matrix.  Each entry is rounded from terms of the size of
+    # 2 (|E|^T |Y| |E|) o (|E|^T |G^-1| |E|), which scales the bound.  The
+    # block over distinct edges is positive definite (H is the Gram matrix
+    # of Y^1/2 xi xi^T G^-1/2, and distinct edge Laplacians xi xi^T are
+    # linearly independent), and its solve is checked by its residual, which
+    # a Cholesky solve keeps within rounding of sqrt(H_kk H_ll) |d_l| too
+    prob = er_problem(n, seed, resistive, scalar_r)
+    assume(prob is not None)
+    obj = Objective(prob)
+    cl = obj.closed_loop(er_point(prob, seed + 1))
+    assume(cl.positive_definite)
+    model = obj.newton_model(obj.state(er_point(prob, seed + 1), cl))
+    E = incidence_dense(prob.candidates)
+    H = 2.0 * (E.T @ model.Y @ E) * (E.T @ model.Ginv @ E)
+    A = np.abs(E)
+    size = 2.0 * (A.T @ np.abs(model.Y) @ A) * (A.T @ np.abs(model.Ginv) @ A)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows, cols = (rng.permutation(prob.m)[:rng.integers(1, prob.m + 1)]
+                  for _ in range(2))
+    block, block_size = H[np.ix_(rows, cols)], size[np.ix_(rows, cols)]
+
+    def close(got, ref, scale):
+        return np.all(np.abs(got - ref) <= MODEL_BOUND * scale)
+
+    assert close(model.diag(cols), np.diag(H)[cols], np.diag(size)[cols])
+    assert close(model.rows(rows, cols), block, block_size)
+    upper = np.triu_indices(cols.size)
+    cc, cc_size = H[np.ix_(cols, cols)], size[np.ix_(cols, cols)]
+    assert close(model.upper(cols)[upper], cc[upper], cc_size[upper])
+    v = rng.standard_normal(cols.size)
+    assert close(model.product(cols, v, rows), block @ v, block_size @ np.abs(v))
+    rhs = rng.standard_normal(cols.size)
+    d = model.solve(cols, rhs)
+    s = np.sqrt(np.diag(cc))
+    assert close(cc @ d, rhs, (cc_size + np.outer(s, s)) @ np.abs(d) + np.abs(rhs))
 
 
 def counting_solves(monkeypatch):

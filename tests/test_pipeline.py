@@ -112,6 +112,22 @@ def test_polish_embeds_support():
     assert J == pytest.approx(Objective(prob).value(x), abs=1e-10)
 
 
+def test_polish_rejects_a_start_of_the_wrong_length():
+    # as the solvers do: a start shorter than the candidate list (it raised
+    # IndexError) or longer (it polished silently) is invalid input, and an
+    # (m, 1) column is the m-vector it holds
+    prob = graphs.default_problem(
+        graphs.generate("erdos_renyi", 8, p=0.4, seed=1), resistive=True)
+    assert prob.m == 18
+    for size in (3, 23):
+        with pytest.raises(InvalidInputError, match="does not match edge count"):
+            pipeline.polish(prob, [0, 5], np.ones(size))
+    x0 = np.linspace(0.1, 1.0, prob.m)
+    column = pipeline.polish(prob, [0, 5], x0[:, None])
+    flat = pipeline.polish(prob, [0, 5], x0)
+    assert column[0].tobytes() == flat[0].tobytes() and column[1:] == flat[1:]
+
+
 def test_reweight_update_arithmetic():
     assert pipeline.REWEIGHT_EPS == 1e-3
     w = pipeline.reweight_update(np.array([0.0, 1.0, -0.5]))

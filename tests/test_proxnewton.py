@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import daxpy
 
-from gsp import graphs, pipeline, proxgrad, proxnewton
+from gsp import graphs, objective, pipeline, proxgrad, proxnewton
 from gsp.errors import (
     DegenerateCurvatureError,
     InfeasiblePointError,
     InvalidInputError,
     LineSearchError,
 )
-from gsp.objective import HESSIAN_SCALE, Objective, edge_quad_diag, hessian_rows
+from gsp.objective import HESSIAN_SCALE, NewtonModel, Objective, edge_quad_diag
 from gsp.proxgrad import soft_threshold
 from gsp.proxnewton import NewtonOptions, active_set, cd_direction, line_search
 from reference import dense_hessian
@@ -37,11 +37,11 @@ def two_node_problem(gamma=0.0):
                                   gamma=gamma)
 
 
-def kernel_problem(penalty, resistive, candidates=None):
-    """The three attributes of a problem that the Newton kernels read, for
-    synthetic cases with no real problem behind them."""
-    return SimpleNamespace(candidates=candidates, penalty=penalty,
-                           resistive=resistive)
+def kernel_problem(penalty, resistive):
+    """The two attributes of a problem that the Newton kernels read, for
+    synthetic cases with no real problem behind them; the candidates are the
+    model's."""
+    return SimpleNamespace(penalty=penalty, resistive=resistive)
 
 
 TIGHT = NewtonOptions(tol_gap=1e-12, tol_rd=1e-6)
@@ -87,8 +87,8 @@ def test_cd_direction_two_node_hand_value():
     prob = two_node_problem()
     obj = Objective(prob)
     st = obj.state(np.array([1.0]))
-    Ginv = st.cl.solve(np.eye(2))
-    xt = cd_direction(prob, st.Y, Ginv, st.grad, st.x, np.array([0]))
+    model = NewtonModel(st.Y, st.cl.solve(np.eye(2)), prob.candidates)
+    xt = cd_direction(prob, model, st.grad, st.x, np.array([0]))
     assert xt[0] == pytest.approx(-1.5, abs=1e-10)
 
 
@@ -103,11 +103,11 @@ def test_cd_direction_matches_dense_reference(monkeypatch):
     x = 0.2 + 0.5 * rng.random(prob.m)
     st = obj.state(x)
     Ginv = st.cl.solve(np.eye(prob.n))
-    Ginv = 0.5 * (Ginv + Ginv.T)
+    model = NewtonModel(st.Y, 0.5 * (Ginv + Ginv.T), prob.candidates)
     gam = prob.penalty
     set_inner_stop(monkeypatch, st.grad, 1e-14, 30)
     act = active_set(prob, x, st.grad)
-    xt = cd_direction(prob, st.Y, Ginv, st.grad, x, act)
+    xt = cd_direction(prob, model, st.grad, x, act)
 
     H = dense_hessian(obj, x)
     # independent dense coordinate descent
@@ -152,14 +152,15 @@ def ufunc_update(hv, delta, colY, colG):
     return hv
 
 
-def per_update_cd(problem, Y, Ginv, grad, x_bar, active, update):
-    """Coordinate descent that rebuilds both incidence columns from ``Y`` and
-    ``Ginv`` on every nonzero update, soft-thresholds numpy scalars and adds
-    the Hessian row to the running product through ``update``: the scalar
-    coordinate-descent loop, kept as the reference.  It stops as
-    ``cd_direction`` does, at the current ``CD_TOL`` and
+def per_update_cd(problem, model, grad, x_bar, active, update):
+    """Coordinate descent that rebuilds both incidence columns from the
+    model's ``Y`` and ``Ginv`` on every nonzero update, soft-thresholds numpy
+    scalars and adds the Hessian row to the running product through
+    ``update``: the scalar coordinate-descent loop, kept as the reference.
+    It stops as ``cd_direction`` does, at the current ``CD_TOL`` and
     ``CD_SWEEPS_MAX``."""
-    inc, gamma_vec = problem.candidates, problem.penalty
+    Y, Ginv, inc = model.Y, model.Ginv, model.candidates
+    gamma_vec = problem.penalty
     xt = np.zeros(x_bar.shape[0])
     act = np.asarray(active, dtype=np.intp)
     pairs = inc.pairs
@@ -237,19 +238,18 @@ KKT_BOUND = 1e-14
 def model_kkt_violation(args, xt):
     """Largest violation at ``xt`` of the KKT conditions of the resistive
     model ``min g^T d + d^T H d / 2`` subject to ``x_bar + d >= 0`` over the
-    usable coordinates of ``args``, with ``H`` built densely by
-    ``hessian_rows``: a free coordinate's ``(H d + g)_t`` must vanish, and
+    usable coordinates of ``args``, with ``H`` built densely by the model's
+    ``rows``: a free coordinate's ``(H d + g)_t`` must vanish, and
     one at ``x_bar_t + d_t = 0`` must have it non-negative.  Each residual is
     taken relative to ``(|H| |d| + |g|)_t``, the size of its terms.  The
     direction must also be zero off those coordinates and feasible."""
-    problem, Y, Ginv, grad, x_bar = args[:5]
-    cols = args[5][usable(args)]
+    _, model, grad, x_bar, act = args
+    cols = act[usable(args)]
     rest = np.ones(x_bar.size, dtype=bool)
     rest[cols] = False
     assert not np.any(xt[rest])
     assert np.min(x_bar + xt) >= 0.0
-    ends = problem.candidates.pairs[cols].T
-    H = hessian_rows(Y, Ginv, ends, ends)
+    H = model.rows(cols, cols)
     d, g = xt[cols], grad[cols]
     r = H @ d + g
     viol = np.where(x_bar[cols] + d == 0.0, np.maximum(-r, 0.0), np.abs(r))
@@ -276,7 +276,7 @@ def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
         return None
     if np.max(np.abs(state.grad)) > GRAD_BOUND:
         return None
-    Ginv = obj.closed_loop_inverse(state)
+    model = obj.newton_model(state)
     gam = frac * float(np.max(np.abs(state.grad))) * (0.5 + rng.random(prob.m))
     if zero_frac:
         gam[rng.random(prob.m) < zero_frac] = 0.0
@@ -285,14 +285,14 @@ def random_cd_case(n, seed, frac, resistive, zero_frac=0.0):
     act = active_set(prob, x, grad)
     if act.size <= 3:
         return None
-    return prob, state.Y, Ginv, grad, x, act
+    return prob, model, grad, x, act
 
 
 def usable(args):
     """Mask of the coordinates of ``args`` with positive curvature."""
-    problem, Y, Ginv, act = args[0], args[1], args[2], args[5]
-    pos = problem.candidates.positions[:, act]
-    return edge_quad_diag(Y, pos) * edge_quad_diag(Ginv, pos) > 0.0
+    model, act = args[1], args[4]
+    pos = model.candidates.positions[:, act]
+    return edge_quad_diag(model.Y, pos) * edge_quad_diag(model.Ginv, pos) > 0.0
 
 
 def usable_count(args):
@@ -304,7 +304,7 @@ def starts_outside(args):
     """Candidate indices of the usable coordinates of ``args`` at ``x_bar =
     0``: below the whole-block budget, those outside the first working
     set."""
-    x_bar, act = args[4], args[5]
+    x_bar, act = args[3], args[4]
     cols = act[usable(args)]
     return cols[x_bar[cols] == 0.0]
 
@@ -352,7 +352,7 @@ def capped_cd(args, cache):
         for name in KERNELS:
             def spy(*a, _real=getattr(proxnewton, name), _name=name, **kw):
                 assert _name == KERNELS[args[0].resistive]
-                sizes.append(a[3].size)
+                sizes.append(a[1].size)
                 return _real(*a, **kw)
             mp.setattr(proxnewton, name, spy)
         k = usable_count(args)
@@ -382,11 +382,11 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
     # coordinate outside the first one moved.
     args = random_cd_case(n, seed, frac, resistive)
     assume(args is not None)
-    x_bar = args[4]
+    x_bar = args[3]
     if cache == "full" and not resistive:
         ref = per_update_cd(*args, update=axpy_update)
         ufunc_ref = per_update_cd(*args, update=ufunc_update)
-        bound = 1e-3 * cd_tol(args[3])
+        bound = 1e-3 * cd_tol(args[2])
         xt, path = capped_cd(args, "full")
         assert path == WHOLE
         assert np.max(np.abs(xt - ref)) <= bound
@@ -398,7 +398,7 @@ def test_cd_direction_matches_per_update_loop(cache, n, seed, frac, resistive):
         return
     budgets = {"full": ["full"], "working_set": ["none"],
                "boundary": ["block", "below"]}[cache]
-    with converged(args[3]):
+    with converged(args[2]):
         ref = per_update_cd(*args, update=axpy_update)
         bound = converged_bound(ref)
         if cache == "working_set":
@@ -452,7 +452,7 @@ def test_cd_direction_corrects_branches_guessed_wrong_mid_sweep(monkeypatch,
     grad = prob.smooth_grad(state.grad)
     act = active_set(prob, x, grad)
     assert np.all(grad[act] < 0.0)
-    args = (prob, state.Y, obj.closed_loop_inverse(state), grad, x, act)
+    args = (prob, obj.newton_model(state), grad, x, act)
     default = cd_direction(*args)
     monkeypatch.setattr(proxnewton, "CD_SWEEPS_MAX", sweeps)
     guesses = spy_guesses(monkeypatch)
@@ -514,7 +514,7 @@ def test_signed_zero_penalty_sweeps_solve_once(monkeypatch):
     assert 1 < calls["sweeps"] < proxnewton.CD_SWEEPS_MAX
     assert calls["dtrsv"] == calls["sweeps"]
     ref = per_update_cd(*args, update=axpy_update)
-    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(args[3])
+    assert np.max(np.abs(xt - ref)) <= 1e-3 * cd_tol(args[2])
 
 
 def test_sweep_cap_is_read_at_call_time(monkeypatch):
@@ -548,7 +548,7 @@ def test_resistive_zero_penalty_coordinates_are_checked(monkeypatch):
     state = obj.state(x)
     assert not np.any(prob.penalty)
     act = active_set(prob, x, state.grad)
-    args = (prob, state.Y, obj.closed_loop_inverse(state), state.grad, x, act)
+    args = (prob, obj.newton_model(state), state.grad, x, act)
     guesses = spy_guesses(monkeypatch)
     xt, path = capped_cd(args, "full")
     assert path == WHOLE
@@ -580,17 +580,17 @@ def test_cd_direction_with_some_zero_penalties(cache, n, seed, frac, zero_frac,
     # cases whose working set grows, as there
     args = random_cd_case(n, seed, frac, resistive, zero_frac)
     assume(args is not None)
-    gam, act = args[0].penalty, args[5]
+    gam, act = args[0].penalty, args[4]
     assume(np.any(gam[act] == 0.0) and np.any(gam[act] > 0.0))
-    x_bar = args[4]
+    x_bar = args[3]
     if cache == "full" and not resistive:
         budget, stop = "full", contextlib.nullcontext()
     else:
         budget = {"full": "full", "working_set": "none"}[cache]
-        stop = converged(args[3])
+        stop = converged(args[2])
     with stop:
         ref = per_update_cd(*args, update=axpy_update)
-        bound = (1e-3 * cd_tol(args[3]) if cache == "full" and not resistive
+        bound = (1e-3 * cd_tol(args[2]) if cache == "full" and not resistive
                  else converged_bound(ref))
         if cache == "working_set":
             outside = assume_growth(args, ref, bound)
@@ -615,15 +615,17 @@ def test_cd_direction_leaves_inputs_unchanged(cache, resistive):
     # structure and penalty are read-only
     args = random_cd_case(12, 3, 0.1, resistive)
     assert args is not None
-    inc, gam = args[0].candidates, args[0].penalty
+    model, gam = args[1], args[0].penalty
+    inc = model.candidates
     assert not (inc.pairs.flags.writeable or inc.positions.flags.writeable
                 or gam.flags.writeable)
-    before = [np.copy(v) for v in args[1:]]
+    inputs = [model.Y, model.Ginv, *args[2:]]
+    before = [np.copy(v) for v in inputs]
     budget = {"full": "full", "working_set": "none"}[cache]
     xt, path = capped_cd(args, budget)
     assert path == expected_path(args, budget)
     assert np.any(xt)
-    for v, b in zip(args[1:], before):
+    for v, b in zip(inputs, before):
         assert v.tobytes() == b.tobytes()
 
 
@@ -640,17 +642,17 @@ def test_working_set_stays_small_on_a_sparse_direction(monkeypatch):
 
     built, sizes = [], []
 
-    def count_rows(*a, _real=proxnewton.hessian_rows, **kw):
-        out = _real(*a, **kw)
+    def count_rows(self, *a, _real=NewtonModel._entries, **kw):
+        out = _real(self, *a, **kw)
         built.append(out.size)
         return out
 
     def count_block(*a, _real=proxnewton._pdas_block, **kw):
-        sizes.append(a[3].size)
+        sizes.append(a[1].size)
         return _real(*a, **kw)
 
     with monkeypatch.context() as mp:
-        mp.setattr(proxnewton, "hessian_rows", count_rows)
+        mp.setattr(NewtonModel, "_entries", count_rows)
         mp.setattr(proxnewton, "_pdas_block", count_block)
         xt = cd_direction(*args)
     W = sizes[-1]
@@ -679,17 +681,17 @@ def test_no_kkt_product_once_the_working_set_holds_every_coordinate(monkeypatch)
     state = obj.state(x)
     prob = prob.with_gamma(0.3 * float(np.max(np.abs(state.grad))))
     act = active_set(prob, x, state.grad)
-    args = (prob, state.Y, obj.closed_loop_inverse(state), state.grad, x, act)
+    args = (prob, obj.newton_model(state), state.grad, x, act)
     k = usable_count(args)
     assert k * k > proxnewton.CD_CACHE_ELEMS
 
     products = []
 
-    def spy(*a, _real=proxnewton.hessian_product, **kw):
+    def spy(self, *a, _real=NewtonModel.product, **kw):
         products.append(a)
-        return _real(*a, **kw)
+        return _real(self, *a, **kw)
 
-    monkeypatch.setattr(proxnewton, "hessian_product", spy)
+    monkeypatch.setattr(NewtonModel, "product", spy)
     xt, path = capped_cd(args, "none")
     assert path == WHOLE
     assert products == []
@@ -706,10 +708,10 @@ def test_cd_direction_resistive_respects_cone():
     x = np.zeros(prob.m)
     x[::3] = 0.3
     st = obj.state(x)
-    Ginv = st.cl.solve(np.eye(prob.n))
+    model = NewtonModel(st.Y, st.cl.solve(np.eye(prob.n)), prob.candidates)
     grad_f = prob.smooth_grad(st.grad)
     act = active_set(prob, x, grad_f)
-    xt = cd_direction(prob, st.Y, Ginv, grad_f, x, act)
+    xt = cd_direction(prob, model, grad_f, x, act)
     assert np.min(x + xt) >= -1e-12
 
 
@@ -725,7 +727,7 @@ def first_resistive_direction(n, p, seed, frac):
     prob = prob.with_gamma(frac * float(np.max(-state.grad)))
     grad = prob.smooth_grad(state.grad)
     act = active_set(prob, x, grad)
-    return prob, state.Y, obj.closed_loop_inverse(state), grad, x, act
+    return prob, obj.newton_model(state), grad, x, act
 
 
 def test_resistive_direction_holds_one_block_in_memory():
@@ -752,6 +754,27 @@ def test_resistive_direction_holds_one_block_in_memory():
     assert block <= peak < 2 * block
 
 
+@pytest.mark.parametrize("cache", ["full", "working_set"])
+@pytest.mark.parametrize("resistive", [False, True])
+def test_directions_do_not_depend_on_how_blocks_are_cut(monkeypatch, cache,
+                                                        resistive):
+    # Hessian entry bits do not depend on the chunks a block is built in:
+    # with one row per chunk, in the build and in the signed kernel's
+    # mirror, both kernels give the default's direction bit for bit, from
+    # one whole-block round and from working-set rounds.  The signed block
+    # (k = 55) is one chunk by default, the resistive one (k = 210, from x =
+    # 0, so its working sets grow) 19 rows a chunk
+    args = (first_resistive_direction(30, 0.2, 1, 0.2) if resistive
+            else random_cd_case(14, 3, 0.1, False))
+    budget = {"full": "full", "working_set": "none"}[cache]
+    default, path = capped_cd(args, budget)
+    assert np.any(default) and path == {"full": WHOLE, "working_set": ROUNDS}[cache]
+    monkeypatch.setattr(objective, "_BUILD_ELEMS", 1)
+    monkeypatch.setattr(proxnewton, "_BUILD_ELEMS", 1)
+    xt, _ = capped_cd(args, budget)
+    assert xt.tobytes() == default.tobytes()
+
+
 def test_resistive_working_set_growth_does_not_read_cd_tol(monkeypatch):
     # the ER n=120 direction of the working-set test above, 1,123 active
     # coordinates in working-set rounds: an outside coordinate joins on any
@@ -773,12 +796,12 @@ def test_resistive_working_set_growth_does_not_read_cd_tol(monkeypatch):
 
 def model_value(args, xt):
     """Value of the model ``g^T d + d^T H d / 2`` at ``xt`` over the usable
-    coordinates of ``args``, with ``H`` built densely by ``hessian_rows``."""
-    problem, Y, Ginv, grad = args[:4]
-    cols = args[5][usable(args)]
-    ends = problem.candidates.pairs[cols].T
+    coordinates of ``args``, with ``H`` built densely by the model's
+    ``rows``."""
+    _, model, grad, _, act = args
+    cols = act[usable(args)]
     d = xt[cols]
-    return float(grad[cols] @ d + 0.5 * d @ hessian_rows(Y, Ginv, ends, ends) @ d)
+    return float(grad[cols] @ d + 0.5 * d @ model.rows(cols, cols) @ d)
 
 
 def spy_safeguard(monkeypatch):
@@ -811,7 +834,7 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
     gam = penalized.penalty
     grad = penalized.smooth_grad(state.grad)
     act = active_set(penalized, x, grad)
-    args = (penalized, state.Y, obj.closed_loop_inverse(state), grad, x, act)
+    args = (penalized, obj.newton_model(state), grad, x, act)
     k = usable_count(args)
     count = itertools.count(1)
 
@@ -821,18 +844,18 @@ def test_active_set_guesses_stop_at_k_plus_one_solves(monkeypatch):
 
     factorizations = []
 
-    def dpotrf(*a, _real=proxnewton.dpotrf, **kw):
+    def dpotrf(*a, _real=objective.dpotrf, **kw):
         factorizations.append(a[0].shape[0])
         return _real(*a, **kw)
 
     monkeypatch.setattr(proxnewton, "_zero_guess", never_repeats)
-    monkeypatch.setattr(proxnewton, "dpotrf", dpotrf)
+    monkeypatch.setattr(objective, "dpotrf", dpotrf)
     calls = spy_safeguard(monkeypatch)
     xt = cd_direction(*args)
     assert k > 3 and len(factorizations) == k + 1 and len(calls) == 1
     assert np.all(np.isfinite(xt)) and np.min(x + xt) >= 0.0
     last = np.zeros_like(xt)
-    last[args[5][usable(args)]] = calls[0][0]
+    last[args[4][usable(args)]] = calls[0][0]
     assert model_value(args, xt) < min(model_value(args, last), 0.0)
     _, x_new, cl = line_search(Objective(penalized), state, xt)
     assert obj.value_at(cl, x_new) + gam @ x_new < state.J + gam @ x
@@ -849,9 +872,9 @@ def test_cycling_active_set_guesses_end_in_a_descent_direction(monkeypatch):
     # direction is feasible and lowers the model
     inc = graphs.IncidenceMatrix(3, np.array([[0, 1], [1, 2]]))
     G = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, 1.0]])
-    ends = inc.pairs.T
-    assert np.allclose(hessian_rows(G, G, ends, ends), [[8.0, 7.22], [7.22, 8.0]])
-    args = (kernel_problem(np.zeros(2), True, inc), G, G, np.array([-1.0, -1.0]),
+    model = NewtonModel(G, G, inc)
+    assert np.allclose(model.rows([0, 1], [0, 1]), [[8.0, 7.22], [7.22, 8.0]])
+    args = (kernel_problem(np.zeros(2), True), model, np.array([-1.0, -1.0]),
             np.ones(2), np.array([0, 1]))
     count = itertools.count()
 
@@ -864,8 +887,8 @@ def test_cycling_active_set_guesses_end_in_a_descent_direction(monkeypatch):
     assert next(count) == 3 and len(calls) == 1  # the first guess and one per solve
     assert np.allclose(calls[0][0], [8.22 / 8, -1.0])
     assert model_value(args, calls[0][0]) > 0.7
-    assert np.min(args[4] + xt) >= 0.0
-    assert model_value(args, xt) < 0.0 and float(args[3] @ xt) < 0.0
+    assert np.min(args[3] + xt) >= 0.0
+    assert model_value(args, xt) < 0.0 and float(args[2] @ xt) < 0.0
 
 
 def test_indefinite_free_block_is_a_typed_error():
@@ -876,11 +899,11 @@ def test_indefinite_free_block_is_a_typed_error():
     # a LinAlgError or a NaN direction
     inc = graphs.IncidenceMatrix(3, np.array([[0, 1], [1, 2]]))
     Ginv = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [5.0, 0.0, 1.0]])
-    ends = inc.pairs.T
-    H = hessian_rows(np.eye(3), Ginv, ends, ends)
+    model = NewtonModel(np.eye(3), Ginv, inc)
+    H = model.rows([0, 1], [0, 1])
     assert np.array_equal(H, [[8.0, 12.0], [12.0, 8.0]])
     with pytest.raises(DegenerateCurvatureError, match="not positive definite"):
-        cd_direction(kernel_problem(np.zeros(2), True, inc), np.eye(3), Ginv,
+        cd_direction(kernel_problem(np.zeros(2), True), model,
                      np.array([-1.0, -1.0]), np.zeros(2), np.array([0, 1]))
 
 
@@ -977,13 +1000,13 @@ def test_newton_never_builds_dense_hessian(monkeypatch):
         sizes.append(act.size)
         return act
 
-    def spy_hessian_rows(*args, **kwargs):
-        block = hessian_rows(*args, **kwargs)
+    def spy_entries(self, *args, _real=NewtonModel._entries, **kwargs):
+        block = _real(self, *args, **kwargs)
         built.append((sizes[-1] if sizes else 0, block.size))
         return block
 
     monkeypatch.setattr(proxnewton, "active_set", spy_active_set)
-    monkeypatch.setattr(proxnewton, "hessian_rows", spy_hessian_rows)
+    monkeypatch.setattr(NewtonModel, "_entries", spy_entries)
     x, rep = proxnewton.solve_newton(prob, opts=TIGHT_ER)
     assert rep.status == "converged"
     assert built and max(sizes) < prob.m
